@@ -13,9 +13,10 @@ from .topology import Topology
 class HashedShiftTree:
     """A string of length 2**n with hashed subtree summaries.
 
-    Costs: ``init`` O(m); ``set`` O(log m); ``shift(k)`` O(m / 2**j) where
-    2**j is the largest power of two dividing k; ``diff`` O((d+1) log m)
-    for d reported differences.  Letters are integers in [0, ctx.p).
+    Costs: ``init`` O(m); ``set`` O(log m); ``set_many`` O(b log m) for b
+    positions; ``shift(k)`` O(m / 2**j) where 2**j is the largest power of
+    two dividing k; ``diff`` O((d+1) log m) for d reported differences.
+    Letters are integers in [0, ctx.p).
 
     A fresh tree represents the all-zero string (every subtree hash of a
     zero string is 0, so the zeroed node array is already consistent).
@@ -42,59 +43,50 @@ class HashedShiftTree:
             raise ValueError(f"letters must lie in [0, {p})")
         self.topo.delta = 0
         self.nodes[self.size:] = vals
-        self._update_range(self.size - 1)
-
-    def update(self, i: int) -> None:
-        """Recompute one inner node's hash from its children."""
-        topo = self.topo
-        li = topo.left_child(i)
-        ri = topo.right_child(i)
-        ctx = self.ctx
-        half = self.size >> i.bit_length()  # leaf count under the left child
-        self.nodes[i] = (self.nodes[li] + self.nodes[ri] * ctx.powers[half]) % ctx.p
-        self.update_calls += 1
+        self._recompute(self.n, range(self.size, 2 * self.size))
 
     def set(self, pos: int, x: int) -> None:
         """Overwrite the letter at string position ``pos``."""
         if not 0 <= x < self.ctx.p:
             raise ValueError(f"letter {x} outside [0, {self.ctx.p})")
-        topo = self.topo
-        j = topo.leaf_of_position(pos)
+        j = self.topo.leaf_of_position(pos)
         self.nodes[j] = x
-        while j != 1:
-            j = topo.parent(j)
-            self.update(j)
+        self._recompute(self.n, (j,))
+
+    def set_many(self, positions, x: int) -> None:
+        """Write letter ``x`` at each of ``positions``; repeats are allowed."""
+        if not 0 <= x < self.ctx.p:
+            raise ValueError(f"letter {x} outside [0, {self.ctx.p})")
+        leaves = {self.topo.leaf_of_position(pos) for pos in positions}
+        for j in leaves:
+            self.nodes[j] = x
+        self._recompute(self.n, leaves)
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
         k %= self.size
         if k == 0:
             return
-        lowbit = k & -k  # 2**(2-adic valuation of k)
         self.topo.delta = (self.topo.delta + k) % self.size
-        # subtrees of size lowbit moved wholesale; only nodes above them change
-        self._update_range(self.size // lowbit - 1)
+        # subtrees of size k & -k moved wholesale; only nodes above them change
+        level = self.n - (k & -k).bit_length() + 1
+        self._recompute(level, range(1 << level, 2 << level))
 
-    def _update_range(self, count: int) -> None:
-        # Recompute nodes count..1 bottom-up.  count+1 is always a power of
-        # two, so the range is a whole stack of levels; looping per level
-        # hoists the skew bit and power lookup out of the hot loop.
-        nodes = self.nodes
+    def _recompute(self, level: int, nodes) -> None:
+        # Rehash the distinct ancestors of ``nodes`` (all on ``level``)
+        # bottom-up, each from its two children.
+        hashes = self.nodes
         powers = self.ctx.powers
         p = self.ctx.p
-        n = self.n
-        delta = self.topo.delta
-        size = self.size
-        deepest = (count + 1).bit_length() - 2
-        for lev in range(deepest, -1, -1):
-            s = (delta >> (n - lev - 1)) & 1
-            width = 2 << lev
-            pw = powers[size >> (lev + 1)]
-            for i in range(width - 1, (1 << lev) - 1, -1):
-                li = (2 * i - s) % width + width
-                ri = (2 * i + 1 - s) % width + width
-                nodes[i] = (nodes[li] + nodes[ri] * pw) % p
-        self.update_calls += count
+        calls = 0
+        for k, s, parents in self.topo.ancestors(level, nodes):
+            width = 2 << k
+            pw = powers[self.size >> (k + 1)]  # leaf count under a left child
+            for i in parents:
+                hashes[i] = (hashes[(2 * i - s) % width + width]
+                             + hashes[(2 * i + 1 - s) % width + width] * pw) % p
+            calls += len(parents)
+        self.update_calls += calls
 
     def diff(self, other: "HashedShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ.

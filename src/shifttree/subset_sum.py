@@ -209,9 +209,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                 raise AssertionError("tagged diff returned an unbalanced set")
             for d in fresh:
                 sums.add(d)
-                t1.set(d, 1)
-                t2.set((d + x) % L, 1)
-                t2.set((d + x - m) % L, 1)
+            t1.set_many(fresh, 1)
+            t2.set_many([(d + r) % L for d in fresh for r in (x, x - m)], 1)
         if checkpoint is not None:
             state.shift = x
             checkpoint(state)

@@ -33,15 +33,6 @@ class TaggedShiftTree:
         self.update_calls = 0
         self.diff_visits = 0
 
-    def update(self, i: int) -> None:
-        """Give inner node i a fresh singleton tag, retiring its old one."""
-        assert 1 <= i < self.size, "leaves carry letters, not tags"
-        old = self.tags[i]
-        if old is not None:
-            self.store.delete_tag(old)
-        self.tags[i] = self.store.new_tag()
-        self.update_calls += 1
-
     def init(self, letters) -> None:
         """Load a full string, reset the rotation, retag every inner node."""
         vals = list(letters)
@@ -49,37 +40,45 @@ class TaggedShiftTree:
             raise ValueError(f"expected {self.size} letters, got {len(vals)}")
         self.topo.delta = 0
         self.leaves = vals
-        self._retag_range(self.size - 1)
-
-    def _retag_range(self, count: int) -> None:
-        # bulk form of update() for nodes count..1
-        tags = self.tags
-        delete_tag = self.store.delete_tag
-        new_tag = self.store.new_tag
-        for i in range(count, 0, -1):
-            old = tags[i]
-            if old is not None:
-                delete_tag(old)
-            tags[i] = new_tag()
-        self.update_calls += count
+        self._retag(self.n, range(self.size, 2 * self.size))
 
     def set(self, pos: int, x) -> None:
         """Overwrite the letter at string position ``pos``."""
-        topo = self.topo
-        j = topo.leaf_of_position(pos)
+        j = self.topo.leaf_of_position(pos)
         self.leaves[j - self.size] = x
-        while j != 1:
-            j = topo.parent(j)
-            self.update(j)
+        self._retag(self.n, (j,))
+
+    def set_many(self, positions, x) -> None:
+        """Write letter ``x`` at each of ``positions``; repeats are allowed."""
+        leaves = {self.topo.leaf_of_position(pos) for pos in positions}
+        for j in leaves:
+            self.leaves[j - self.size] = x
+        self._retag(self.n, leaves)
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
         k %= self.size
         if k == 0:
             return
-        lowbit = k & -k
         self.topo.delta = (self.topo.delta + k) % self.size
-        self._retag_range(self.size // lowbit - 1)
+        level = self.n - (k & -k).bit_length() + 1
+        self._retag(level, range(1 << level, 2 << level))
+
+    def _retag(self, level: int, nodes) -> None:
+        # Give each distinct ancestor of ``nodes`` (all on ``level``) a fresh
+        # singleton tag, retiring its old one.
+        tags = self.tags
+        delete_tag = self.store.delete_tag
+        new_tag = self.store.new_tag
+        calls = 0
+        for _, _, parents in self.topo.ancestors(level, nodes):
+            for i in parents:
+                old = tags[i]
+                if old is not None:
+                    delete_tag(old)
+                tags[i] = new_tag()
+            calls += len(parents)
+        self.update_calls += calls
 
     def diff(self, other: "TaggedShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ.

@@ -33,10 +33,6 @@ class Topology:
         """Distance from the root; the root (index 1) has level 0."""
         return i.bit_length() - 1
 
-    def skew(self, k: int) -> int:
-        """Link offset bit for level k: bit (n - k) of ``delta``."""
-        return (self.delta >> (self.n - k)) & 1
-
     def left_child(self, i: int) -> int:
         assert 1 <= i < self.size, "leaves have no children"
         width = 1 << i.bit_length()  # level(i) + 1 bits
@@ -51,10 +47,29 @@ class Topology:
 
     def parent(self, i: int) -> int:
         assert 1 < i < 2 * self.size, "the root has no parent"
-        k = i.bit_length() - 1
-        half = 1 << k
-        s = (self.delta >> (self.n - k)) & 1
-        return ((i + s) % half + half) >> 1
+        return next(self.ancestors(i.bit_length() - 1, (i,)))[2][0]
+
+    def ancestors(self, level: int, nodes):
+        """Yield ``(k, s, parents)`` for k = level-1 down to 0: the distinct
+        ancestors on level k of ``nodes`` (all on ``level``), and the skew
+        bit s of the links from level k to level k+1, which is bit n-k-1 of
+        ``delta``.  A one-element tuple yields one-element tuples and a
+        whole-level ``range`` yields ranges, so neither builds a set; other
+        collections, repeats allowed, are deduplicated into sets."""
+        bits = self.delta >> (self.n - level)
+        kind = type(nodes)
+        while level:
+            half = 1 << level
+            level -= 1
+            s = bits & 1
+            bits >>= 1
+            if kind is tuple:
+                nodes = (((nodes[0] + s) % half + half) >> 1,)
+            elif kind is range:
+                nodes = range(half >> 1, half)
+            else:
+                nodes = {((i + s) % half + half) >> 1 for i in nodes}
+            yield level, s, nodes
 
     def leaf_of_position(self, pos: int) -> int:
         """Node index of the leaf holding string position ``pos``."""

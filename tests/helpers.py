@@ -27,6 +27,25 @@ def leaf_letter(tree, i: int):
     return tree.nodes[i]
 
 
+def inner_ancestors(topo, positions) -> set[int]:
+    """Distinct inner nodes above the leaves of ``positions``, found by
+    repeated ``Topology.parent``."""
+    seen = set()
+    for pos in positions:
+        j = topo.leaf_of_position(pos)
+        while j != 1:
+            j = topo.parent(j)
+            seen.add(j)
+    return seen
+
+
+def batch_write(rng: Random, size: int) -> list[int]:
+    """Positions for one ``set_many``: sometimes empty, else with a repeat."""
+    positions = [rng.randrange(size)
+                 for _ in range(rng.choice([0, 1, 2, 3, size // 2, size]))]
+    return positions + positions[:1]
+
+
 def node_string(tree, i: int) -> list:
     """Letters covered by node i, left to right."""
     if i >= tree.size:

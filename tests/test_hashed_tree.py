@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from shifttree import HashContext, HashedShiftTree, make_context
 
-from helpers import bits, naive_diff, node_string, rotate_right
+from helpers import (
+    batch_write, bits, inner_ancestors, naive_diff, node_string, rotate_right)
 
 
 def fresh(n, seed=0):
@@ -213,7 +214,9 @@ def test_model_equivalence_property(n, data):
 def test_randomized_model_stress_with_audits():
     # >= 10^3 random op sequences; materialize tracks the model after every
     # op, stored hashes are audited periodically, and paired diffs match the
-    # naive position-wise comparison within the visit budget.
+    # naive position-wise comparison within the visit budget.  A batched
+    # write, made after a shift of a random valuation, must leave the same
+    # nodes as point sets and update each distinct inner ancestor once.
     rng = Random(2024)
     for trial in range(1000):
         n = rng.choice([1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8, 9, 10])
@@ -229,14 +232,31 @@ def test_randomized_model_stress_with_audits():
             models.append(list(s))
         for _ in range(rng.randint(0, 6)):
             w = rng.randrange(2)
-            if rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.4:
                 pos, x = rng.randrange(size), rng.randrange(4)
                 trees[w].set(pos, x)
                 models[w][pos] = x
-            else:
+            elif roll < 0.8:
                 k = rng.randint(-2 * size, 2 * size)
                 trees[w].shift(k)
                 models[w] = rotate_right(models[w], k)
+            else:
+                k = (2 * rng.randrange(size) + 1) << rng.randrange(n)
+                trees[w].shift(k)
+                models[w] = rotate_right(models[w], k)
+                positions, x = batch_write(rng, size), rng.randrange(4)
+                twin = HashedShiftTree(n, ctx)
+                twin.nodes = list(trees[w].nodes)
+                twin.topo.delta = trees[w].topo.delta
+                for pos in positions:
+                    twin.set(pos, x)
+                    models[w][pos] = x
+                want = len(inner_ancestors(trees[w].topo, positions))
+                before = trees[w].update_calls
+                trees[w].set_many(positions, x)
+                assert trees[w].update_calls - before == want
+                assert trees[w].nodes == twin.nodes
             assert trees[w].materialize() == models[w]
         a = rng.randrange(size)
         b = rng.randrange(a, size)

@@ -172,28 +172,3 @@ def test_step_budget_stays_inverse_ackermann_flat():
                 live.remove(x)
                 store.delete_tag(x)
     assert store.steps <= 5 * n_ops, store.steps
-
-
-def test_no_delete_mode_matches_deleting_store():
-    rng = Random(31)
-    keeper = TagStore(deletion_enabled=False)
-    deleter = TagStore()
-    live = []
-    for _ in range(1500):
-        roll = rng.random()
-        if roll < 0.4 or len(live) < 2:
-            a, b = keeper.new_tag(), deleter.new_tag()
-            live.append((a, b))
-        elif roll < 0.7:
-            (a1, b1), (a2, b2) = rng.choice(live), rng.choice(live)
-            keeper.union(a1, a2)
-            deleter.union(b1, b2)
-        else:
-            a, b = live.pop(rng.randrange(len(live)))
-            keeper.delete_tag(a)  # no-op by configuration
-            deleter.delete_tag(b)
-    for (a1, b1) in live:
-        for (a2, b2) in live:
-            assert (keeper.find(a1) == keeper.find(a2)) == \
-                   (deleter.find(b1) == deleter.find(b2))
-    assert keeper.rebuilds == 0

@@ -5,7 +5,8 @@ import pytest
 
 from shifttree import HashedShiftTree, TaggedShiftTree, TagStore, make_context
 
-from helpers import bits, naive_diff, node_string, rotate_right
+from helpers import (
+    batch_write, bits, inner_ancestors, naive_diff, node_string, rotate_right)
 
 
 class Glyph:
@@ -31,14 +32,18 @@ def test_init_creates_one_tag_per_inner_node():
 
 
 def test_update_replaces_without_leaking():
+    # rewriting one leaf retags every inner node on its path, root included
     store = TagStore()
     tree = TaggedShiftTree(2, store)
     tree.init(bits("0101"))
     live = store.live
-    old = tree.tags[1]
-    tree.update(1)
+    old = list(tree.tags)
+    path = inner_ancestors(tree.topo, [1])
+    assert 1 in path
+    tree.set(1, 1)
     assert store.live == live
-    assert tree.tags[1] != old
+    for i in range(1, tree.size):
+        assert (tree.tags[i] != old[i]) == (i in path), i
 
 
 def test_live_tags_across_trees():
@@ -76,25 +81,46 @@ def test_shift_update_counts_exact():
 
 
 def test_model_equivalence():
+    # twin gets the same ops, but each batched write as point sets
     rng = Random(44)
     for trial in range(300):
         n = rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 6])
         size = 1 << n
         store = TagStore()
         tree = TaggedShiftTree(n, store)
+        twin = TaggedShiftTree(n, store)
         model = [rng.randrange(3) for _ in range(size)]
         tree.init(model)
+        twin.init(model)
         model = list(model)
         for _ in range(rng.randint(0, 8)):
-            if rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.4:
                 pos, x = rng.randrange(size), rng.randrange(3)
                 tree.set(pos, x)
+                twin.set(pos, x)
                 model[pos] = x
-            else:
+            elif roll < 0.8:
                 k = rng.randint(-2 * size, 2 * size)
                 tree.shift(k)
+                twin.shift(k)
                 model = rotate_right(model, k)
-            assert tree.materialize() == model
+            else:
+                # a shift of a random valuation, then the batch
+                k = (2 * rng.randrange(size) + 1) << rng.randrange(max(n, 1))
+                tree.shift(k)
+                twin.shift(k)
+                model = rotate_right(model, k)
+                positions, x = batch_write(rng, size), rng.randrange(3)
+                want = len(inner_ancestors(tree.topo, positions))
+                before, live = tree.update_calls, store.live
+                tree.set_many(positions, x)
+                assert tree.update_calls - before == want
+                assert store.live == live
+                for pos in positions:
+                    twin.set(pos, x)
+                    model[pos] = x
+            assert tree.materialize() == twin.materialize() == model
 
 
 def test_empty_full_diff_unions_the_roots():

@@ -17,12 +17,19 @@ def level_rows(topo: Topology) -> list[list[int]]:
     return rows
 
 
+def skew(topo: Topology, k: int) -> int:
+    """Skew bit of the links into level k, as the ancestor walk yields it."""
+    leaf = 1 << k
+    return next(topo.ancestors(k, (leaf,)))[1]
+
+
 def test_skew_examples():
-    assert Topology(4, 0).skew(2) == 0
+    assert skew(Topology(4, 0), 2) == 0
     t = Topology(4, 5)  # 0101
-    assert t.skew(4) == 1  # (5 >> 0) & 1
-    assert t.skew(1) == 0  # (5 >> 3) & 1
-    assert t.skew(0) == 0
+    assert skew(t, 4) == 1  # (5 >> 0) & 1
+    assert skew(t, 3) == 0  # (5 >> 1) & 1
+    assert skew(t, 2) == 1  # (5 >> 2) & 1
+    assert skew(t, 1) == 0  # (5 >> 3) & 1
 
 
 def test_children_examples():
@@ -147,3 +154,39 @@ def test_leaf_row_matches_leaf_of_position():
         topo = Topology(n, delta)
         row = level_rows(topo)[n]
         assert row == [topo.leaf_of_position(pos) for pos in range(1 << n)]
+
+
+def test_ancestors_match_repeated_parent():
+    # The shared level walk against Topology.parent applied one level at a
+    # time, and its skew bits and parents against the child links, exhaustive
+    # over n <= 5 and every delta: from a whole level, from each single node,
+    # from nothing, and from a collection with repeats.
+    rng = Random(5)
+    for n in range(0, 6):
+        for delta in range(1 << n):
+            topo = Topology(n, delta)
+            for level in range(n + 1):
+                row = range(1 << level, 2 << level)
+                starts = [row, []] + [(i,) for i in row]
+                starts.append([rng.choice(row) for _ in range(rng.randint(2, 6))])
+                for nodes in starts:
+                    want = set(nodes)
+                    k = level
+                    for k_got, s, parents in topo.ancestors(level, nodes):
+                        k -= 1
+                        below = want
+                        want = {topo.parent(i) for i in want}
+                        assert k_got == k
+                        assert set(parents) == want, (n, delta, level, nodes, k)
+                        assert len(parents) == len(want)
+                        if type(nodes) is not list:
+                            assert type(parents) is type(nodes)
+                        width = 2 << k
+                        children = set()
+                        for i in parents:
+                            assert (2 * i - s) % width + width == topo.left_child(i)
+                            assert (2 * i + 1 - s) % width + width \
+                                == topo.right_child(i)
+                            children |= {topo.left_child(i), topo.right_child(i)}
+                        assert below <= children
+                    assert k == 0 and want <= {1}, (n, delta, level, nodes)
