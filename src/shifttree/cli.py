@@ -1,6 +1,7 @@
 """Command-line front end: solve instances from text, or run benchmark sweeps.
 
-Exit codes: 0 success, 2 usage or input errors, 3 hash-collision tripwire.
+Exit codes: 0 success, 2 usage or input errors (including a modulus or
+bench size above MAX_MODULUS), 3 hash-collision tripwire.
 """
 
 import argparse
@@ -12,6 +13,10 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
+# Largest modulus (and --bench size) accepted.  A tagged solve holds about
+# 1 kB per residue (measured at m = 2**16), so this keeps one solve near
+# 1 GB; larger inputs are refused before any table is allocated.
+MAX_MODULUS = 1 << 20
 
 
 def parse_instance(text: str, modulus: int) -> Instance:
@@ -95,6 +100,10 @@ def main(argv=None) -> int:
         if not sizes or min(sizes) < 1:
             print("error: --bench sizes must be positive", file=sys.stderr)
             return 2
+        if max(sizes) > MAX_MODULUS:
+            print(f"error: --bench sizes must be <= {MAX_MODULUS}, "
+                  f"got {max(sizes)}", file=sys.stderr)
+            return 2
         seed = args.seed if args.seed is not None else 0
         print(BENCH_COLUMNS)
         for row in bench_rows(sizes, args.backend, seed):
@@ -107,9 +116,9 @@ def main(argv=None) -> int:
     if args.modulus is None:
         print("error: --modulus is required", file=sys.stderr)
         return 2
-    if args.modulus < 1:
-        print(f"error: modulus must be >= 1, got {args.modulus}",
-              file=sys.stderr)
+    if not 1 <= args.modulus <= MAX_MODULUS:
+        print(f"error: modulus must be in [1, {MAX_MODULUS}], "
+              f"got {args.modulus}", file=sys.stderr)
         return 2
 
     if args.input is None:

@@ -4,8 +4,14 @@ The driving recurrence is S <- S ∪ (S + x) per element copy.  Instead of
 recomputing S + x, compare the membership bit-string s against its rotation
 by x and read off the changed positions: each is either a brand-new sum or
 the position it rotated in from, in equal numbers.  Two shift trees make
-that comparison output-sensitive, and visiting the candidate values x in
-bit-reversed order keeps the total rotation cost linearithmic.
+that comparison output-sensitive.
+
+Only the values x present in the instance are visited, in bit-reversed
+order, and the rotated tree moves from one to the next by the net delta.
+Neighbours in that order share as many low bits as the cheapest step of
+the full bit-reversal schedule between them, so the rotations cost no more
+than that schedule (linearithmic) and far less when few values are
+present.  The solve stops as soon as every residue is attainable.
 
 The modulus is rarely a power of two, so the trees hold padded strings of
 length L = the smallest power of two >= 2m: one tree holds s zero-padded,
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
-from .schedule import ShiftSchedule
+from .schedule import bitrev
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -110,7 +116,7 @@ class SolveResult:
 
 @dataclass
 class SolverState:
-    """Live solver internals, handed to an optional per-step checkpoint."""
+    """Live solver internals, handed to an optional per-value checkpoint."""
 
     m: int
     L: int
@@ -124,23 +130,27 @@ class SolverState:
 def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
     """Direct dynamic programming over S <- S ∪ (S + x); the ground truth.
 
-    Multiplicities are capped at m passes per value (further copies cannot
-    add residues).  O(m) per pass, so only for oracle-scale inputs.
+    S is one Python int used as a bitset (bit j set iff j is attainable), so
+    a pass is S | rot(S, x) in O(m / word) machine steps.  Multiplicities are
+    capped at m passes per value (further copies cannot add residues), and a
+    value's remaining copies are skipped once a pass adds nothing.  The
+    residues are recorded in ascending order.
     """
     m = inst.m
-    sums = SumSet(m)
-    member = sums.member
+    full = (1 << m) - 1
+    bits = 1
     for x in range(1, m):
         for _ in range(min(inst.mult[x], m)):
             if stats is not None:
                 stats.bellman_iterations += 1
-            rotated = member[-x:] + member[:-x]
-            fresh = [j for j, (was, now) in enumerate(zip(member, rotated))
-                     if now and not was]
-            if not fresh:
+            grown = bits | ((bits << x | bits >> (m - x)) & full)
+            if grown == bits:
                 break
-            for j in fresh:
-                sums.add(j)
+            bits = grown
+    sums = SumSet(m)
+    for j, bit in enumerate(bin(bits)[:1:-1]):  # bit j of S at index j
+        if bit == "1":
+            sums.add(j)
     return sums
 
 
@@ -151,7 +161,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
 
     ``seed`` feeds the hashed backend's hash point and is ignored otherwise.
     ``checkpoint``, if given, is called with a SolverState after each
-    candidate value finishes (test hook).
+    visited value finishes (test hook).
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -188,11 +198,13 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     member = sums.member
     mult = inst.mult
     state = SolverState(m, L, t1, t2, sums, stats) if checkpoint else None
-    sched = ShiftSchedule(width)
-    for delta in sched:
-        t2.shift(delta)
-        x = sched.current               # t2 now holds the double string rotated by x
-        for _ in range(mult[x] if x < m else 0):
+    present = sorted((x for x in range(1, m) if mult[x]),
+                     key=lambda x: bitrev(width, x))
+    at = 0                              # t2 holds the double string rotated by at
+    for x in present:
+        t2.shift(x - at)
+        at = x
+        for _ in range(mult[x]):
             stats.bellman_iterations += 1
             diffs = t1.diff(t2, 0, m - 1)
             stats.reported_differences += len(diffs)
@@ -214,6 +226,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         if checkpoint is not None:
             state.shift = x
             checkpoint(state)
+        if len(sums) == m:
+            break                       # every residue attainable
 
     stats.updates = t1.update_calls + t2.update_calls
     stats.diff_visits = t1.diff_visits + t2.diff_visits

@@ -2,7 +2,7 @@
 
 from random import Random
 
-from shifttree import Instance
+from shifttree import Instance, bitrev
 
 
 def bits(text: str) -> list[int]:
@@ -44,6 +44,25 @@ def batch_write(rng: Random, size: int) -> list[int]:
     positions = [rng.randrange(size)
                  for _ in range(rng.choice([0, 1, 2, 3, size // 2, size]))]
     return positions + positions[:1]
+
+
+def solver_visits(inst: Instance) -> list[int]:
+    """Values the solver should visit, in order: the present residues in
+    [1, m) sorted by bit reversal over the padded width, cut after the first
+    one that leaves every residue attainable (big-int bitset model)."""
+    m = inst.m
+    width = (2 * m - 1).bit_length()
+    full = (1 << m) - 1
+    bits = 1
+    visits = []
+    for x in sorted((x for x in range(1, m) if inst.mult[x]),
+                    key=lambda x: bitrev(width, x)):
+        visits.append(x)
+        for _ in range(min(inst.mult[x], m)):
+            bits |= (bits << x | bits >> (m - x)) & full
+        if bits == full:
+            break
+    return visits
 
 
 def node_string(tree, i: int) -> list:

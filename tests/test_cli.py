@@ -3,7 +3,8 @@ import io
 import pytest
 
 from shifttree import HashedShiftTree
-from shifttree.cli import bench_rows, dense_instance, main, parse_instance
+from shifttree.cli import (MAX_MODULUS, bench_rows, dense_instance, main,
+                           parse_instance)
 
 
 def run_cli(argv, monkeypatch, capsys, stdin=""):
@@ -106,6 +107,13 @@ def test_missing_modulus_is_exit_2(monkeypatch, capsys):
 def test_bad_modulus_is_exit_2(monkeypatch, capsys):
     code, _, err = run_cli(["--modulus", "0"], monkeypatch, capsys, "1\n")
     assert code == 2
+    # above the ceiling: refused with a message before any table is built
+    for m in (MAX_MODULUS + 1, 10**15):
+        code, out, err = run_cli(["--modulus", str(m)], monkeypatch, capsys,
+                                 "1\n")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_MODULUS) in err and str(m) in err
 
 
 def test_parse_error_is_exit_2(monkeypatch, capsys):
@@ -154,6 +162,11 @@ def test_bench_rejects_bad_sizes(monkeypatch, capsys):
     assert code == 2
     code, _, err = run_cli(["--bench", "0,8"], monkeypatch, capsys)
     assert code == 2
+    for m in (MAX_MODULUS + 1, 10**15):
+        code, out, err = run_cli(["--bench", f"8,{m}"], monkeypatch, capsys)
+        assert code == 2
+        assert out == ""                # no CSV header, nothing solved
+        assert str(MAX_MODULUS) in err and str(m) in err
 
 
 def test_list_output_matches_oracle_on_random_instances(monkeypatch, capsys):

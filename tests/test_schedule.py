@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,3 +81,36 @@ def test_total_updates_over_full_schedule():
         L = 1 << width
         assert full_schedule_update_count(width) == width * L - (L - 1)
         assert full_schedule_update_count(width) <= L * width
+
+
+def bitrev_visit_update_count(width: int, values) -> int:
+    """Updates spent visiting ``values`` in bit-reversed order, moving the
+    tree by the net delta between consecutive values."""
+    tree = HashedShiftTree(width, make_context(1 << width, seed=width))
+    tree.init([0] * (1 << width))
+    tree.update_calls = 0
+    at = 0
+    for x in sorted(values, key=lambda x: bitrev(width, x)):
+        tree.shift(x - at)
+        at = x
+    return tree.update_calls
+
+
+def test_bitrev_visit_of_all_rotations_costs_the_full_schedule():
+    for width in range(1, 11):
+        L = 1 << width
+        assert bitrev_visit_update_count(width, range(1, L)) == width * L - (L - 1)
+
+
+def test_bitrev_visit_of_any_subset_costs_at_most_the_full_schedule():
+    rng = Random(33)
+    for width in range(1, 11):
+        L = 1 << width
+        bound = width * L - (L - 1)
+        for _ in range(40):
+            values = rng.sample(range(1, L), rng.randint(0, L - 1))
+            count = bitrev_visit_update_count(width, values)
+            assert count <= bound, values
+            # every full-schedule step costs at least one update, so a
+            # proper subset must come in strictly under the bound
+            assert (count == bound) == (len(values) == L - 1), values

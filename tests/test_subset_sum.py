@@ -7,12 +7,15 @@ from shifttree import (
     HashedShiftTree,
     Instance,
     SumSet,
+    bitrev,
     solve,
     solve_naive,
     solve_with_stats,
 )
+from shifttree.cli import dense_instance
 
-from helpers import EDGE_MODULI, naive_diff, random_instance, rotate_right
+from helpers import (EDGE_MODULI, naive_diff, random_instance, rotate_right,
+                     solver_visits)
 
 BACKENDS = ("hashed", "tagged", "naive")
 
@@ -132,16 +135,79 @@ def test_prefix_padding_identity():
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_solver_state_checkpoint_padding_audit(backend):
     rng = Random(10)
-    for m in (2, 3, 5, 12):
+    audits = 0
+    for m in (2, 3, 5, 12, 12, 40):
         inst = random_instance(rng, m=m)
+        calls = 0
 
         def check(state):
+            nonlocal calls
+            calls += 1
             s = [1 if v else 0 for v in state.sums.member]
             undone = rotate_right(state.t2.materialize(), -state.shift)
             assert undone == s + [0] * (state.L - 2 * m) + s
             assert state.t1.materialize() == s + [0] * (state.L - m)
 
         solve_with_stats(inst, backend=backend, seed=m, checkpoint=check)
+        assert calls == len(solver_visits(inst)), m
+        audits += calls
+    assert audits > 0
+
+
+def checkpoint_trace(inst, backend):
+    """(shift, number of sums) as seen by each checkpoint of one solve."""
+    seen = []
+    solve_with_stats(inst, backend=backend, seed=3,
+                     checkpoint=lambda st: seen.append((st.shift, len(st.sums))))
+    return seen
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_solver_visits_present_values_in_bitrev_order(backend):
+    # only even residues are attainable, so the solve never saturates and
+    # must visit every present nonzero value exactly once
+    rng = Random(12)
+    m = 96
+    inst = Instance.from_pairs(
+        m, [(rng.randrange(0, m, 2), rng.choice([1, 2, m])) for _ in range(30)])
+    width = (2 * m - 1).bit_length()
+    present = [x for x in range(1, m) if inst.mult[x]]
+    seen = checkpoint_trace(inst, backend)
+    shifts = [x for x, _ in seen]
+    assert sorted(shifts) == present
+    keys = [bitrev(width, x) for x in shifts]
+    assert keys == sorted(keys)
+    assert all(n < m for _, n in seen)
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_solver_stops_at_saturation(backend):
+    # value 1 with m copies attains every residue; the present values that
+    # come after it in bit-reversed order are never visited
+    m = 50
+    width = (2 * m - 1).bit_length()
+    inst = Instance.from_pairs(m, [(1, m), (3, 1), (4, 2), (20, 1), (33, 1)])
+    seen = checkpoint_trace(inst, backend)
+    shifts = [x for x, _ in seen]
+    order = sorted((x for x in range(1, m) if inst.mult[x]),
+                   key=lambda x: bitrev(width, x))
+    assert shifts == order[:len(shifts)] == solver_visits(inst)
+    assert len(shifts) < len(order)
+    assert [n == m for _, n in seen] == [False] * (len(seen) - 1) + [True]
+    assert solve(inst, backend=backend, seed=3).ascending() == list(range(m))
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_backends_match_oracle_at_bench_size(backend):
+    # benchmark-sized instances: dense at m = 2**16, and 8 values at a prime
+    # modulus just below 2**16
+    rng = Random(16)
+    m = 65521
+    sparse = Instance.from_pairs(
+        m, [(x, rng.randint(1, 3)) for x in rng.sample(range(1, m), 8)])
+    for inst in (dense_instance(1 << 16, 1), sparse):
+        want = solve_naive(inst).ascending()
+        assert solve(inst, backend=backend, seed=1).ascending() == want
 
 
 def test_stats_are_reproducible():
