@@ -5,7 +5,9 @@ deleted tag is only marked, and the whole forest is rebuilt over the
 survivors once more than half of the occupied slots are marked.  Rebuilding
 recycles dead slots, so memory stays proportional to the live count while
 find/union/delete keep their inverse-Ackermann amortized cost and new_tag
-stays O(1) worst case.
+stays O(1) worst case.  ``renew`` fuses a delete with the new tag that
+replaces it; a tag that is a root of size 1 is reused in place, which
+neither marks a slot nor moves the next rebuild closer.
 
 Live tags keep their ids across rebuilds; only representatives may change,
 so callers must not cache ``find`` results across mutations.
@@ -26,7 +28,7 @@ class TagStore:
         self._free: list[int] = []
         self.live = 0     # allocated and not deleted
         self.marked = 0   # deleted but still occupying a forest slot
-        self.ops = 0      # public calls (new_tag/find/union/delete_tag)
+        self.ops = 0      # public calls (new_tag/find/union/delete_tag/renew)
         self.steps = 0    # parent-link hops walked upward
         self.rebuilds = 0
 
@@ -70,8 +72,9 @@ class TagStore:
         # hot path, and the extra call made tree_ops work about 6% slower.
         self.ops += 1
         parent = self._parent
-        assert 0 <= x < len(parent) and parent[x] != _FREE \
-            and not self._dead[x], f"find on dead or free tag {x}"
+        if not (0 <= x < len(parent) and parent[x] != _FREE
+                and not self._dead[x]):
+            raise AssertionError(f"find on dead or free tag {x}")
         r = x
         hops = 0
         while parent[r] != r:
@@ -87,10 +90,12 @@ class TagStore:
     def union(self, x: int, y: int) -> None:
         """Merge the classes of x and y."""
         self.ops += 1
-        assert 0 <= x < len(self._parent) and self._parent[x] != _FREE \
-            and not self._dead[x], f"union on dead or free tag {x}"
-        assert 0 <= y < len(self._parent) and self._parent[y] != _FREE \
-            and not self._dead[y], f"union on dead or free tag {y}"
+        if not (0 <= x < len(self._parent) and self._parent[x] != _FREE
+                and not self._dead[x]):
+            raise AssertionError(f"union on dead or free tag {x}")
+        if not (0 <= y < len(self._parent) and self._parent[y] != _FREE
+                and not self._dead[y]):
+            raise AssertionError(f"union on dead or free tag {y}")
         rx = self._root(x)
         ry = self._root(y)
         if rx == ry:
@@ -104,13 +109,27 @@ class TagStore:
     def delete_tag(self, x: int) -> None:
         """Remove x from its class; its slot is recycled after a rebuild."""
         self.ops += 1
-        assert 0 <= x < len(self._parent) and self._parent[x] != _FREE \
-            and not self._dead[x], f"delete on dead or free tag {x}"
+        if not (0 <= x < len(self._parent) and self._parent[x] != _FREE
+                and not self._dead[x]):
+            raise AssertionError(f"delete on dead or free tag {x}")
         self._dead[x] = True
         self.live -= 1
         self.marked += 1
         if self.marked > self.live:
             self._rebuild()
+
+    def renew(self, x: int) -> int:
+        """Retire x and return a fresh singleton tag in its place.  A root of
+        size 1 has no other member pointing at it, so it already is a fresh
+        singleton and comes back as itself in O(1), counted as one op;
+        otherwise this is ``delete_tag(x)`` then ``new_tag()``."""
+        parent = self._parent
+        if 0 <= x < len(parent) and parent[x] == x and self._size[x] == 1 \
+                and not self._dead[x]:
+            self.ops += 1
+            return x
+        self.delete_tag(x)  # raises on a dead or free tag
+        return self.new_tag()
 
     def _rebuild(self) -> None:
         # Flatten the forest over live tags, preserving the partition but

@@ -1,16 +1,21 @@
 """Deterministic shift tree backed by tags instead of hashes.
 
-An inner node holds a tag: an opaque id standing for the string its subtree
-covered when the node was last updated.  Tags are not unique per string;
-equality of the underlying strings is learned lazily.  When a diff descends
-through two tags it cannot tell apart and finds no difference below, it
-records their equivalence in the shared TagStore, so the same comparison
-short-circuits next time.  Letters only need ``==``; no hashing, no order,
-no integer alphabet.
+An inner node whose leaves all hold one letter is *uniform*: it records that
+letter as its fill and holds no tag, so two uniform blocks compare by one
+``==`` on their letters.  Every other inner node is *mixed* and holds a tag:
+an opaque id standing for the string its subtree covered when the node was
+last updated.  Tags are not unique per string; equality of the underlying
+strings is learned lazily.  When a diff descends through two tags it cannot
+tell apart and finds no difference below, it records their equivalence in
+the shared TagStore, so the same comparison short-circuits next time.
+Letters only need ``==``; no hashing, no order, no integer alphabet.
 """
 
 from .tag_store import TagStore
 from .topology import Topology
+
+# Fill of a mixed node; never ``==`` to a letter.
+_MIXED = object()
 
 
 class TaggedShiftTree:
@@ -19,8 +24,10 @@ class TaggedShiftTree:
 
     All trees that should be comparable must share one TagStore, and all
     operations on trees sharing a store must be externally serialized
-    (diff refines the store).  Call ``init`` before anything else; inner
-    tags are only null during construction.
+    (diff refines the store).  An inner node's tag is null exactly when
+    its block is uniform; its fill then holds the block's letter, and is
+    ``_MIXED`` otherwise.  A fresh tree holds the uniform string of ``None``
+    letters until ``init`` loads one.
     """
 
     def __init__(self, n: int, store: TagStore):
@@ -30,6 +37,7 @@ class TaggedShiftTree:
         self.store = store
         self.leaves: list = [None] * self.size       # letters, leaf-slot order
         self.tags: list[int | None] = [None] * self.size  # inner nodes 1..size-1
+        self.fill: list = [None] * self.size         # inner nodes 1..size-1
         self.update_calls = 0
         self.diff_visits = 0
 
@@ -65,18 +73,35 @@ class TaggedShiftTree:
         self._retag(level, range(1 << level, 2 << level))
 
     def _retag(self, level: int, nodes) -> None:
-        # Give each distinct ancestor of ``nodes`` (all on ``level``) a fresh
-        # singleton tag, retiring its old one.
+        # Refresh each distinct ancestor of ``nodes`` (all on ``level``) from
+        # its children's letters or fills: a uniform node drops its tag, a
+        # mixed one gets a fresh singleton tag in place of its old one.
+        leaves = self.leaves
+        fill = self.fill
         tags = self.tags
         delete_tag = self.store.delete_tag
         new_tag = self.store.new_tag
+        renew = self.store.renew
+        last = self.n - 1
         calls = 0
-        for _, _, parents in self.topo.ancestors(level, nodes):
+        for k, s, parents in self.topo.ancestors(level, nodes):
+            width = 2 << k
+            # children on the leaf level sit at leaves[c - width], others at
+            # fill[c]; pick the array and offset once per level
+            src, base = (leaves, 0) if k == last else (fill, width)
             for i in parents:
-                old = tags[i]
-                if old is not None:
-                    delete_tag(old)
-                tags[i] = new_tag()
+                left = src[(2 * i - s) % width + base]
+                if left is not _MIXED \
+                        and left == src[(2 * i + 1 - s) % width + base]:
+                    fill[i] = left
+                    old = tags[i]
+                    if old is not None:
+                        delete_tag(old)
+                        tags[i] = None
+                else:
+                    fill[i] = _MIXED
+                    old = tags[i]
+                    tags[i] = new_tag() if old is None else renew(old)
             calls += len(parents)
         self.update_calls += calls
 
@@ -84,7 +109,7 @@ class TaggedShiftTree:
         """Positions in [a, b] where this string and ``other``'s differ.
 
         Ascending order, exact.  As a side effect, records every
-        fully-verified equal subtree pair in the shared store.
+        fully-verified equal pair of tagged subtrees in the shared store.
         """
         if other.n != self.n:
             raise ValueError("trees must have equal depth")
@@ -99,6 +124,8 @@ class TaggedShiftTree:
         q_leaves = other.leaves
         t_tags = self.tags
         q_tags = other.tags
+        t_fill = self.fill
+        q_fill = other.fill
         t_delta = self.topo.delta
         q_delta = other.topo.delta
         find = self.store.find
@@ -116,7 +143,12 @@ class TaggedShiftTree:
                 return
             t1 = t_tags[i]
             t2 = q_tags[j]
-            if find(t1) == find(t2):
+            if t1 is None:
+                # uniform: equal to a uniform block of the same letter, and
+                # never to a mixed block, so it is never unioned
+                if t2 is None and t_fill[i] == q_fill[j]:
+                    return
+            elif t2 is not None and find(t1) == find(t2):
                 return
             z = (x + y + 1) >> 1
             # child links, inlined from Topology for the hot path; i and j
@@ -132,7 +164,8 @@ class TaggedShiftTree:
                  (2 * j + 1 - qs) % width + width, z, y)
             if len(out) == before and a <= x and y <= b:
                 # recursion was wasted: the whole [x, y] block matched, so
-                # these two tags provably name equal strings
+                # both nodes are mixed and their tags provably name equal
+                # strings
                 union(t1, t2)
 
         walk(1, 1, 0, size - 1)

@@ -39,6 +39,19 @@ def inner_ancestors(topo, positions) -> set[int]:
     return seen
 
 
+def mixed_blocks(s) -> int:
+    """Aligned blocks of ``s`` of length 2, 4, ..., len(s) holding two
+    different letters: the inner nodes of a tagged tree over ``s`` that
+    hold a tag, whatever its rotation."""
+    count = 0
+    b = 2
+    while b <= len(s):
+        count += sum(any(x != s[i] for x in s[i + 1:i + b])
+                     for i in range(0, len(s), b))
+        b *= 2
+    return count
+
+
 def batch_write(rng: Random, size: int) -> list[int]:
     """Positions for one ``set_many``: sometimes empty, else with a repeat."""
     positions = [rng.randrange(size)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -120,6 +124,7 @@ def test_programming_errors_are_asserted():
 
 def test_model_equivalence_random_interleavings():
     rng = Random(7)
+    kept = renewed = 0
     for round_ in range(8):
         store = TagStore()
         model = PartitionModel()
@@ -127,18 +132,33 @@ def test_model_equivalence_random_interleavings():
         peak_live = 0
         for step in range(2500):
             roll = rng.random()
-            if roll < 0.35 or len(live) < 2:
+            if roll < 0.3 or len(live) < 2:
                 t = store.new_tag()
                 model.new(t)
                 live.append(t)
-            elif roll < 0.6:
+            elif roll < 0.5:
                 x, y = rng.choice(live), rng.choice(live)
                 store.union(x, y)
                 model.union(x, y)
-            elif roll < 0.85:
+            elif roll < 0.7:
                 x, y = rng.choice(live), rng.choice(live)
                 assert (store.find(x) == store.find(y)) == \
                        (model.class_of[x] == model.class_of[y])
+            elif roll < 0.85:
+                x = rng.choice(live)
+                singleton_root = store._parent[x] == x and store._size[x] == 1
+                rebuilds = store.rebuilds
+                y = store.renew(x)
+                if singleton_root:
+                    assert y == x and store.rebuilds == rebuilds
+                    kept += 1
+                else:
+                    # a new id, unless the delete's rebuild recycled x's slot
+                    assert y != x or store.rebuilds > rebuilds
+                    renewed += 1
+                live[live.index(x)] = y
+                model.delete(x)
+                model.new(y)
             else:
                 x = rng.choice(live)
                 live.remove(x)
@@ -150,6 +170,30 @@ def test_model_equivalence_random_interleavings():
             if step % 250 == 0:
                 assert store_partition(store, live) == model.partition()
         assert store_partition(store, live) == model.partition()
+    assert kept and renewed
+
+
+def test_store_guards_survive_optimized_mode():
+    # the dead/free-tag checks are explicit raises, which python -O keeps
+    script = """
+assert False, "this check must run with assertions stripped"
+from shifttree import TagStore
+store = TagStore()
+a, b = store.new_tag(), store.new_tag()
+store.delete_tag(a)
+for call in (lambda: store.find(a), lambda: store.union(b, a),
+             lambda: store.delete_tag(a), lambda: store.renew(a)):
+    try:
+        call()
+    except AssertionError:
+        continue
+    raise SystemExit("a call on a deleted tag went through")
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_step_budget_stays_inverse_ackermann_flat():

@@ -6,7 +6,8 @@ import pytest
 from shifttree import HashedShiftTree, TaggedShiftTree, TagStore, make_context
 
 from helpers import (
-    batch_write, bits, inner_ancestors, naive_diff, node_string, rotate_right)
+    batch_write, bits, inner_ancestors, mixed_blocks, naive_diff, node_string,
+    rotate_right)
 
 
 class Glyph:
@@ -24,26 +25,53 @@ class Glyph:
         return f"Glyph({self.value})"
 
 
-def test_init_creates_one_tag_per_inner_node():
+def test_init_creates_one_tag_per_mixed_inner_node():
     store = TagStore()
     tree = TaggedShiftTree(2, store)
     tree.init(bits("0000"))
-    assert store.live == 3
+    assert store.live == 0
+    assert tree.tags[1:] == [None] * 3
+    tree.init(bits("0001"))  # the root and the "01" half are mixed
+    assert store.live == 2
+    left = tree.topo.left_child(1)
+    assert tree.tags[left] is None and tree.fill[left] == 0
+    assert tree.tags[1] is not None
+    assert tree.tags[tree.topo.right_child(1)] is not None
 
 
 def test_update_replaces_without_leaking():
-    # rewriting one leaf retags every inner node on its path, root included
+    # rewriting one leaf refreshes every inner node on its path, root
+    # included: each ends up uniform or holding a fresh singleton tag
     store = TagStore()
     tree = TaggedShiftTree(2, store)
+    twin = TaggedShiftTree(2, store)
     tree.init(bits("0101"))
-    live = store.live
+    twin.init(bits("0101"))
+    assert tree.diff(twin, 0, 3) == []  # joins each node to its twin
     old = list(tree.tags)
     path = inner_ancestors(tree.topo, [1])
     assert 1 in path
-    tree.set(1, 1)
-    assert store.live == live
+    tree.set(1, 0)  # "0001": the left half turns uniform
+    tagged = [t for t in tree.tags[1:] + twin.tags[1:] if t is not None]
     for i in range(1, tree.size):
-        assert (tree.tags[i] != old[i]) == (i in path), i
+        if i not in path:
+            assert tree.tags[i] == old[i], i
+        elif tree.tags[i] is None:
+            assert tree.fill[i] == 0 and node_string(tree, i) == [0, 0], i
+        else:
+            cls = store.find(tree.tags[i])
+            assert [store.find(t) == cls for t in tagged].count(True) == 1, i
+    assert tree.tags[tree.topo.left_child(1)] is None
+    mixed = mixed_blocks(bits("0001")) + mixed_blocks(bits("0101"))
+    assert store.live == mixed
+    # a tag that no diff joined to another is renewed in place
+    solo = TaggedShiftTree(2, store)
+    solo.init(bits("0110"))
+    root = solo.tags[1]
+    solo.set(0, 1)  # "1110"
+    assert solo.tags[1] == root
+    assert solo.tags[solo.topo.left_child(1)] is None
+    assert store.live == mixed + mixed_blocks(bits("1110"))
 
 
 def test_live_tags_across_trees():
@@ -52,7 +80,13 @@ def test_live_tags_across_trees():
     trees = [TaggedShiftTree(n, store) for _ in range(r)]
     for t in trees:
         t.init([0] * (1 << n))
-    assert store.live == r * ((1 << n) - 1)
+    assert store.live == 0
+    strings = [bits(s)
+               for s in ("00000001", "01010101", "00110011", "11111111")]
+    for t, s in zip(trees, strings):
+        t.init(s)
+    assert store.live == 3 + 7 + 3 + 0
+    assert store.live == sum(mixed_blocks(s) for s in strings)
 
 
 def test_shift_by_half_updates_only_the_root():
@@ -93,6 +127,7 @@ def test_model_equivalence():
         tree.init(model)
         twin.init(model)
         model = list(model)
+        assert store.live == 2 * mixed_blocks(model)
         for _ in range(rng.randint(0, 8)):
             roll = rng.random()
             if roll < 0.4:
@@ -113,14 +148,14 @@ def test_model_equivalence():
                 model = rotate_right(model, k)
                 positions, x = batch_write(rng, size), rng.randrange(3)
                 want = len(inner_ancestors(tree.topo, positions))
-                before, live = tree.update_calls, store.live
+                before = tree.update_calls
                 tree.set_many(positions, x)
                 assert tree.update_calls - before == want
-                assert store.live == live
                 for pos in positions:
                     twin.set(pos, x)
                     model[pos] = x
             assert tree.materialize() == twin.materialize() == model
+            assert store.live == 2 * mixed_blocks(model)
 
 
 def test_empty_full_diff_unions_the_roots():
@@ -138,8 +173,8 @@ def test_repeated_empty_diff_short_circuits_at_the_root():
     store = TagStore()
     a = TaggedShiftTree(4, store)
     b = TaggedShiftTree(4, store)
-    a.init([1] * 16)
-    b.init([1] * 16)
+    a.init([1, 0] * 8)
+    b.init([1, 0] * 8)
     a.diff(b, 0, 15)
     before = a.diff_visits
     assert a.diff(b, 0, 15) == []
@@ -161,8 +196,8 @@ def test_partial_interval_does_not_union_the_root():
     store = TagStore()
     a = TaggedShiftTree(2, store)
     b = TaggedShiftTree(2, store)
-    a.init(bits("0000"))
-    b.init(bits("0000"))
+    a.init(bits("0101"))
+    b.init(bits("0101"))
     assert a.diff(b, 0, 2) == []  # root block [0,3] not inside [0,2]
     assert store.find(a.tags[1]) != store.find(b.tags[1])
     # the fully covered left halves did get unioned
@@ -240,16 +275,23 @@ def test_diff_agrees_with_hashed_and_naive():
 
 
 def audit_tag_equivalences(store, trees):
-    """Equivalent live tags must cover equal strings (quadratic audit)."""
+    """A node is uniform, with its letter as fill and no tag, iff its
+    string is; equivalent live tags cover equal strings; every live tag
+    sits on a node (quadratic audit)."""
     by_class = {}
     for tree in trees:
         for i in range(1, tree.size):
+            s = node_string(tree, i)
+            uniform = all(x == s[0] for x in s)
+            assert (tree.fill[i] == s[0]) == uniform, i
             tag = tree.tags[i]
-            by_class.setdefault(store.find(tag), []).append(
-                node_string(tree, i))
+            assert (tag is None) == uniform, i
+            if tag is not None:
+                by_class.setdefault(store.find(tag), []).append(s)
     for strings in by_class.values():
         for s in strings[1:]:
             assert s == strings[0]
+    assert store.live == sum(map(len, by_class.values()))
 
 
 def test_equivalence_classes_only_join_equal_strings():
@@ -276,6 +318,60 @@ def test_equivalence_classes_only_join_equal_strings():
                     a = rng.randrange(size)
                     t.diff(other, a, rng.randrange(a, size))
         audit_tag_equivalences(store, trees)
+
+
+@pytest.mark.parametrize("letter", [int, Glyph], ids=["bits", "glyphs"])
+def test_fill_is_exact_on_every_write_path(letter):
+    rng = Random(91)
+    for trial in range(80):
+        n = rng.choice([0, 1, 2, 3, 3, 4, 5])
+        size = 1 << n
+        store = TagStore()
+        tree = TaggedShiftTree(n, store)
+        audit_tag_equivalences(store, [tree])  # fresh: uniform None letters
+
+        def string():
+            # mostly one letter, so that uniform blocks of every size occur
+            ones = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0])
+            return [letter(int(rng.random() < ones)) for _ in range(size)]
+
+        tree.init(string())
+        audit_tag_equivalences(store, [tree])
+        for _ in range(12):
+            roll = rng.random()
+            if roll < 0.3:
+                tree.set(rng.randrange(size), letter(rng.randrange(2)))
+            elif roll < 0.6:
+                tree.set_many(batch_write(rng, size), letter(rng.randrange(2)))
+            elif roll < 0.9:
+                tree.shift(rng.randint(-size, size))
+            else:
+                tree.init(string())
+            audit_tag_equivalences(store, [tree])
+
+
+@pytest.mark.parametrize("left, right, want, finds, unions", [
+    ("0000", "0000", [], 0, 0),            # uniform/uniform, equal letters
+    ("0000", "1111", [0, 1, 2, 3], 0, 0),  # uniform/uniform, other letters
+    ("0000", "0100", [1], 0, 0),           # uniform/mixed at the root
+    ("0101", "0101", [], 6, 3),            # mixed/mixed: today's behaviour
+    ("0101", "0100", [3], 4, 1),           # mixed roots, mixed pairs below
+], ids=["same-letter", "other-letter", "uniform-mixed", "mixed-mixed",
+        "mixed-roots"])
+def test_diff_unions_only_tagged_pairs(left, right, want, finds, unions):
+    store = TagStore()
+    a = TaggedShiftTree(2, store)
+    b = TaggedShiftTree(2, store)
+    a.init(bits(left))
+    b.init(bits(right))
+    found, joined = [], []
+    find, union = store.find, store.union
+    store.find = lambda x: found.append(x) or find(x)
+    store.union = lambda x, y: joined.append((x, y)) or union(x, y)
+    assert a.diff(b, 0, 3) == want
+    assert None not in found and len(found) == finds
+    assert all(None not in pair for pair in joined) and len(joined) == unions
+    audit_tag_equivalences(store, [a, b])
 
 
 def test_store_operation_envelope():
