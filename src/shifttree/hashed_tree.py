@@ -3,11 +3,16 @@
 Maintains a string of length 2**n under point writes, cyclic rotations, and
 difference listing against another tree.  Leaves store the letters; every
 inner node stores the hash of the substring its subtree covers, so two
-subtrees compare in O(1) with high probability.
+subtrees compare in O(1) with high probability.  A diff descends through
+unequal hashes only down to blocks of 64 positions; there it compares the
+letters of an unequal block pair in one pass, which is exact.
 """
 
+from itertools import compress
+from operator import ne
+
 from .hashing import HashContext
-from .topology import Topology
+from .topology import _BLOCK, Topology
 
 
 class HashedShiftTree:
@@ -101,10 +106,14 @@ class HashedShiftTree:
         if not 0 <= a <= b < self.size:
             raise ValueError(f"bad interval [{a}, {b}] for size {self.size}")
         out: list[int] = []
+        n = self.n
+        size = self.size
         t_nodes = self.nodes
         q_nodes = other.nodes
-        t_topo = self.topo
-        q_topo = other.topo
+        t_delta = self.topo.delta
+        q_delta = other.topo.delta
+        t_letters = self.topo.letters
+        q_letters = other.topo.letters
         visits = 0
 
         def walk(i: int, j: int, x: int, y: int) -> None:
@@ -112,19 +121,30 @@ class HashedShiftTree:
             visits += 1
             if y < a or b < x or t_nodes[i] == q_nodes[j]:
                 return
-            if x == y:
-                out.append(x)
+            if y - x < _BLOCK:
+                # a leaf block: compare its letters within [a, b] at C level
+                lo = a if x < a else x
+                hi = b if b < y else y
+                out.extend(compress(range(lo, hi + 1), map(
+                    ne, t_letters(t_nodes, lo, hi, size),
+                    q_letters(q_nodes, lo, hi, size))))
                 return
             z = (x + y + 1) >> 1
-            walk(t_topo.left_child(i), q_topo.left_child(j), x, z - 1)
-            walk(t_topo.right_child(i), q_topo.right_child(j), z, y)
+            # child links, inlined from Topology for the hot path; i and j
+            # sit on the same level, so they share the block width
+            bl = i.bit_length()
+            width = 1 << bl
+            ts = (t_delta >> (n - bl)) & 1
+            qs = (q_delta >> (n - bl)) & 1
+            walk((2 * i - ts) % width + width,
+                 (2 * j - qs) % width + width, x, z - 1)
+            walk((2 * i + 1 - ts) % width + width,
+                 (2 * j + 1 - qs) % width + width, z, y)
 
-        walk(1, 1, 0, self.size - 1)
+        walk(1, 1, 0, size - 1)
         self.diff_visits += visits
         return out
 
     def materialize(self) -> list[int]:
         """The maintained string as a letter list; O(m)."""
-        nodes = self.nodes
-        topo = self.topo
-        return [nodes[topo.leaf_of_position(pos)] for pos in range(self.size)]
+        return self.topo.letters(self.nodes, 0, self.size - 1, self.size)

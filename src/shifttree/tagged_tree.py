@@ -7,12 +7,18 @@ an opaque id standing for the string its subtree covered when the node was
 last updated.  Tags are not unique per string; equality of the underlying
 strings is learned lazily.  When a diff descends through two tags it cannot
 tell apart and finds no difference below, it records their equivalence in
-the shared TagStore, so the same comparison short-circuits next time.
+the shared TagStore, so the same comparison short-circuits next time.  A
+diff stops descending at blocks of 64 positions and compares an unsettled
+block pair's letters in one pass, so equalities are learned at or above
+block level; tags below it are kept up to date but not read by diff.
 Letters only need ``==``; no hashing, no order, no integer alphabet.
 """
 
+from itertools import compress
+from operator import ne
+
 from .tag_store import TagStore
-from .topology import Topology
+from .topology import _BLOCK, Topology
 
 # Fill of a mixed node; never ``==`` to a letter.
 _MIXED = object()
@@ -109,7 +115,8 @@ class TaggedShiftTree:
         """Positions in [a, b] where this string and ``other``'s differ.
 
         Ascending order, exact.  As a side effect, records every
-        fully-verified equal pair of tagged subtrees in the shared store.
+        fully-verified equal pair of tagged subtrees it compared, at or
+        above the 64-position block level, in the shared store.
         """
         if other.n != self.n:
             raise ValueError("trees must have equal depth")
@@ -122,12 +129,17 @@ class TaggedShiftTree:
         size = self.size
         t_leaves = self.leaves
         q_leaves = other.leaves
+        if size == 1:  # a lone leaf has no summary to check
+            self.diff_visits += 1
+            return [0] if t_leaves[0] != q_leaves[0] else []
         t_tags = self.tags
         q_tags = other.tags
         t_fill = self.fill
         q_fill = other.fill
         t_delta = self.topo.delta
         q_delta = other.topo.delta
+        t_letters = self.topo.letters
+        q_letters = other.topo.letters
         find = self.store.find
         union = self.store.union
         visits = 0
@@ -136,10 +148,6 @@ class TaggedShiftTree:
             nonlocal visits
             visits += 1
             if y < a or b < x:
-                return
-            if x == y:
-                if t_leaves[i - size] != q_leaves[j - size]:
-                    out.append(x)
                 return
             t1 = t_tags[i]
             t2 = q_tags[j]
@@ -150,22 +158,29 @@ class TaggedShiftTree:
                     return
             elif t2 is not None and find(t1) == find(t2):
                 return
-            z = (x + y + 1) >> 1
-            # child links, inlined from Topology for the hot path; i and j
-            # sit on the same level, so they share the block width
-            bl = i.bit_length()
-            width = 1 << bl
-            ts = (t_delta >> (n - bl)) & 1
-            qs = (q_delta >> (n - bl)) & 1
             before = len(out)
-            walk((2 * i - ts) % width + width,
-                 (2 * j - qs) % width + width, x, z - 1)
-            walk((2 * i + 1 - ts) % width + width,
-                 (2 * j + 1 - qs) % width + width, z, y)
+            if y - x < _BLOCK:
+                # a leaf block: compare its letters within [a, b] at C level
+                lo = a if x < a else x
+                hi = b if b < y else y
+                out.extend(compress(range(lo, hi + 1), map(
+                    ne, t_letters(t_leaves, lo, hi),
+                    q_letters(q_leaves, lo, hi))))
+            else:
+                z = (x + y + 1) >> 1
+                # child links, inlined from Topology for the hot path; i and
+                # j sit on the same level, so they share the block width
+                bl = i.bit_length()
+                width = 1 << bl
+                ts = (t_delta >> (n - bl)) & 1
+                qs = (q_delta >> (n - bl)) & 1
+                walk((2 * i - ts) % width + width,
+                     (2 * j - qs) % width + width, x, z - 1)
+                walk((2 * i + 1 - ts) % width + width,
+                     (2 * j + 1 - qs) % width + width, z, y)
             if len(out) == before and a <= x and y <= b:
-                # recursion was wasted: the whole [x, y] block matched, so
-                # both nodes are mixed and their tags provably name equal
-                # strings
+                # all of [x, y] matched, so both nodes are mixed and their
+                # tags provably name equal strings
                 union(t1, t2)
 
         walk(1, 1, 0, size - 1)
@@ -174,7 +189,4 @@ class TaggedShiftTree:
 
     def materialize(self) -> list:
         """The maintained string as a letter list; O(m)."""
-        leaves = self.leaves
-        topo = self.topo
-        size = self.size
-        return [leaves[topo.leaf_of_position(pos) - size] for pos in range(size)]
+        return self.topo.letters(self.leaves, 0, self.size - 1)

@@ -10,8 +10,13 @@ Rotating the string by a multiple of 2**j therefore leaves every subtree
 rooted at level n-j structurally untouched.
 
 Everything here is pure index arithmetic on (n, delta); node payloads live
-elsewhere.  All reductions produce nonnegative representatives.
+elsewhere (``letters`` slices a leaf array it is handed).  All reductions
+produce nonnegative representatives.
 """
+
+# Width of a leaf block: a diff stops descending at a node covering at most
+# this many positions and compares the block's letters in one C-level pass.
+_BLOCK = 64
 
 
 class Topology:
@@ -34,19 +39,22 @@ class Topology:
         return i.bit_length() - 1
 
     def left_child(self, i: int) -> int:
-        assert 1 <= i < self.size, "leaves have no children"
+        if not 1 <= i < self.size:
+            raise AssertionError("leaves have no children")
         width = 1 << i.bit_length()  # level(i) + 1 bits
         s = (self.delta >> (self.n - i.bit_length())) & 1
         return (2 * i - s) % width + width
 
     def right_child(self, i: int) -> int:
-        assert 1 <= i < self.size, "leaves have no children"
+        if not 1 <= i < self.size:
+            raise AssertionError("leaves have no children")
         width = 1 << i.bit_length()
         s = (self.delta >> (self.n - i.bit_length())) & 1
         return (2 * i + 1 - s) % width + width
 
     def parent(self, i: int) -> int:
-        assert 1 < i < 2 * self.size, "the root has no parent"
+        if not 1 < i < 2 * self.size:
+            raise AssertionError("the root has no parent")
         return next(self.ancestors(i.bit_length() - 1, (i,)))[2][0]
 
     def ancestors(self, level: int, nodes):
@@ -76,3 +84,15 @@ class Topology:
         if not 0 <= pos < self.size:
             raise ValueError(f"position {pos} outside [0, {self.size})")
         return (pos - self.delta) % self.size + self.size
+
+    def letters(self, seq, lo: int, hi: int, base: int = 0) -> list:
+        """Letters of string positions lo..hi (0 <= lo <= hi < size) in
+        string order, where ``seq[base + j]`` holds leaf slot j (leaf node
+        ``size + j``): one slice, or two when the slots wrap past the end
+        of the leaf array."""
+        start = (lo - self.delta) % self.size + base
+        stop = start + hi - lo + 1
+        end = base + self.size
+        if stop <= end:
+            return seq[start:stop]
+        return seq[start:end] + seq[base:stop - self.size]

@@ -9,6 +9,11 @@ def bits(text: str) -> list[int]:
     return [int(c) for c in text]
 
 
+def runs(text: str, width: int) -> list[int]:
+    """``bits(text)`` with every letter repeated ``width`` times."""
+    return [int(c) for c in text for _ in range(width)]
+
+
 def rotate_right(seq, k: int) -> list:
     """result[j] = seq[(j - k) mod len]; negative k rotates left."""
     k %= len(seq)

@@ -7,7 +7,7 @@ from shifttree import HashedShiftTree, TaggedShiftTree, TagStore, make_context
 
 from helpers import (
     batch_write, bits, inner_ancestors, mixed_blocks, naive_diff, node_string,
-    rotate_right)
+    rotate_right, runs)
 
 
 class Glyph:
@@ -47,7 +47,7 @@ def test_update_replaces_without_leaking():
     twin = TaggedShiftTree(2, store)
     tree.init(bits("0101"))
     twin.init(bits("0101"))
-    assert tree.diff(twin, 0, 3) == []  # joins each node to its twin
+    assert tree.diff(twin, 0, 3) == []  # joins the roots, the only block
     old = list(tree.tags)
     path = inner_ancestors(tree.topo, [1])
     assert 1 in path
@@ -193,17 +193,22 @@ def test_diff_examples_match_hashed_variant():
 
 
 def test_partial_interval_does_not_union_the_root():
+    # depth 7: the root splits into two 64-position blocks, so the root and
+    # both halves are tag pairs the diff reads
     store = TagStore()
-    a = TaggedShiftTree(2, store)
-    b = TaggedShiftTree(2, store)
-    a.init(bits("0101"))
-    b.init(bits("0101"))
-    assert a.diff(b, 0, 2) == []  # root block [0,3] not inside [0,2]
+    a = TaggedShiftTree(7, store)
+    b = TaggedShiftTree(7, store)
+    a.init(runs("0101", 32))
+    b.init(runs("0101", 32))
+    assert a.diff(b, 0, 126) == []  # root block [0,127] not inside [0,126]
     assert store.find(a.tags[1]) != store.find(b.tags[1])
-    # the fully covered left halves did get unioned
+    # the fully covered left halves did get unioned, the cut right ones not
     left_a = a.topo.left_child(1)
     left_b = b.topo.left_child(1)
     assert store.find(a.tags[left_a]) == store.find(b.tags[left_b])
+    right_a = a.topo.right_child(1)
+    right_b = b.topo.right_child(1)
+    assert store.find(a.tags[right_a]) != store.find(b.tags[right_b])
 
 
 def test_diff_validation():
@@ -272,6 +277,124 @@ def test_diff_agrees_with_hashed_and_naive():
             want = naive_diff(models[0], models[1], a, b)
             assert hashed[0].diff(hashed[1], a, b) == want
             assert tagged[0].diff(tagged[1], a, b) == want
+
+
+def rotated(tree, s, k):
+    """Load ``s`` into ``tree`` so that it ends at rotation offset k."""
+    tree.init(rotate_right(s, -k))
+    tree.shift(k)
+    assert tree.topo.delta == k % tree.size and tree.materialize() == s
+    return tree
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_diff_at_block_boundaries(backend):
+    # Depths 5-8 straddle the 64-position leaf block: the root is the block
+    # at n <= 6, the walk descends one or two levels to reach blocks at 7
+    # and 8.  Rotations that are not multiples of 64 put a block's leaf
+    # slots across the end of the leaf array, and the interval ends cut
+    # blocks on either side.  Differences sit on block edges and at random.
+    rng = Random(64)
+    for n in (5, 6, 7, 8):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        store = TagStore()
+        edges = sorted({e % size for e in (0, 1, 31, 32, 63, 64, 65, 127, 128,
+                                           129, -65, -64, -63, -2, -1)})
+        shifts = [0, 1, 63, 64, 65, size - 1]
+
+        def tree():
+            if backend == "hashed":
+                return HashedShiftTree(n, ctx)
+            return TaggedShiftTree(n, store)
+
+        for _ in range(10):
+            s = [rng.randrange(2) for _ in range(size)]
+            q = list(s)
+            for pos in rng.sample(edges, rng.randint(0, 3)) \
+                    + [rng.randrange(size) for _ in range(rng.randint(0, 2))]:
+                q[pos] ^= 1
+            k1 = rng.choice(shifts + [rng.randrange(size)])
+            k2 = rng.choice(shifts + [rng.randrange(size)])
+            t = rotated(tree(), s, k1)
+            u = rotated(tree(), q, k2)
+            for a in edges:
+                for b in edges:
+                    if a <= b:
+                        want = naive_diff(s, q, a, b)
+                        assert t.diff(u, a, b) == want, (n, k1, k2, a, b)
+                        assert u.diff(t, a, b) == want, (n, k1, k2, a, b)
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_diff_stops_at_64_position_blocks(backend):
+    # one difference, off-path subtrees equal (and, for tagged, learned
+    # equal by a first diff): the walk visits the root, then both children
+    # on each level down to the 64-position blocks, and compares letters
+    # there
+    for n in range(0, 10):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        store = TagStore()
+        t, u = (HashedShiftTree(n, ctx), HashedShiftTree(n, ctx)) \
+            if backend == "hashed" \
+            else (TaggedShiftTree(n, store), TaggedShiftTree(n, store))
+        s = [0, 1] * (size // 2) or [0]
+        t.init(s)
+        u.init(s)
+        assert t.diff(u, 0, size - 1) == []
+        u.set(size - 1, 2)
+        before = t.diff_visits
+        assert t.diff(u, 0, size - 1) == [size - 1]
+        assert t.diff_visits - before == 1 + 2 * max(0, n - 6), n
+
+
+def ancestor(tree, pos, up):
+    """The node ``up`` levels above the leaf of ``pos``; at up = 6 it
+    covers the 64-position block that holds ``pos``."""
+    i = tree.topo.leaf_of_position(pos)
+    for _ in range(up):
+        i = tree.topo.parent(i)
+    return i
+
+
+def test_diff_unions_fully_covered_block_pairs_only():
+    # depth 8, both trees rotated so that block slots wrap: an equal block
+    # pair is unioned iff the interval covers it; every node above the
+    # blocks is cut by the interval and stays apart
+    rng = Random(8)
+    s = [rng.randrange(2) for _ in range(256)]
+    assert all(mixed_blocks(s[c:c + 64]) for c in range(0, 256, 64))
+    store = TagStore()
+    a = rotated(TaggedShiftTree(8, store), s, 1)
+    b = rotated(TaggedShiftTree(8, store), s, 100)
+    assert a.diff(b, 50, 200) == []
+
+    def joined(pos, up):
+        return store.find(a.tags[ancestor(a, pos, up)]) \
+            == store.find(b.tags[ancestor(b, pos, up)])
+
+    for c in range(0, 256, 64):
+        assert joined(c, 6) == (50 <= c and c + 63 <= 200), c
+    for c in (0, 128):
+        assert not joined(c, 7) and not joined(c, 8), c
+
+
+def test_shared_nan_letter_is_still_reported():
+    # letters compare one by one with !=, so the same NaN object in both
+    # trees is a difference (a list == would call it equal by identity),
+    # and a block holding it is never unioned
+    nan = float("nan")
+    for n in (2, 7):
+        size = 1 << n
+        s = [0] * size
+        s[1] = s[size - 1] = nan
+        store = TagStore()
+        a = rotated(TaggedShiftTree(n, store), s, 0)
+        b = rotated(TaggedShiftTree(n, store), s, 3)
+        for _ in range(2):
+            assert a.diff(b, 0, size - 1) == [1, size - 1]
+            assert b.diff(a, 1, size - 2) == [1]
 
 
 def audit_tag_equivalences(store, trees):
@@ -350,28 +473,35 @@ def test_fill_is_exact_on_every_write_path(letter):
             audit_tag_equivalences(store, [tree])
 
 
-@pytest.mark.parametrize("left, right, want, finds, unions", [
-    ("0000", "0000", [], 0, 0),            # uniform/uniform, equal letters
-    ("0000", "1111", [0, 1, 2, 3], 0, 0),  # uniform/uniform, other letters
-    ("0000", "0100", [1], 0, 0),           # uniform/mixed at the root
-    ("0101", "0101", [], 6, 3),            # mixed/mixed: today's behaviour
-    ("0101", "0100", [3], 4, 1),           # mixed roots, mixed pairs below
+@pytest.mark.parametrize("left, right, want, at_root, above", [
+    ("0000", "0000", [], (0, 0), (0, 0)),            # uniform/uniform, equal
+    ("0000", "1111", [0, 1, 2, 3], (0, 0), (0, 0)),  # uniform, other letters
+    ("0000", "0100", [1], (0, 0), (0, 0)),           # uniform/mixed at the root
+    ("0101", "0101", [], (2, 1), (6, 3)),            # mixed/mixed
+    ("0101", "0100", [3], (2, 0), (4, 1)),           # mixed roots, a mixed pair
 ], ids=["same-letter", "other-letter", "uniform-mixed", "mixed-mixed",
         "mixed-roots"])
-def test_diff_unions_only_tagged_pairs(left, right, want, finds, unions):
-    store = TagStore()
-    a = TaggedShiftTree(2, store)
-    b = TaggedShiftTree(2, store)
-    a.init(bits(left))
-    b.init(bits(right))
-    found, joined = [], []
-    find, union = store.find, store.union
-    store.find = lambda x: found.append(x) or find(x)
-    store.union = lambda x, y: joined.append((x, y)) or union(x, y)
-    assert a.diff(b, 0, 3) == want
-    assert None not in found and len(found) == finds
-    assert all(None not in pair for pair in joined) and len(joined) == unions
-    audit_tag_equivalences(store, [a, b])
+def test_diff_unions_only_tagged_pairs(left, right, want, at_root, above):
+    # (finds, unions) at depth 2, where the root is the only block, and at
+    # depth 7, where each letter becomes a run of 32 and the walk descends
+    # from the root into its two 64-position blocks
+    for depth, (finds, unions) in ((2, at_root), (7, above)):
+        width = 1 << (depth - 2)
+        store = TagStore()
+        a = TaggedShiftTree(depth, store)
+        b = TaggedShiftTree(depth, store)
+        a.init(runs(left, width))
+        b.init(runs(right, width))
+        found, joined = [], []
+        find, union = store.find, store.union
+        store.find = lambda x: found.append(x) or find(x)
+        store.union = lambda x, y: joined.append((x, y)) or union(x, y)
+        assert a.diff(b, 0, a.size - 1) == [
+            p * width + r for p in want for r in range(width)]
+        assert None not in found and len(found) == finds, depth
+        assert all(None not in pair for pair in joined), depth
+        assert len(joined) == unions, depth
+        audit_tag_equivalences(store, [a, b])
 
 
 def test_store_operation_envelope():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -87,6 +91,56 @@ def test_child_of_leaf_is_programming_error():
         t.right_child(15)
     with pytest.raises(AssertionError):
         t.parent(1)
+
+
+def test_link_guards_survive_optimized_mode():
+    # the link guards are explicit raises, which python -O keeps; bare
+    # asserts would let parent(1) raise StopIteration, left_child(0) return
+    # a bogus index and a leaf's children fail on a negative shift count
+    script = """
+assert False, "this check must run with assertions stripped"
+from shifttree import Topology
+t = Topology(3, 2)
+for call in (lambda: t.left_child(0), lambda: t.left_child(8),
+             lambda: t.right_child(0), lambda: t.right_child(15),
+             lambda: t.parent(1), lambda: t.parent(0), lambda: t.parent(16)):
+    try:
+        call()
+    except AssertionError:
+        continue
+    raise SystemExit("a link call outside the tree went through")
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_letters_match_leaf_of_position():
+    # string-order letters of [lo, hi] against one leaf_of_position call per
+    # position: every interval at n <= 4, random ones up to n = 8, every
+    # delta, leaf slots stored from offset 0 (tagged) or size (hashed)
+    rng = Random(6)
+    for n in range(0, 9):
+        size = 1 << n
+        if n <= 4:
+            spans = [(lo, hi) for lo in range(size) for hi in range(lo, size)]
+        else:
+            spans = [(0, size - 1), (size - 1, size - 1)]
+            for _ in range(20):
+                lo = rng.randrange(size)
+                spans.append((lo, rng.randrange(lo, size)))
+        for delta in range(size):
+            topo = Topology(n, delta)
+            for base in (0, size):
+                seq = [f"pad{i}" for i in range(base)] \
+                    + [f"slot{j}" for j in range(size)]
+                for lo, hi in spans:
+                    want = [seq[base + topo.leaf_of_position(pos) - size]
+                            for pos in range(lo, hi + 1)]
+                    assert topo.letters(seq, lo, hi, base) == want, \
+                        (n, delta, base, lo, hi)
 
 
 @given(st.integers(1, 10), st.data())
