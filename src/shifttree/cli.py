@@ -122,15 +122,16 @@ def main(argv=None) -> int:
               f"got {args.modulus}", file=sys.stderr)
         return 2
 
-    if args.input is None:
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input is None:
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.input or 'stdin'}: {exc}",
+              file=sys.stderr)
+        return 2
 
     try:
         inst = parse_instance(text, args.modulus)

@@ -37,22 +37,6 @@ class HashContext:
             powers[i] = powers[i - 1] * r % p
         self.powers = powers
 
-    def combine(self, h1: int, h2: int, len1: int) -> int:
-        """Hash of the concatenation, given the left part's hash and length."""
-        return (h1 + h2 * self.powers[len1]) % self.p
-
-    def hash_string(self, letters) -> int:
-        """Direct polynomial evaluation; the O(len) reference for tests."""
-        vals = list(letters)
-        if len(vals) > self.max_len:
-            raise ValueError("string longer than the power table")
-        h = 0
-        for i, x in enumerate(vals):
-            if not 0 <= x < self.p:
-                raise ValueError(f"letter {x} outside [0, {self.p})")
-            h = (h + x * self.powers[i]) % self.p
-        return h
-
 
 def make_context(max_len: int, seed: int | None = None) -> HashContext:
     """Context with p = 2**61 - 1 and r drawn uniformly from ``seed``."""

@@ -9,14 +9,11 @@ telescopes to O(L log L).
 
 
 def bitrev(width: int, j: int) -> int:
-    """Reverse the low ``width`` bits of j; O(width)."""
+    """Reverse the low ``width`` bits of j; O(width), in one C-level pass
+    over its zero-padded binary string."""
     if not 0 <= j < (1 << width):
         raise ValueError(f"index {j} outside [0, {1 << width})")
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (j & 1)
-        j >>= 1
-    return out
+    return int(format(j, f"0{width}b")[::-1], 2)
 
 
 class ShiftSchedule:

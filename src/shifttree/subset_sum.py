@@ -114,19 +114,6 @@ class SolveResult:
     stats: SolverStats
 
 
-@dataclass
-class SolverState:
-    """Live solver internals, handed to an optional per-value checkpoint."""
-
-    m: int
-    L: int
-    t1: object
-    t2: object
-    sums: SumSet
-    stats: SolverStats
-    shift: int = 0
-
-
 def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
     """Direct dynamic programming over S <- S ∪ (S + x); the ground truth.
 
@@ -155,13 +142,10 @@ def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
 
 
 def solve_with_stats(inst: Instance, backend: str = "tagged",
-                     seed: int | None = None,
-                     checkpoint=None) -> SolveResult:
+                     seed: int | None = None) -> SolveResult:
     """Solve and report operation counters.
 
     ``seed`` feeds the hashed backend's hash point and is ignored otherwise.
-    ``checkpoint``, if given, is called with a SolverState after each
-    visited value finishes (test hook).
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -183,21 +167,17 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     second[0] = 1
     second[L - m] = 1                 # two copies of it around the zero gap
 
-    store = None
+    # both trees share one hash context or one tag store
     if backend == "hashed":
-        ctx = make_context(L, seed)
-        t1 = HashedShiftTree(width, ctx)
-        t2 = HashedShiftTree(width, ctx)
+        tree, shared = HashedShiftTree, make_context(L, seed)
     else:
-        store = TagStore()
-        t1 = TaggedShiftTree(width, store)
-        t2 = TaggedShiftTree(width, store)
+        tree, shared = TaggedShiftTree, TagStore()
+    t1, t2 = tree(width, shared), tree(width, shared)
     t1.init(first)
     t2.init(second)
 
     member = sums.member
     mult = inst.mult
-    state = SolverState(m, L, t1, t2, sums, stats) if checkpoint else None
     present = sorted((x for x in range(1, m) if mult[x]),
                      key=lambda x: bitrev(width, x))
     at = 0                              # t2 holds the double string rotated by at
@@ -223,16 +203,13 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                 sums.add(d)
             t1.set_many(fresh, 1)
             t2.set_many([(d + r) % L for d in fresh for r in (x, x - m)], 1)
-        if checkpoint is not None:
-            state.shift = x
-            checkpoint(state)
         if len(sums) == m:
             break                       # every residue attainable
 
     stats.updates = t1.update_calls + t2.update_calls
     stats.diff_visits = t1.diff_visits + t2.diff_visits
-    if store is not None:
-        stats.store_ops = store.ops
+    if backend == "tagged":
+        stats.store_ops = shared.ops
     return SolveResult(sums, stats)
 
 

@@ -10,7 +10,7 @@ Rotating the string by a multiple of 2**j therefore leaves every subtree
 rooted at level n-j structurally untouched.
 
 Everything here is pure index arithmetic on (n, delta); node payloads live
-elsewhere (``letters`` slices a leaf array it is handed).  All reductions
+elsewhere (``letters`` slices a node array it is handed).  All reductions
 produce nonnegative representatives.
 """
 

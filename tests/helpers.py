@@ -26,10 +26,18 @@ def naive_diff(s, q, a: int, b: int) -> list[int]:
     return [x for x in range(a, b + 1) if s[x] != q[x]]
 
 
-def leaf_letter(tree, i: int):
-    if hasattr(tree, "leaves"):
-        return tree.leaves[i - tree.size]
-    return tree.nodes[i]
+def hash_string(ctx, letters) -> int:
+    """Direct polynomial evaluation under ``ctx``; the O(len) reference
+    for the trees' hashes."""
+    vals = list(letters)
+    if len(vals) > ctx.max_len:
+        raise ValueError("string longer than the power table")
+    h = 0
+    for i, x in enumerate(vals):
+        if not 0 <= x < ctx.p:
+            raise ValueError(f"letter {x} outside [0, {ctx.p})")
+        h = (h + x * ctx.powers[i]) % ctx.p
+    return h
 
 
 def inner_ancestors(topo, positions) -> set[int]:
@@ -86,7 +94,7 @@ def solver_visits(inst: Instance) -> list[int]:
 def node_string(tree, i: int) -> list:
     """Letters covered by node i, left to right."""
     if i >= tree.size:
-        return [leaf_letter(tree, i)]
+        return [tree.nodes[i]]
     return (node_string(tree, tree.topo.left_child(i))
             + node_string(tree, tree.topo.right_child(i)))
 

@@ -198,3 +198,20 @@ def test_bench_rows_function():
     # dense instances are seeded: same seed, same instance
     assert dense_instance(64, 1).mult == dense_instance(64, 1).mult
     assert dense_instance(64, 1).mult != dense_instance(64, 2).mult
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_input_is_exit_2(source, tmp_path, monkeypatch, capsys):
+    raw = b"\xff\xfe3\n"
+    argv = ["--modulus", "5"]
+    if source == "file":
+        path = tmp_path / "inst.bin"
+        path.write_bytes(raw)
+        argv += ["--input", str(path)]
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read")

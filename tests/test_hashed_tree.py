@@ -3,10 +3,12 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shifttree import HashContext, HashedShiftTree, make_context
+from shifttree import (
+    HashContext, HashedShiftTree, TaggedShiftTree, TagStore, make_context)
 
 from helpers import (
-    batch_write, bits, inner_ancestors, naive_diff, node_string, rotate_right)
+    batch_write, bits, hash_string, inner_ancestors, naive_diff, node_string,
+    rotate_right)
 
 
 def fresh(n, seed=0):
@@ -18,7 +20,7 @@ def fresh(n, seed=0):
 def audit_invariant(tree):
     """Every stored hash equals the hash of the node's covered letters."""
     for i in range(1, 2 * tree.size):
-        assert tree.nodes[i] == tree.ctx.hash_string(node_string(tree, i)), i
+        assert tree.nodes[i] == hash_string(tree.ctx, node_string(tree, i)), i
 
 
 def test_init_uniform_string():
@@ -26,13 +28,13 @@ def test_init_uniform_string():
     tree.init(bits("0000"))
     for i in range(1, 4):
         seg = tree.size >> tree.topo.level(i)
-        assert tree.nodes[i] == ctx.hash_string([0] * seg)
+        assert tree.nodes[i] == hash_string(ctx, [0] * seg)
 
 
 def test_init_matches_oracle_and_is_deterministic():
     tree, ctx = fresh(2)
     tree.init(bits("0001"))
-    assert tree.nodes[1] == ctx.hash_string(bits("0001"))
+    assert tree.nodes[1] == hash_string(ctx, bits("0001"))
     audit_invariant(tree)
     other = HashedShiftTree(2, ctx)
     other.init(bits("0001"))
@@ -75,7 +77,7 @@ def test_set_examples():
 
     tree.init(bits("0000"))
     tree.set(2, 1)
-    assert tree.nodes[1] == ctx.hash_string(bits("0010"))
+    assert tree.nodes[1] == hash_string(ctx, bits("0010"))
     audit_invariant(tree)
 
 
@@ -176,14 +178,24 @@ def test_diff_validation():
         tree.diff(foreign, 0, 3)
 
 
-def test_single_leaf_tree():
-    tree, ctx = fresh(0)
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_single_leaf_tree(backend):
+    ctx = make_context(1, seed=0)
+    store = TagStore()
+
+    def make():
+        if backend == "hashed":
+            return HashedShiftTree(0, ctx)
+        return TaggedShiftTree(0, store)
+
+    tree = make()
     tree.init([7])
     assert tree.materialize() == [7]
     tree.shift(5)  # always a multiple of the length
     assert tree.materialize() == [7]
     tree.set(0, 3)
-    other = HashedShiftTree(0, ctx)
+    assert tree.materialize() == [3]
+    other = make()
     other.init([3])
     assert tree.diff(other, 0, 0) == []
     other.set(0, 4)

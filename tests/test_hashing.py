@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from shifttree import MERSENNE_61, HashContext, make_context
 
+from helpers import hash_string
+
 
 def test_make_context_basics():
     ctx = make_context(8, seed=42)
@@ -37,31 +39,37 @@ def test_validation():
         HashContext(4, r=200, p=101)
 
 
+def join(ctx, h1, h2, len1):
+    """The rule a tree node hashes its children by: h(u + v) from h(u),
+    h(v) and len(u)."""
+    return (h1 + h2 * ctx.powers[len1]) % ctx.p
+
+
 def test_combine_hand_checked():
     # h("1" + "2") with p=101, r=10: 1 + 2*10 = 21
     ctx = HashContext(8, r=10, p=101)
-    assert ctx.combine(1, 2, 1) == 21
-    assert ctx.hash_string([1, 2]) == 21
+    assert join(ctx, 1, 2, 1) == 21
+    assert hash_string(ctx, [1, 2]) == 21
 
 
 def test_combine_with_empty_right():
     ctx = make_context(8, seed=3)
     s = [5, 1, 4, 1]
-    h = ctx.hash_string(s)
-    assert ctx.combine(h, 0, len(s)) == h
+    h = hash_string(ctx, s)
+    assert join(ctx, h, hash_string(ctx, []), len(s)) == h
 
 
 def test_hash_string_edges():
     ctx = make_context(8, seed=11)
-    assert ctx.hash_string([]) == 0
+    assert hash_string(ctx, []) == 0
     for x in (0, 1, 17, 2**40):
-        assert ctx.hash_string([x]) == x
+        assert hash_string(ctx, [x]) == x
     with pytest.raises(ValueError):
-        ctx.hash_string([ctx.p])
+        hash_string(ctx, [ctx.p])
     with pytest.raises(ValueError):
-        ctx.hash_string([-1])
+        hash_string(ctx, [-1])
     with pytest.raises(ValueError):
-        ctx.hash_string([0] * 9)  # longer than the power table
+        hash_string(ctx, [0] * 9)  # longer than the power table
 
 
 def test_fold_equals_polynomial():
@@ -70,9 +78,9 @@ def test_fold_equals_polynomial():
     s = [rng.randrange(1000) for _ in range(20)]
     h, length = 0, 0
     for x in s:
-        h = ctx.combine(h, x, length)
+        h = join(ctx, h, x, length)
         length += 1
-    assert h == ctx.hash_string(s)
+    assert h == hash_string(ctx, s)
 
 
 letters = st.lists(st.integers(0, 10**6), max_size=24)
@@ -81,21 +89,17 @@ letters = st.lists(st.integers(0, 10**6), max_size=24)
 @given(letters, letters)
 def test_concatenation_identity(s1, s2):
     ctx = make_context(64, seed=13)
-    assert ctx.hash_string(s1 + s2) == ctx.combine(
-        ctx.hash_string(s1), ctx.hash_string(s2), len(s1))
+    assert hash_string(ctx, s1 + s2) == join(
+        ctx, hash_string(ctx, s1), hash_string(ctx, s2), len(s1))
 
 
 @given(letters, letters, letters)
 def test_three_way_split_associativity(s1, s2, s3):
     ctx = make_context(96, seed=17)
-    left_first = ctx.combine(
-        ctx.combine(ctx.hash_string(s1), ctx.hash_string(s2), len(s1)),
-        ctx.hash_string(s3), len(s1) + len(s2))
-    right_first = ctx.combine(
-        ctx.hash_string(s1),
-        ctx.combine(ctx.hash_string(s2), ctx.hash_string(s3), len(s2)),
-        len(s1))
-    assert left_first == right_first == ctx.hash_string(s1 + s2 + s3)
+    h1, h2, h3 = (hash_string(ctx, s) for s in (s1, s2, s3))
+    left_first = join(ctx, join(ctx, h1, h2, len(s1)), h3, len(s1) + len(s2))
+    right_first = join(ctx, h1, join(ctx, h2, h3, len(s2)), len(s1))
+    assert left_first == right_first == hash_string(ctx, s1 + s2 + s3)
 
 
 def test_no_collisions_among_random_distinct_pairs():
@@ -108,4 +112,4 @@ def test_no_collisions_among_random_distinct_pairs():
         s2 = [rng.randrange(4) for _ in range(length)]
         if s1 == s2:
             s2[rng.randrange(length)] ^= 1
-        assert ctx.hash_string(s1) != ctx.hash_string(s2)
+        assert hash_string(ctx, s1) != hash_string(ctx, s2)

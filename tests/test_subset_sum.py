@@ -7,6 +7,7 @@ from shifttree import (
     HashedShiftTree,
     Instance,
     SumSet,
+    TaggedShiftTree,
     bitrev,
     solve,
     solve_naive,
@@ -132,38 +133,74 @@ def test_prefix_padding_identity():
             assert rotate_right(doubled, d)[:m] == rotate_right(s, d)[:m]
 
 
+def observe_solve(monkeypatch, inst, backend):
+    """Solve ``inst`` while watching the solver's two trees.  Returns the
+    result and, for each visited value x in visit order, (x, the first
+    tree's string, the second tree's string rotated back by x), read when
+    the value is done: at the next shift, or when the solve returns."""
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_init, real_shift = cls.init, cls.shift
+    trees, visited, seen = [], [], []
+
+    def snapshot():
+        first, second = trees
+        x = visited[-1]
+        seen.append((x, first.materialize(),
+                     rotate_right(second.materialize(), -x)))
+
+    def init(self, letters):
+        trees.append(self)
+        real_init(self, letters)
+
+    def shift(self, k):
+        if visited:
+            snapshot()
+        visited.append((visited[-1] if visited else 0) + k)
+        real_shift(self, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "init", init)
+        patch.setattr(cls, "shift", shift)
+        result = solve_with_stats(inst, backend=backend, seed=inst.m)
+        if visited:
+            snapshot()
+    return result, seen
+
+
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
-def test_solver_state_checkpoint_padding_audit(backend):
+def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
+    # after each visited value, the first tree holds S zero-padded and the
+    # second, rotated back, two copies of S around the zero gap, where S is
+    # the oracle's answer over the values visited so far
     rng = Random(10)
     audits = 0
     for m in (2, 3, 5, 12, 12, 40):
         inst = random_instance(rng, m=m)
-        calls = 0
-
-        def check(state):
-            nonlocal calls
-            calls += 1
-            s = [1 if v else 0 for v in state.sums.member]
-            undone = rotate_right(state.t2.materialize(), -state.shift)
-            assert undone == s + [0] * (state.L - 2 * m) + s
-            assert state.t1.materialize() == s + [0] * (state.L - m)
-
-        solve_with_stats(inst, backend=backend, seed=m, checkpoint=check)
-        assert calls == len(solver_visits(inst)), m
-        audits += calls
+        L = 1 << (2 * m - 1).bit_length()
+        result, seen = observe_solve(monkeypatch, inst, backend)
+        visited = [x for x, _, _ in seen]
+        assert visited == solver_visits(inst), m
+        for i, (x, first, second) in enumerate(seen):
+            prefix = set(visited[:i + 1])
+            sub = Instance(m, [c if v in prefix else 0
+                               for v, c in enumerate(inst.mult)])
+            s = [int(b) for b in solve_naive(sub).member]
+            assert first == s + [0] * (L - m), (m, x)
+            assert second == s + [0] * (L - 2 * m) + s, (m, x)
+        if seen:
+            assert seen[-1][1][:m] == [int(b) for b in result.sums.member]
+        audits += len(seen)
     assert audits > 0
 
 
-def checkpoint_trace(inst, backend):
-    """(shift, number of sums) as seen by each checkpoint of one solve."""
-    seen = []
-    solve_with_stats(inst, backend=backend, seed=3,
-                     checkpoint=lambda st: seen.append((st.shift, len(st.sums))))
-    return seen
+def visit_trace(monkeypatch, inst, backend):
+    """(value, number of sums after it) for each value one solve visits."""
+    _, seen = observe_solve(monkeypatch, inst, backend)
+    return [(x, sum(first)) for x, first, _ in seen]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
-def test_solver_visits_present_values_in_bitrev_order(backend):
+def test_solver_visits_present_values_in_bitrev_order(backend, monkeypatch):
     # only even residues are attainable, so the solve never saturates and
     # must visit every present nonzero value exactly once
     rng = Random(12)
@@ -172,7 +209,7 @@ def test_solver_visits_present_values_in_bitrev_order(backend):
         m, [(rng.randrange(0, m, 2), rng.choice([1, 2, m])) for _ in range(30)])
     width = (2 * m - 1).bit_length()
     present = [x for x in range(1, m) if inst.mult[x]]
-    seen = checkpoint_trace(inst, backend)
+    seen = visit_trace(monkeypatch, inst, backend)
     shifts = [x for x, _ in seen]
     assert sorted(shifts) == present
     keys = [bitrev(width, x) for x in shifts]
@@ -181,13 +218,13 @@ def test_solver_visits_present_values_in_bitrev_order(backend):
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
-def test_solver_stops_at_saturation(backend):
+def test_solver_stops_at_saturation(backend, monkeypatch):
     # value 1 with m copies attains every residue; the present values that
     # come after it in bit-reversed order are never visited
     m = 50
     width = (2 * m - 1).bit_length()
     inst = Instance.from_pairs(m, [(1, m), (3, 1), (4, 2), (20, 1), (33, 1)])
-    seen = checkpoint_trace(inst, backend)
+    seen = visit_trace(monkeypatch, inst, backend)
     shifts = [x for x, _ in seen]
     order = sorted((x for x in range(1, m) if inst.mult[x]),
                    key=lambda x: bitrev(width, x))

@@ -34,7 +34,7 @@ def test_init_creates_one_tag_per_mixed_inner_node():
     tree.init(bits("0001"))  # the root and the "01" half are mixed
     assert store.live == 2
     left = tree.topo.left_child(1)
-    assert tree.tags[left] is None and tree.fill[left] == 0
+    assert tree.tags[left] is None and tree.nodes[left] == 0
     assert tree.tags[1] is not None
     assert tree.tags[tree.topo.right_child(1)] is not None
 
@@ -57,7 +57,7 @@ def test_update_replaces_without_leaking():
         if i not in path:
             assert tree.tags[i] == old[i], i
         elif tree.tags[i] is None:
-            assert tree.fill[i] == 0 and node_string(tree, i) == [0, 0], i
+            assert tree.nodes[i] == 0 and node_string(tree, i) == [0, 0], i
         else:
             cls = store.find(tree.tags[i])
             assert [store.find(t) == cls for t in tagged].count(True) == 1, i
@@ -398,15 +398,15 @@ def test_shared_nan_letter_is_still_reported():
 
 
 def audit_tag_equivalences(store, trees):
-    """A node is uniform, with its letter as fill and no tag, iff its
-    string is; equivalent live tags cover equal strings; every live tag
+    """A node is uniform, with its letter as node entry and no tag, iff
+    its string is; equivalent live tags cover equal strings; every live tag
     sits on a node (quadratic audit)."""
     by_class = {}
     for tree in trees:
         for i in range(1, tree.size):
             s = node_string(tree, i)
             uniform = all(x == s[0] for x in s)
-            assert (tree.fill[i] == s[0]) == uniform, i
+            assert (tree.nodes[i] == s[0]) == uniform, i
             tag = tree.tags[i]
             assert (tag is None) == uniform, i
             if tag is not None:
