@@ -13,10 +13,10 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
-# Largest modulus (and --bench size) accepted.  A tagged solve holds about
-# 1 kB per residue (983 bytes of peak RSS on a dense instance at m = 2**16),
-# so this keeps one solve near 1 GB; larger inputs are refused before any
-# table is allocated.
+# Largest modulus (and --bench size) accepted.  A solve holds under 0.7 kB
+# per residue (peak RSS growth on a dense instance at m = 2**16: 685 bytes
+# hashed, 443 tagged), so this keeps one solve under 1 GB; larger inputs are
+# refused before any table is allocated.
 MAX_MODULUS = 1 << 20
 
 

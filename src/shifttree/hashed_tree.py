@@ -45,9 +45,16 @@ class HashedShiftTree(ShiftTree):
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
             pw = powers[self.size >> (k + 1)]  # leaf count under a left child
-            for i in parents:
-                hashes[i] = (hashes[(2 * i - s) % width + width]
-                             + hashes[(2 * i + 1 - s) % width + width] * pw) % p
+            if type(parents) is range:
+                # a whole level: one pass over its children's two rows
+                left, right = self.topo.children(hashes, k)
+                hashes[width >> 1:width] = [
+                    (x + y * pw) % p for x, y in zip(left, right)]
+            else:
+                for i in parents:
+                    hashes[i] = (hashes[(2 * i - s) % width + width]
+                                 + hashes[(2 * i + 1 - s) % width + width]
+                                 * pw) % p
             calls += len(parents)
         self.update_calls += calls
 
@@ -81,8 +88,8 @@ class HashedShiftTree(ShiftTree):
                 lo = a if x < a else x
                 hi = b if b < y else y
                 out.extend(compress(range(lo, hi + 1), map(
-                    ne, t_letters(t_nodes, lo, hi, size),
-                    q_letters(q_nodes, lo, hi, size))))
+                    ne, t_letters(t_nodes, lo, hi),
+                    q_letters(q_nodes, lo, hi))))
                 return
             z = (x + y + 1) >> 1
             # child links, inlined from Topology for the hot path; i and j

@@ -87,4 +87,4 @@ class ShiftTree:
 
     def materialize(self) -> list:
         """The maintained string as a letter list; O(m)."""
-        return self.topo.letters(self.nodes, 0, self.size - 1, self.size)
+        return self.topo.letters(self.nodes, 0, self.size - 1)

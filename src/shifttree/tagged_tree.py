@@ -2,16 +2,18 @@
 
 A node whose positions all hold one letter is *uniform*: its node entry is
 that letter and it has no tag, as a leaf is a uniform block of one letter.
-Every other inner node is *mixed*: its entry is ``_MIXED`` and it holds a
-tag, an opaque id standing for the string its subtree covered when the node
-was last updated.  Tags are not unique per string; equality of the
-underlying strings is learned lazily.  When a diff descends through two
-tags it cannot tell apart and finds no difference below, it records their
-equivalence in the shared TagStore, so the same comparison short-circuits
-next time.  A diff stops at blocks of 64 positions and compares an
-unsettled block pair's letters in one pass, so equalities are learned at or
-above block level.  Letters only need ``==``: no hashing, no order.  The
-node array and the writes come from ``ShiftTree``.
+Every other inner node is *mixed*: its entry is ``_MIXED``.  A diff stops
+at blocks of 64 positions (the whole string, if shorter) and compares an
+unsettled block pair's letters in one pass, so it reads tags only at or
+above block level, and only mixed nodes there hold one: an opaque id
+standing for the string the node's subtree covered when it was last
+updated.  Tags are not unique per string; equality of the underlying
+strings is learned lazily.  When a diff descends through two tags it cannot
+tell apart and finds no difference below, it records their equivalence in
+the shared TagStore, so the same comparison short-circuits next time.
+Below block level a node keeps only its entry, so a whole level there
+refreshes in one pass.  Letters only need ``==``: no hashing, no order.
+The node array and the writes come from ``ShiftTree``.
 """
 
 from itertools import compress
@@ -32,25 +34,46 @@ class TaggedShiftTree(ShiftTree):
     All trees that should be comparable must share one TagStore, and all
     operations on trees sharing a store must be externally serialized
     (diff refines the store).  A fresh tree holds the uniform string of
-    ``None`` letters until ``init`` loads one.
+    ``None`` letters until ``init`` loads one.  Only mixed nodes at or
+    above block level hold a tag: levels 0..max(n - 6, 0), whose nodes
+    cover at least min(64, 2**n) positions.
     """
 
     def __init__(self, n: int, store: TagStore):
         super().__init__(n, None)
         self.store = store
-        self.tags: list[int | None] = [None] * self.size  # inner nodes 1..size-1
+        # deepest level whose nodes cover a whole leaf block or more
+        self._block_level = max(n - _BLOCK.bit_length() + 1, 0)
+        # one slot per node at or above block level (index 0 unused)
+        self.tags: list[int | None] = [None] * (2 << self._block_level)
 
     def _refresh(self, level: int, dirty) -> None:
-        # A uniform node drops its tag; a mixed one gets a fresh singleton
+        # Every node gets its letter or _MIXED.  Below block level that is
+        # all, so a whole level there is one pass.  At or above it a uniform
+        # node also drops its tag, and a mixed one gets a fresh singleton
         # tag in place of its old one.
         nodes = self.nodes
         tags = self.tags
         delete_tag = self.store.delete_tag
         new_tag = self.store.new_tag
         renew = self.store.renew
+        block_level = self._block_level
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
+            calls += len(parents)
+            if k > block_level:
+                if type(parents) is range:
+                    left, right = self.topo.children(nodes, k)
+                    nodes[width >> 1:width] = [
+                        x if x is not _MIXED and x == y else _MIXED
+                        for x, y in zip(left, right)]
+                else:
+                    for i in parents:
+                        x = nodes[(2 * i - s) % width + width]
+                        y = nodes[(2 * i + 1 - s) % width + width]
+                        nodes[i] = x if x is not _MIXED and x == y else _MIXED
+                continue
             for i in parents:
                 left = nodes[(2 * i - s) % width + width]
                 if left is not _MIXED \
@@ -64,7 +87,6 @@ class TaggedShiftTree(ShiftTree):
                     nodes[i] = _MIXED
                     old = tags[i]
                     tags[i] = new_tag() if old is None else renew(old)
-            calls += len(parents)
         self.update_calls += calls
 
     def diff(self, other: "TaggedShiftTree", a: int, b: int) -> list[int]:
@@ -82,9 +104,6 @@ class TaggedShiftTree(ShiftTree):
         size = self.size
         t_nodes = self.nodes
         q_nodes = other.nodes
-        if size == 1:  # a lone leaf has no tag slot
-            self.diff_visits += 1
-            return [0] if t_nodes[1] != q_nodes[1] else []
         t_tags = self.tags
         q_tags = other.tags
         t_delta = self.topo.delta
@@ -115,8 +134,8 @@ class TaggedShiftTree(ShiftTree):
                 lo = a if x < a else x
                 hi = b if b < y else y
                 out.extend(compress(range(lo, hi + 1), map(
-                    ne, t_letters(t_nodes, lo, hi, size),
-                    q_letters(q_nodes, lo, hi, size))))
+                    ne, t_letters(t_nodes, lo, hi),
+                    q_letters(q_nodes, lo, hi))))
             else:
                 z = (x + y + 1) >> 1
                 # child links, inlined from Topology for the hot path; i and

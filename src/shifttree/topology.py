@@ -10,8 +10,8 @@ Rotating the string by a multiple of 2**j therefore leaves every subtree
 rooted at level n-j structurally untouched.
 
 Everything here is pure index arithmetic on (n, delta); node payloads live
-elsewhere (``letters`` slices a node array it is handed).  All reductions
-produce nonnegative representatives.
+elsewhere (``children`` and ``letters`` slice a node array they are
+handed).  All reductions produce nonnegative representatives.
 """
 
 # Width of a leaf block: a diff stops descending at a node covering at most
@@ -85,14 +85,27 @@ class Topology:
             raise ValueError(f"position {pos} outside [0, {self.size})")
         return (pos - self.delta) % self.size + self.size
 
-    def letters(self, seq, lo: int, hi: int, base: int = 0) -> list:
+    def children(self, seq, k: int) -> tuple[list, list]:
+        """The left and the right children of the whole level k < n, read
+        from the node array ``seq`` in the order of their parents 2**k,
+        ..., 2**(k+1)-1: two strided slices each, so a level's refresh
+        needs no per-node link arithmetic."""
+        w = 2 << k
+        s = (self.delta >> (self.n - k - 1)) & 1
+        if s:
+            left = [seq[2 * w - 1]] + seq[w + 1:2 * w - 1:2]
+        else:
+            left = seq[w:2 * w:2]
+        return left, seq[w + 1 - s:2 * w:2]
+
+    def letters(self, seq, lo: int, hi: int) -> list:
         """Letters of string positions lo..hi (0 <= lo <= hi < size) in
-        string order, where ``seq[base + j]`` holds leaf slot j (leaf node
-        ``size + j``): one slice, or two when the slots wrap past the end
-        of the leaf array."""
-        start = (lo - self.delta) % self.size + base
+        string order, from the node array ``seq`` (leaf node ``size + j``
+        holds leaf slot j): one slice, or two when the slots wrap past the
+        end of the leaf array."""
+        size = self.size
+        start = (lo - self.delta) % size + size
         stop = start + hi - lo + 1
-        end = base + self.size
-        if stop <= end:
+        if stop <= 2 * size:
             return seq[start:stop]
-        return seq[start:end] + seq[base:stop - self.size]
+        return seq[start:2 * size] + seq[size:stop - size]

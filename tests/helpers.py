@@ -53,11 +53,12 @@ def inner_ancestors(topo, positions) -> set[int]:
 
 
 def mixed_blocks(s) -> int:
-    """Aligned blocks of ``s`` of length 2, 4, ..., len(s) holding two
-    different letters: the inner nodes of a tagged tree over ``s`` that
-    hold a tag, whatever its rotation."""
+    """Aligned blocks of ``s`` of length min(64, len(s)), ..., len(s)
+    holding two different letters: the mixed nodes at or above block
+    level of a tagged tree over ``s``, which are the nodes that hold a tag,
+    whatever its rotation."""
     count = 0
-    b = 2
+    b = min(64, len(s))
     while b <= len(s):
         count += sum(any(x != s[i] for x in s[i + 1:i + b])
                      for i in range(0, len(s), b))

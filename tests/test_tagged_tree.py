@@ -4,10 +4,11 @@ from random import Random
 import pytest
 
 from shifttree import HashedShiftTree, TaggedShiftTree, TagStore, make_context
+from shifttree.tagged_tree import _MIXED
 
 from helpers import (
-    batch_write, bits, inner_ancestors, mixed_blocks, naive_diff, node_string,
-    rotate_right, runs)
+    batch_write, bits, hash_string, inner_ancestors, mixed_blocks, naive_diff,
+    node_string, rotate_right, runs)
 
 
 class Glyph:
@@ -26,67 +27,98 @@ class Glyph:
 
 
 def test_init_creates_one_tag_per_mixed_inner_node():
+    # one tag per mixed node at or above block level.  At depth 2 the root
+    # is the only block and the only node with a tag slot; at depth 8 the
+    # 64-position blocks sit on level 2, so levels 0-2 have tag slots
     store = TagStore()
-    tree = TaggedShiftTree(2, store)
-    tree.init(bits("0000"))
+    small = TaggedShiftTree(2, store)
+    small.init(bits("0001"))  # the root and the "01" half are mixed
+    assert store.live == 1 and small.tags[1] is not None
+    assert len(small.tags) == 2
+    assert small.nodes[small.topo.right_child(1)] is _MIXED
+    store = TagStore()
+    tree = TaggedShiftTree(8, store)
+    tree.init([0] * 256)
     assert store.live == 0
-    assert tree.tags[1:] == [None] * 3
-    tree.init(bits("0001"))  # the root and the "01" half are mixed
+    assert tree.tags[1:] == [None] * 7
+    tree.init(runs("0001", 64))  # the root and the "01" half are mixed
     assert store.live == 2
     left = tree.topo.left_child(1)
     assert tree.tags[left] is None and tree.nodes[left] == 0
     assert tree.tags[1] is not None
     assert tree.tags[tree.topo.right_child(1)] is not None
+    # one odd letter makes every node above it mixed; only the block and
+    # the two nodes above it take a tag
+    s = [0] * 256
+    s[200] = 1
+    tree.init(s)
+    assert store.live == 3 == mixed_blocks(s)
+    path = [ancestor(tree, 200, up) for up in range(1, 9)]
+    assert all(tree.nodes[i] is _MIXED for i in path)
+    assert all(i >= len(tree.tags) for i in path[:5])
+    assert all(tree.tags[i] is not None for i in path[5:])
 
 
 def test_update_replaces_without_leaking():
-    # rewriting one leaf refreshes every inner node on its path, root
-    # included: each ends up uniform or holding a fresh singleton tag
+    # rewriting one leaf refreshes every node on its path, root included:
+    # each at or above block level ends up uniform or holding a fresh
+    # singleton tag.  Depth 8, so the path crosses three tagged levels.
     store = TagStore()
-    tree = TaggedShiftTree(2, store)
-    twin = TaggedShiftTree(2, store)
-    tree.init(bits("0101"))
-    twin.init(bits("0101"))
-    assert tree.diff(twin, 0, 3) == []  # joins the roots, the only block
+    tree = TaggedShiftTree(8, store)
+    twin = TaggedShiftTree(8, store)
+    s = [0] * 128 + runs("01", 64)
+    s[100] = 1  # the left half and the block [64, 127] are mixed
+    tree.init(s)
+    twin.init(s)
+    # joins the roots, both halves and the mixed block
+    assert tree.diff(twin, 0, 255) == []
     old = list(tree.tags)
-    path = inner_ancestors(tree.topo, [1])
+    path = inner_ancestors(tree.topo, [100])
     assert 1 in path
-    tree.set(1, 0)  # "0001": the left half turns uniform
+    tree.set(100, 0)  # runs("0001", 64): the left half turns uniform
     tagged = [t for t in tree.tags[1:] + twin.tags[1:] if t is not None]
     for i in range(1, tree.size):
-        if i not in path:
+        if i >= len(tree.tags):
+            # below block level: no tag slot, and the entry is the letter
+            assert i not in path or tree.nodes[i] == 0, i
+        elif i not in path:
             assert tree.tags[i] == old[i], i
         elif tree.tags[i] is None:
-            assert tree.nodes[i] == 0 and node_string(tree, i) == [0, 0], i
+            assert tree.nodes[i] == 0 and set(node_string(tree, i)) == {0}, i
         else:
             cls = store.find(tree.tags[i])
             assert [store.find(t) == cls for t in tagged].count(True) == 1, i
     assert tree.tags[tree.topo.left_child(1)] is None
-    mixed = mixed_blocks(bits("0001")) + mixed_blocks(bits("0101"))
-    assert store.live == mixed
+    mixed = mixed_blocks(runs("0001", 64)) + mixed_blocks(s)
+    assert mixed == 2 + 4 and store.live == mixed
     # a tag that no diff joined to another is renewed in place
-    solo = TaggedShiftTree(2, store)
-    solo.init(bits("0110"))
+    solo = TaggedShiftTree(8, store)
+    u = [1] * 128 + runs("10", 64)
+    u[0] = 0
+    solo.init(u)
     root = solo.tags[1]
-    solo.set(0, 1)  # "1110"
+    solo.set(0, 1)  # runs("1110", 64)
     assert solo.tags[1] == root
     assert solo.tags[solo.topo.left_child(1)] is None
-    assert store.live == mixed + mixed_blocks(bits("1110"))
+    assert store.live == mixed + mixed_blocks(runs("1110", 64))
 
 
 def test_live_tags_across_trees():
-    store = TagStore()
-    r, n = 4, 3
-    trees = [TaggedShiftTree(n, store) for _ in range(r)]
-    for t in trees:
-        t.init([0] * (1 << n))
-    assert store.live == 0
-    strings = [bits(s)
-               for s in ("00000001", "01010101", "00110011", "11111111")]
-    for t, s in zip(trees, strings):
-        t.init(s)
-    assert store.live == 3 + 7 + 3 + 0
-    assert store.live == sum(mixed_blocks(s) for s in strings)
+    # at depth 3 only the root has a tag slot; at depth 9, with every
+    # letter a run of 64, the nodes at or above block level are the same
+    # binary tree over eight letters
+    texts = ("00000001", "01010101", "00110011", "11111111")
+    for n, width, live in ((3, 1, 1 + 1 + 1 + 0), (9, 64, 3 + 7 + 3 + 0)):
+        store = TagStore()
+        trees = [TaggedShiftTree(n, store) for _ in texts]
+        for t in trees:
+            t.init([0] * (1 << n))
+        assert store.live == 0
+        strings = [runs(s, width) for s in texts]
+        for t, s in zip(trees, strings):
+            t.init(s)
+        assert store.live == live, n
+        assert store.live == sum(mixed_blocks(s) for s in strings)
 
 
 def test_shift_by_half_updates_only_the_root():
@@ -118,7 +150,7 @@ def test_model_equivalence():
     # twin gets the same ops, but each batched write as point sets
     rng = Random(44)
     for trial in range(300):
-        n = rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 6])
+        n = rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8])
         size = 1 << n
         store = TagStore()
         tree = TaggedShiftTree(n, store)
@@ -349,6 +381,46 @@ def test_diff_stops_at_64_position_blocks(backend):
         assert t.diff_visits - before == 1 + 2 * max(0, n - 6), n
 
 
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_whole_level_refresh_is_exact(backend):
+    # init and every shift refresh whole levels from strided slices of the
+    # node array.  After each, every inner node must summarise its
+    # substring: its hash, or its letter iff uniform and _MIXED otherwise.
+    # Depths 0-9 (block level 0-3 for tags), shifts of every 2-adic
+    # valuation, until every level was refreshed under both skew bits.
+    rng = Random(29)
+    for n in range(0, 10):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        tree = HashedShiftTree(n, ctx) if backend == "hashed" \
+            else TaggedShiftTree(n, TagStore())
+        skews = set()
+
+        def check(levels):
+            # the skew bit of the links below level k is bit n-k-1 of delta
+            skews.update((k, (tree.topo.delta >> (n - k - 1)) & 1)
+                         for k in range(levels))
+            for i in range(1, size):
+                s = node_string(tree, i)
+                if backend == "hashed":
+                    assert tree.nodes[i] == hash_string(ctx, s), (n, i)
+                elif all(x == s[0] for x in s):
+                    assert tree.nodes[i] == s[0], (n, i)
+                else:
+                    assert tree.nodes[i] is _MIXED, (n, i)
+
+        for _ in range(2):
+            # mostly one letter, so that uniform blocks of every size occur
+            ones = rng.choice([0.02, 0.5, 0.98])
+            tree.init([int(rng.random() < ones) for _ in range(size)])
+            check(n)
+            for j in range(n):
+                for odd in (1, 3, -1):
+                    tree.shift(odd << j)
+                    check(n - j)
+        assert skews == {(k, s) for k in range(n) for s in (0, 1)}, n
+
+
 def ancestor(tree, pos, up):
     """The node ``up`` levels above the leaf of ``pos``; at up = 6 it
     covers the 64-position block that holds ``pos``."""
@@ -398,15 +470,23 @@ def test_shared_nan_letter_is_still_reported():
 
 
 def audit_tag_equivalences(store, trees):
-    """A node is uniform, with its letter as node entry and no tag, iff
-    its string is; equivalent live tags cover equal strings; every live tag
-    sits on a node (quadratic audit)."""
+    """At every level, a node's entry is its letter if its string is
+    uniform and ``_MIXED`` if not; tag slots exist only for the nodes at or
+    above block level (levels 0..max(n - 6, 0)), and such a node holds a
+    tag iff it is mixed; equivalent live tags cover equal strings; every
+    live tag sits on a node (quadratic audit)."""
     by_class = {}
     for tree in trees:
+        slots = 2 << max(tree.n - 6, 0)
+        assert len(tree.tags) == slots
+        assert tree.tags[tree.size:] == [None] * (slots - tree.size)
         for i in range(1, tree.size):
             s = node_string(tree, i)
             uniform = all(x == s[0] for x in s)
-            assert (tree.nodes[i] == s[0]) == uniform, i
+            assert (tree.nodes[i] == s[0]) if uniform \
+                else (tree.nodes[i] is _MIXED), i
+            if i >= slots:
+                continue
             tag = tree.tags[i]
             assert (tag is None) == uniform, i
             if tag is not None:
@@ -418,28 +498,41 @@ def audit_tag_equivalences(store, trees):
 
 
 def test_equivalence_classes_only_join_equal_strings():
+    # at depths 7 and 8 tags also sit below the root: there the trees start
+    # equal, as runs of eight random letters, rotate by whole runs and are
+    # diffed over whole runs, so that diffs union equal tagged blocks
     rng = Random(55)
     for trial in range(60):
-        n = rng.choice([1, 2, 2, 3, 3, 4])
+        n = rng.choice([1, 2, 2, 3, 3, 4, 7, 8])
         size = 1 << n
+        if n >= 7:
+            run = size // 8
+            strings = [runs("".join(rng.choice("01") for _ in range(8)),
+                            run)] * 3
+        else:
+            run = 1
+            strings = [[rng.randrange(2) for _ in range(size)]
+                       for _ in range(3)]
         store = TagStore()
         trees = []
-        for _ in range(3):
+        for s in strings:
             t = TaggedShiftTree(n, store)
-            t.init([rng.randrange(2) for _ in range(size)])
+            t.init(s)
             trees.append(t)
-        for _ in range(rng.randint(2, 10)):
+        for _ in range(rng.randint(2, 20)):
             op = rng.random()
             t = rng.choice(trees)
             if op < 0.35:
                 t.set(rng.randrange(size), rng.randrange(2))
             elif op < 0.6:
-                t.shift(rng.randint(-size, size))
+                t.shift(run * rng.randint(-size // run, size // run))
             else:
                 other = rng.choice(trees)
                 if other is not t:
-                    a = rng.randrange(size)
-                    t.diff(other, a, rng.randrange(a, size))
+                    # interval ends on run boundaries
+                    a = rng.randrange(size // run)
+                    b = rng.randrange(a, size // run)
+                    t.diff(other, a * run, b * run + run - 1)
         audit_tag_equivalences(store, trees)
 
 
@@ -447,7 +540,7 @@ def test_equivalence_classes_only_join_equal_strings():
 def test_fill_is_exact_on_every_write_path(letter):
     rng = Random(91)
     for trial in range(80):
-        n = rng.choice([0, 1, 2, 3, 3, 4, 5])
+        n = rng.choice([0, 1, 2, 3, 3, 4, 5, 7, 8])
         size = 1 << n
         store = TagStore()
         tree = TaggedShiftTree(n, store)

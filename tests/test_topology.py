@@ -120,7 +120,7 @@ for call in (lambda: t.left_child(0), lambda: t.left_child(8),
 def test_letters_match_leaf_of_position():
     # string-order letters of [lo, hi] against one leaf_of_position call per
     # position: every interval at n <= 4, random ones up to n = 8, every
-    # delta, leaf slots stored from offset 0 (tagged) or size (hashed)
+    # delta, on a node array whose leaves start at index size
     rng = Random(6)
     for n in range(0, 9):
         size = 1 << n
@@ -131,16 +131,29 @@ def test_letters_match_leaf_of_position():
             for _ in range(20):
                 lo = rng.randrange(size)
                 spans.append((lo, rng.randrange(lo, size)))
+        seq = [f"node{i}" for i in range(size)] \
+            + [f"slot{j}" for j in range(size)]
         for delta in range(size):
             topo = Topology(n, delta)
-            for base in (0, size):
-                seq = [f"pad{i}" for i in range(base)] \
-                    + [f"slot{j}" for j in range(size)]
-                for lo, hi in spans:
-                    want = [seq[base + topo.leaf_of_position(pos) - size]
-                            for pos in range(lo, hi + 1)]
-                    assert topo.letters(seq, lo, hi, base) == want, \
-                        (n, delta, base, lo, hi)
+            for lo, hi in spans:
+                want = [seq[topo.leaf_of_position(pos)]
+                        for pos in range(lo, hi + 1)]
+                assert topo.letters(seq, lo, hi) == want, (n, delta, lo, hi)
+
+
+def test_children_match_child_links():
+    # the two strided rows of a whole level against left_child and
+    # right_child of each of its nodes, exhaustive over n <= 7 and every
+    # delta, so both skew bits occur on every level
+    for n in range(1, 8):
+        seq = [f"node{i}" for i in range(2 << n)]
+        for delta in range(1 << n):
+            topo = Topology(n, delta)
+            for k in range(n):
+                row = range(1 << k, 2 << k)
+                assert topo.children(seq, k) == (
+                    [seq[topo.left_child(i)] for i in row],
+                    [seq[topo.right_child(i)] for i in row]), (n, delta, k)
 
 
 @given(st.integers(1, 10), st.data())
