@@ -6,6 +6,16 @@ by x and read off the changed positions: each is either a brand-new sum or
 the position it rotated in from, in equal numbers.  Two shift trees make
 that comparison output-sensitive.
 
+Only a value's first copy needs the comparison.  Let New_i be the sums the
+i-th copy of x adds.  Then S_(i-1) + x is (S_(i-2) + x) ∪ (New_(i-1) + x),
+and the first part already lies in S_(i-1), so
+
+    New_i = (New_(i-1) + x) \\ S_(i-1):
+
+the later copies follow the orbit of the first copy's new sums under +x,
+at O(|New_(i-1)|) list work each, until a copy adds nothing.  All the new
+sums of one value then reach each tree in one batched write.
+
 Only the values x present in the instance are visited, in bit-reversed
 order, and the rotated tree moves from one to the next by the net delta.
 Neighbours in that order share as many low bits as the cheapest step of
@@ -24,7 +34,6 @@ from dataclasses import dataclass
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
-from .schedule import bitrev
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -32,7 +41,14 @@ BACKENDS = ("hashed", "tagged", "naive")
 
 
 class HashCollisionError(RuntimeError):
-    """The hashed backend reported an inconsistent difference set."""
+    """The hashed backend reported an inconsistent difference set.
+
+    The check runs once per visited value, on its one diff: the reported
+    positions must split evenly into new sums and the old sums they
+    rotated in from.  A collision that hides a balanced set of differences,
+    as many new sums as old ones, passes unseen and leaves those sums (and
+    their orbit under the value's later copies) out of the result.
+    """
 
 
 @dataclass
@@ -100,6 +116,12 @@ class SumSet:
 
 @dataclass
 class SolverStats:
+    """Counters of one solve.  With the trees, ``bellman_iterations``
+    counts each visited value's diff and each later copy that added sums,
+    and ``reported_differences`` counts diff output only; the rest sum over
+    both trees (``store_ops`` over their shared tag store).  The naive
+    backend counts its bitset passes as ``bellman_iterations``."""
+
     backend: str = ""
     bellman_iterations: int = 0
     reported_differences: int = 0
@@ -178,31 +200,42 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
 
     member = sums.member
     mult = inst.mult
+    # reversed zero-padded binary strings of one width sort like their
+    # integers, so this is the bit-reversed order without int() per value
+    digits = f"0{width}b"
     present = sorted((x for x in range(1, m) if mult[x]),
-                     key=lambda x: bitrev(width, x))
+                     key=lambda x: format(x, digits)[::-1])
     at = 0                              # t2 holds the double string rotated by at
     for x in present:
         t2.shift(x - at)
         at = x
-        for _ in range(mult[x]):
+        stats.bellman_iterations += 1
+        diffs = t1.diff(t2, 0, m - 1)
+        stats.reported_differences += len(diffs)
+        new = [d for d in diffs if not member[d]]
+        if len(diffs) != 2 * len(new):
+            # each reported position must be a new sum or the old sum it
+            # rotated in from; an imbalance means a difference was missed
+            if backend == "hashed":
+                raise HashCollisionError(
+                    f"{len(diffs)} differences but {len(new)} new sums "
+                    f"at shift {x}")
+            raise AssertionError("tagged diff returned an unbalanced set")
+        for d in new:
+            sums.add(d)
+        added = list(new)
+        # each later copy's new sums follow exactly from the last copy's
+        for _ in range(mult[x] - 1):
+            new = [e for e in ((d + x) % m for d in new) if not member[e]]
+            if not new:
+                break                   # S is stable under +x
             stats.bellman_iterations += 1
-            diffs = t1.diff(t2, 0, m - 1)
-            stats.reported_differences += len(diffs)
-            if not diffs:
-                break                   # S is stable under +x; skip remaining copies
-            fresh = [d for d in diffs if not member[d]]
-            if len(diffs) != 2 * len(fresh):
-                # each reported position must be a new sum or the old sum it
-                # rotated in from; an imbalance means a difference was missed
-                if backend == "hashed":
-                    raise HashCollisionError(
-                        f"{len(diffs)} differences but {len(fresh)} new sums "
-                        f"at shift {x}")
-                raise AssertionError("tagged diff returned an unbalanced set")
-            for d in fresh:
+            for d in new:
                 sums.add(d)
-            t1.set_many(fresh, 1)
-            t2.set_many([(d + r) % L for d in fresh for r in (x, x - m)], 1)
+            added += new
+        if added:
+            t1.set_many(added, 1)
+            t2.set_many([(d + r) % L for d in added for r in (x, x - m)], 1)
         if len(sums) == m:
             break                       # every residue attainable
 

@@ -247,6 +247,106 @@ def test_backends_match_oracle_at_bench_size(backend):
         assert solve(inst, backend=backend, seed=1).ascending() == want
 
 
+def multiplicity_heavy(rng, m):
+    """Instances whose values have many copies: the chain (1, m), the
+    chain cut short, a few small values each with about m/k copies, and
+    multiples of 2**j with large multiplicities."""
+    k = rng.randint(2, 5)
+    j = rng.randint(1, 4)
+    yield Instance.from_pairs(m, [(1, m)])
+    yield Instance.from_pairs(m, [(1, m // 3), (rng.randrange(1, m), 2)])
+    yield Instance.from_pairs(
+        m, [(rng.randint(1, 9), max(1, m // k + rng.randint(-2, 2)))
+            for _ in range(k)])
+    yield Instance.from_pairs(
+        m, [(rng.randrange(1, m) << j, rng.choice([m, m // 7 + 1, 3]))
+            for _ in range(4)])
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_orbit_copies_match_oracle(backend):
+    # every copy after a value's first is derived from the last copy's new
+    # sums, not from a diff; the bitset oracle checks the result
+    rng = Random(21)
+    for m in (2, 7, 64, 96, 1000, 4096):
+        for inst in multiplicity_heavy(rng, m):
+            want = solve_naive(inst).ascending()
+            got = solve(inst, backend=backend, seed=m).ascending()
+            assert got == want, (m, [(x, c) for x, c in enumerate(inst.mult)
+                                     if c])
+
+
+def tree_calls(monkeypatch, inst, backend):
+    """Solve ``inst`` and group the trees' ``diff`` and ``set_many`` calls
+    by visited value: for each value x in visit order, (x, the number of
+    diffs, the trees written by ``set_many`` in call order, 0 for the
+    first tree and 1 for the second)."""
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_init, real_shift = cls.init, cls.shift
+    real_diff, real_set_many = cls.diff, cls.set_many
+    trees, values = [], []
+
+    def init(self, letters):
+        trees.append(self)
+        real_init(self, letters)
+
+    def shift(self, k):
+        values.append([(values[-1][0] if values else 0) + k, 0, []])
+        real_shift(self, k)
+
+    def diff(self, other, a, b):
+        values[-1][1] += 1
+        return real_diff(self, other, a, b)
+
+    def set_many(self, positions, x):
+        values[-1][2].append(trees.index(self))
+        real_set_many(self, positions, x)
+
+    with monkeypatch.context() as patch:
+        for name, fn in (("init", init), ("shift", shift), ("diff", diff),
+                         ("set_many", set_many)):
+            patch.setattr(cls, name, fn)
+        solve_with_stats(inst, backend=backend, seed=inst.m)
+    return [tuple(v) for v in values]
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
+    # a visited value makes one diff, however many copies it has, and a
+    # value that adds sums writes each tree once; one that adds none
+    # writes nothing
+    rng = Random(22)
+    checked = productive = 0
+    for m in (5, 40, 96, 333):
+        for inst in [*multiplicity_heavy(rng, m), random_instance(rng, m)]:
+            calls = tree_calls(monkeypatch, inst, backend)
+            visited = [x for x, _, _ in calls]
+            assert visited == solver_visits(inst), m
+            # the oracle's sum count over the values visited so far
+            sizes = [len(solve_naive(Instance(m, [
+                c if v in visited[:i] else 0
+                for v, c in enumerate(inst.mult)])))
+                for i in range(len(visited) + 1)]
+            for (x, diffs, writes), before, after in zip(
+                    calls, sizes, sizes[1:]):
+                assert diffs == 1, (m, x)
+                assert writes == ([0, 1] if after > before else []), (m, x)
+                productive += after > before
+            checked += len(calls)
+    assert 0 < productive < checked
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_chain_counters(backend):
+    # one diff finds the first copy's sum (2 reported positions); the
+    # other m - 2 sums each take one orbit step
+    for m in (2, 3, 50, 64, 1000):
+        stats = solve_with_stats(Instance.from_pairs(m, [(1, m)]),
+                                 backend=backend, seed=m).stats
+        assert stats.bellman_iterations == m - 1, m
+        assert stats.reported_differences == 2, m
+
+
 def test_stats_are_reproducible():
     inst = Instance.from_pairs(97, [(13, 2), (40, 1), (5, 97), (64, 1)])
     for backend, seed in (("tagged", None), ("hashed", 5)):
