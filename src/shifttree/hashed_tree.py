@@ -1,18 +1,14 @@
 """Hash-backed shift tree.
 
 Every inner node holds the polynomial hash of the substring its subtree
-covers, so two subtrees compare in O(1) with high probability.  A diff
-descends through unequal hashes only down to blocks of 64 positions; there
-it compares the letters of an unequal block pair in one pass, which is
-exact.  The node array and the writes come from ``ShiftTree``.
+covers, so two subtrees compare in O(1) with high probability: the diff
+walk settles a node pair when the two hashes are equal.  It compares the
+letters of an unequal 64-position block pair exactly.  The node array, the
+writes and the diff walk come from ``ShiftTree``.
 """
-
-from itertools import compress
-from operator import ne
 
 from .hashing import HashContext
 from .shift_tree import ShiftTree
-from .topology import _BLOCK
 
 # Whole levels narrower than this refresh node by node: the one-pass
 # refresh costs about 1.5 us before its first node, more than the per-node
@@ -25,7 +21,9 @@ class HashedShiftTree(ShiftTree):
 
     Letters are integers in [0, ctx.p).  A fresh tree represents the
     all-zero string (every subtree hash of a zero string is 0, so the
-    zeroed node array is already consistent).
+    zeroed node array is already consistent).  ``diff`` is correct unless
+    a hash collision hides a genuine difference: probability at most
+    m log m / p per call.
     """
 
     def __init__(self, n: int, ctx: HashContext):
@@ -63,51 +61,8 @@ class HashedShiftTree(ShiftTree):
             calls += len(parents)
         self.update_calls += calls
 
-    def diff(self, other: "HashedShiftTree", a: int, b: int) -> list[int]:
-        """Positions in [a, b] where this string and ``other``'s differ.
-
-        Ascending order.  Correct unless a hash collision hides a genuine
-        difference (probability <= m log m / p per call).
-        """
-        self._check_diff(other, a, b)
-        if other.ctx is not self.ctx:
+    def _equality(self, other: "HashedShiftTree") -> tuple:
+        # a tree of the other variant has no context, so it fails here too
+        if getattr(other, "ctx", None) is not self.ctx:
             raise ValueError("trees must share one hash context")
-        out: list[int] = []
-        n = self.n
-        size = self.size
-        t_nodes = self.nodes
-        q_nodes = other.nodes
-        t_delta = self.topo.delta
-        q_delta = other.topo.delta
-        t_letters = self.topo.letters
-        q_letters = other.topo.letters
-        visits = 0
-
-        def walk(i: int, j: int, x: int, y: int) -> None:
-            nonlocal visits
-            visits += 1
-            if y < a or b < x or t_nodes[i] == q_nodes[j]:
-                return
-            if y - x < _BLOCK:
-                # a leaf block: compare its letters within [a, b] at C level
-                lo = a if x < a else x
-                hi = b if b < y else y
-                out.extend(compress(range(lo, hi + 1), map(
-                    ne, t_letters(t_nodes, lo, hi),
-                    q_letters(q_nodes, lo, hi))))
-                return
-            z = (x + y + 1) >> 1
-            # child links, inlined from Topology for the hot path; i and j
-            # sit on the same level, so they share the block width
-            bl = i.bit_length()
-            width = 1 << bl
-            ts = (t_delta >> (n - bl)) & 1
-            qs = (q_delta >> (n - bl)) & 1
-            walk((2 * i - ts) % width + width,
-                 (2 * j - qs) % width + width, x, z - 1)
-            walk((2 * i + 1 - ts) % width + width,
-                 (2 * j + 1 - qs) % width + width, z, y)
-
-        walk(1, 1, 0, size - 1)
-        self.diff_visits += visits
-        return out
+        return None, None, None, None

@@ -4,11 +4,15 @@ One node array of 2**(n+1) entries holds a string of length 2**n: leaf slot
 j (node ``size + j``) holds a letter, and inner node i in [1, size) holds a
 summary of the substring its subtree covers.  Every write stores letters or
 moves the rotation offset, then refreshes the dirty inner nodes level by
-level.  A variant supplies what a summary is: ``_refresh``, its letter
-checks and ``diff``.
+level.  The one diff walk lives here too.  A variant supplies what a
+summary is: ``_refresh``, its letter checks and ``_equality``, which says
+when two summaries prove their subtrees equal.
 """
 
-from .topology import Topology
+from itertools import compress
+from operator import ne
+
+from .topology import _BLOCK, Topology
 
 
 class ShiftTree:
@@ -20,6 +24,9 @@ class ShiftTree:
     two dividing k; ``diff`` O((d+1) log m) for d reported differences.
     A fresh tree holds ``size`` copies of ``letter``, which its inner
     nodes must already summarise.
+
+    Every operation is shared; a variant is a node refresh, a letter check
+    and a node-equality hook for the one diff walk.
     """
 
     def __init__(self, n: int, letter):
@@ -43,6 +50,15 @@ class ShiftTree:
     def _check_letter(self, x) -> None:
         """``_check`` for the one letter of a point write."""
 
+    def _equality(self, other: "ShiftTree") -> tuple:
+        """``(t_keys, q_keys, find, union)`` for a diff against ``other``,
+        a tree of the same variant; raise ValueError unless the two share
+        what makes their summaries comparable.  Node entries i and j that
+        are ``==`` settle a pair when ``find`` is None, or ``t_keys[i]`` is
+        None, or ``find(t_keys[i]) == find(q_keys[j])``; a fully covered
+        pair that yields no difference is joined by ``union``, if set."""
+        raise NotImplementedError
+
     def init(self, letters) -> None:
         """Load a full string, reset the rotation, refresh every inner node."""
         vals = list(letters)
@@ -61,9 +77,17 @@ class ShiftTree:
         self._refresh(self.n, (j,))
 
     def set_many(self, positions, x) -> None:
-        """Write letter ``x`` at each of ``positions``; repeats are allowed."""
+        """Write letter ``x`` at each of the sequence ``positions``; repeats
+        are allowed."""
         self._check_letter(x)
-        slots = {self.topo.leaf_of_position(pos) for pos in positions}
+        if not positions:
+            return
+        # checking the extremes checks the batch
+        self.topo.leaf_of_position(min(positions))
+        self.topo.leaf_of_position(max(positions))
+        delta = self.topo.delta
+        size = self.size
+        slots = {(pos - delta) % size + size for pos in positions}
         for j in slots:
             self.nodes[j] = x
         self._refresh(self.n, slots)
@@ -78,12 +102,64 @@ class ShiftTree:
         level = self.n - (k & -k).bit_length() + 1
         self._refresh(level, range(1 << level, 2 << level))
 
-    def _check_diff(self, other: "ShiftTree", a: int, b: int) -> None:
-        # the argument checks every variant's diff starts with
+    def diff(self, other: "ShiftTree", a: int, b: int) -> list[int]:
+        """Positions in [a, b] where this string and ``other``'s differ,
+        in ascending order.  ``other`` must be a tree of the same variant
+        and depth that ``_equality`` accepts.  The walk descends through
+        unsettled node pairs down to 64-position blocks (the whole string,
+        if shorter) and compares an unsettled block pair's letters in one
+        pass."""
         if other.n != self.n:
             raise ValueError("trees must have equal depth")
         if not 0 <= a <= b < self.size:
             raise ValueError(f"bad interval [{a}, {b}] for size {self.size}")
+        t_keys, q_keys, find, union = self._equality(other)
+        out: list[int] = []
+        n = self.n
+        t_nodes = self.nodes
+        q_nodes = other.nodes
+        t_delta = self.topo.delta
+        q_delta = other.topo.delta
+        t_letters = self.topo.letters
+        q_letters = other.topo.letters
+        visits = 0
+
+        def walk(i: int, j: int, x: int, y: int) -> None:
+            nonlocal visits
+            visits += 1
+            if y < a or b < x:
+                return
+            if t_nodes[i] == q_nodes[j] and (
+                    find is None or t_keys[i] is None
+                    or find(t_keys[i]) == find(q_keys[j])):
+                return
+            before = len(out)
+            if y - x < _BLOCK:
+                # a leaf block: compare its letters within [a, b] at C level
+                lo = a if x < a else x
+                hi = b if b < y else y
+                out.extend(compress(range(lo, hi + 1), map(
+                    ne, t_letters(t_nodes, lo, hi),
+                    q_letters(q_nodes, lo, hi))))
+            else:
+                z = (x + y + 1) >> 1
+                # child links, inlined from Topology for the hot path; i and
+                # j sit on the same level, so they share the block width
+                bl = i.bit_length()
+                width = 1 << bl
+                ts = (t_delta >> (n - bl)) & 1
+                qs = (q_delta >> (n - bl)) & 1
+                walk((2 * i - ts) % width + width,
+                     (2 * j - qs) % width + width, x, z - 1)
+                walk((2 * i + 1 - ts) % width + width,
+                     (2 * j + 1 - qs) % width + width, z, y)
+            if union is not None and len(out) == before and a <= x and y <= b:
+                # all of [x, y] matched: the pair's keys name equal strings
+                union(t_keys[i], q_keys[j])
+
+        walk(1, 1, 0, self.size - 1)
+        self.diff_visits += visits
+        return out
 
     def materialize(self) -> list:
         """The maintained string as a letter list; O(m)."""

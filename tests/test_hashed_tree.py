@@ -176,6 +176,8 @@ def test_diff_validation():
     foreign = HashedShiftTree(2, make_context(4, seed=1))
     with pytest.raises(ValueError):
         tree.diff(foreign, 0, 3)
+    with pytest.raises(ValueError):
+        tree.diff(TaggedShiftTree(2, TagStore()), 0, 3)
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])

@@ -181,6 +181,11 @@ def test_model_equivalence():
                 positions, x = batch_write(rng, size), rng.randrange(3)
                 want = len(inner_ancestors(tree.topo, positions))
                 before = tree.update_calls
+                for bad in ([-1] + positions, positions + [size]):
+                    # an out-of-range position raises and writes no letter
+                    with pytest.raises(ValueError):
+                        tree.set_many(bad, x)
+                    assert tree.materialize() == model
                 tree.set_many(positions, x)
                 assert tree.update_calls - before == want
                 for pos in positions:
@@ -259,6 +264,9 @@ def test_diff_validation():
     foreign.init(bits("0100"))
     with pytest.raises(ValueError):
         a.diff(foreign, 0, 3)
+    hashed = HashedShiftTree(2, make_context(4, seed=1))
+    with pytest.raises(ValueError):
+        a.diff(hashed, 0, 3)
 
 
 def test_equality_only_alphabet():
