@@ -13,9 +13,9 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
-# Largest modulus (and --bench size) accepted.  A solve holds under 0.7 kB
-# per residue (peak RSS growth on a dense instance at m = 2**16: 685 bytes
-# hashed, 443 tagged), so this keeps one solve under 1 GB; larger inputs are
+# Largest modulus (and --bench size) accepted.  A solve holds under 0.6 kB
+# per residue (peak RSS growth on a dense instance at m = 2**16: 548 bytes
+# hashed, 412 tagged), so this keeps one solve under 1 GB; larger inputs are
 # refused before any table is allocated.
 MAX_MODULUS = 1 << 20
 

@@ -29,7 +29,7 @@ class HashedShiftTree(ShiftTree):
     def __init__(self, n: int, ctx: HashContext):
         super().__init__(n, 0)
         if ctx.max_len < self.size:
-            raise ValueError("hash context power table too small for this tree")
+            raise ValueError("hash context too short for this tree")
         self.ctx = ctx
 
     def _check(self, letters) -> None:
@@ -42,12 +42,12 @@ class HashedShiftTree(ShiftTree):
 
     def _refresh(self, level: int, dirty) -> None:
         hashes = self.nodes
-        powers = self.ctx.powers
+        squares = self.ctx.squares
         p = self.ctx.p
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
-            pw = powers[self.size >> (k + 1)]  # leaf count under a left child
+            pw = squares[self.n - k - 1]  # r**(leaves under a left child)
             if type(parents) is range and len(parents) >= _WHOLE_LEVEL_MIN:
                 # a whole level: one pass over its children's two rows
                 left, right = self.topo.children(hashes, k)

@@ -13,16 +13,18 @@ MERSENNE_61 = (1 << 61) - 1
 
 
 class HashContext:
-    """Shared hashing parameters: modulus p, point r, precomputed powers.
+    """Shared hashing parameters: modulus p, point r, and the squares
+    ``squares[j] = r**(2**j) % p`` for every power of two 2**j <= max_len.
 
-    Immutable after construction.  Trees whose hashes should be comparable
-    must share one context.  ``make_context`` is the normal entry point;
-    passing ``r`` and ``p`` explicitly is for tests that want hand-checkable
-    numbers.  The power table is sized once: strings longer than ``max_len``
-    are not supported.
+    A tree node's left child covers a power-of-two number of leaves, so
+    those are the only powers of r a tree reads.  Immutable after
+    construction.  Trees whose hashes should be comparable must share one
+    context.  ``make_context`` is the normal entry point; passing ``r`` and
+    ``p`` explicitly is for tests that want hand-checkable numbers.
+    Strings longer than ``max_len`` are not supported.
     """
 
-    __slots__ = ("p", "r", "max_len", "powers")
+    __slots__ = ("p", "r", "max_len", "squares")
 
     def __init__(self, max_len: int, r: int, p: int = MERSENNE_61):
         if max_len < 1:
@@ -32,10 +34,10 @@ class HashContext:
         self.p = p
         self.r = r
         self.max_len = max_len
-        powers = [1] * (max_len + 1)
-        for i in range(1, max_len + 1):
-            powers[i] = powers[i - 1] * r % p
-        self.powers = powers
+        squares = [r]
+        for _ in range(max_len.bit_length() - 1):
+            squares.append(squares[-1] * squares[-1] % p)
+        self.squares = squares
 
 
 def make_context(max_len: int, seed: int | None = None) -> HashContext:

@@ -24,10 +24,13 @@ than that schedule (linearithmic) and far less when few values are
 present.  The solve stops as soon as every residue is attainable.
 
 The modulus is rarely a power of two, so the trees hold padded strings of
-length L = the smallest power of two >= 2m: one tree holds s zero-padded,
-the other two copies of s around a zero gap, so that for any rotation
-d <= m the first m characters of the rotated double string are exactly the
-rotation of s.
+length L = the smallest power of two >= 2m: one tree holds s padded, the
+other two copies of s around a gap, so that for any rotation d <= m the
+first m characters of the rotated double string are exactly the rotation
+of s.  A present residue's letter is 1.  The padding, the gap and the
+absent residues keep the letter a fresh tree starts with (0 for hashed,
+None for tagged): the solver only compares its two trees, which are of
+one variant, so it never depends on what that letter is.
 """
 
 from dataclasses import dataclass
@@ -119,8 +122,9 @@ class SolverStats:
     """Counters of one solve.  With the trees, ``bellman_iterations``
     counts each visited value's diff and each later copy that added sums,
     and ``reported_differences`` counts diff output only; the rest sum over
-    both trees (``store_ops`` over their shared tag store).  The naive
-    backend counts its bitset passes as ``bellman_iterations``."""
+    both trees (``store_ops`` over their shared tag store), and
+    ``updates`` counts the inner nodes that shifts and writes refreshed.
+    The naive backend counts its bitset passes as ``bellman_iterations``."""
 
     backend: str = ""
     bellman_iterations: int = 0
@@ -177,17 +181,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
 
     m = inst.m
     sums = SumSet(m)
-    if m == 1:
-        # every sum is 0; the padded strings would degenerate, so skip trees
-        return SolveResult(sums, stats)
-
     width = (2 * m - 1).bit_length()  # smallest width with 2**width >= 2m
     L = 1 << width
-    first = [0] * L
-    first[0] = 1                      # membership string of {0}, zero-padded
-    second = [0] * L
-    second[0] = 1
-    second[L - m] = 1                 # two copies of it around the zero gap
 
     # both trees share one hash context or one tag store
     if backend == "hashed":
@@ -195,8 +190,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     else:
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree(width, shared), tree(width, shared)
-    t1.init(first)
-    t2.init(second)
+    t1.set_many((0,), 1)              # S = {0}, padded with the fresh letter
+    t2.set_many((0, L - m), 1)        # two copies of it around the gap
 
     member = sums.member
     mult = inst.mult

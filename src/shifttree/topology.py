@@ -33,15 +33,10 @@ class Topology:
             raise ValueError(f"delta {delta} outside [0, {self.size})")
         self.delta = delta
 
-    @staticmethod
-    def level(i: int) -> int:
-        """Distance from the root; the root (index 1) has level 0."""
-        return i.bit_length() - 1
-
     def left_child(self, i: int) -> int:
         if not 1 <= i < self.size:
             raise AssertionError("leaves have no children")
-        width = 1 << i.bit_length()  # level(i) + 1 bits
+        width = 1 << i.bit_length()  # children's level: [width, 2 * width)
         s = (self.delta >> (self.n - i.bit_length())) & 1
         return (2 * i - s) % width + width
 

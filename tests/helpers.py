@@ -28,15 +28,16 @@ def naive_diff(s, q, a: int, b: int) -> list[int]:
 
 def hash_string(ctx, letters) -> int:
     """Direct polynomial evaluation under ``ctx``; the O(len) reference
-    for the trees' hashes."""
+    for the trees' hashes.  It computes every power of r itself, so it
+    does not share a wrong table with the trees."""
     vals = list(letters)
     if len(vals) > ctx.max_len:
-        raise ValueError("string longer than the power table")
+        raise ValueError("string longer than the context's max_len")
     h = 0
     for i, x in enumerate(vals):
         if not 0 <= x < ctx.p:
             raise ValueError(f"letter {x} outside [0, {ctx.p})")
-        h = (h + x * ctx.powers[i]) % ctx.p
+        h = (h + x * pow(ctx.r, i, ctx.p)) % ctx.p
     return h
 
 

@@ -27,7 +27,7 @@ def test_init_uniform_string():
     tree, ctx = fresh(2)
     tree.init(bits("0000"))
     for i in range(1, 4):
-        seg = tree.size >> tree.topo.level(i)
+        seg = tree.size >> (i.bit_length() - 1)
         assert tree.nodes[i] == hash_string(ctx, [0] * seg)
 
 
@@ -50,7 +50,7 @@ def test_init_validation():
     with pytest.raises(ValueError):
         tree.init([0, 0, 0, -1])
     with pytest.raises(ValueError):
-        HashedShiftTree(4, make_context(8, seed=0))  # power table too small
+        HashedShiftTree(4, make_context(8, seed=0))  # context too short
 
 
 def test_update_hand_checked():

@@ -9,18 +9,19 @@ from helpers import hash_string
 
 
 def test_make_context_basics():
+    # one square per power of two <= max_len
     ctx = make_context(8, seed=42)
     assert ctx.p == MERSENNE_61
     assert 0 <= ctx.r < ctx.p
-    assert ctx.powers[0] == 1
-    assert len(ctx.powers) == 9
+    for max_len in (1, 2, 3, 7, 8, 9, 1000, 1 << 16, (1 << 16) + 1):
+        squares = make_context(max_len, seed=42).squares
+        assert len(squares) == max_len.bit_length(), max_len
 
 
-def test_power_table_recurrence():
-    ctx = make_context(8, seed=0)
-    for i in range(1, 9):
-        assert ctx.powers[i] == ctx.powers[i - 1] * ctx.r % ctx.p
-    assert ctx.powers[2] == ctx.powers[1] ** 2 % ctx.p
+def test_squares_are_powers_of_r():
+    for ctx in (make_context(1 << 16, seed=0), HashContext(100, r=10, p=101)):
+        for j, square in enumerate(ctx.squares):
+            assert square == pow(ctx.r, 2 ** j, ctx.p), j
 
 
 def test_seed_determinism():
@@ -42,7 +43,7 @@ def test_validation():
 def join(ctx, h1, h2, len1):
     """The rule a tree node hashes its children by: h(u + v) from h(u),
     h(v) and len(u)."""
-    return (h1 + h2 * ctx.powers[len1]) % ctx.p
+    return (h1 + h2 * pow(ctx.r, len1, ctx.p)) % ctx.p
 
 
 def test_combine_hand_checked():
@@ -69,7 +70,7 @@ def test_hash_string_edges():
     with pytest.raises(ValueError):
         hash_string(ctx, [-1])
     with pytest.raises(ValueError):
-        hash_string(ctx, [0] * 9)  # longer than the power table
+        hash_string(ctx, [0] * 9)  # longer than max_len
 
 
 def test_fold_equals_polynomial():

@@ -133,24 +133,33 @@ def test_prefix_padding_identity():
             assert rotate_right(doubled, d)[:m] == rotate_right(s, d)[:m]
 
 
+def membership(tree) -> list[int]:
+    """The tree's string read as membership: 1 where the letter is 1, else
+    0 (the solver leaves absent residues at the fresh letter, which is
+    None in a tagged tree)."""
+    return [int(c == 1) for c in tree.materialize()]
+
+
 def observe_solve(monkeypatch, inst, backend):
-    """Solve ``inst`` while watching the solver's two trees.  Returns the
-    result and, for each visited value x in visit order, (x, the first
-    tree's string, the second tree's string rotated back by x), read when
-    the value is done: at the next shift, or when the solve returns."""
+    """Solve ``inst`` while watching the solver's two trees, each captured
+    at its first ``set_many``.  Returns the result and, for each visited
+    value x in visit order, (x, the first tree's membership string, the
+    second's rotated back by x), read when the value is done: at the next
+    shift, or when the solve returns."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_init, real_shift = cls.init, cls.shift
+    real_set_many, real_shift = cls.set_many, cls.shift
     trees, visited, seen = [], [], []
 
     def snapshot():
         first, second = trees
         x = visited[-1]
-        seen.append((x, first.materialize(),
-                     rotate_right(second.materialize(), -x)))
+        seen.append((x, membership(first),
+                     rotate_right(membership(second), -x)))
 
-    def init(self, letters):
-        trees.append(self)
-        real_init(self, letters)
+    def set_many(self, positions, x):
+        if self not in trees:
+            trees.append(self)
+        real_set_many(self, positions, x)
 
     def shift(self, k):
         if visited:
@@ -159,7 +168,7 @@ def observe_solve(monkeypatch, inst, backend):
         real_shift(self, k)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cls, "init", init)
+        patch.setattr(cls, "set_many", set_many)
         patch.setattr(cls, "shift", shift)
         result = solve_with_stats(inst, backend=backend, seed=inst.m)
         if visited:
@@ -280,15 +289,12 @@ def tree_calls(monkeypatch, inst, backend):
     """Solve ``inst`` and group the trees' ``diff`` and ``set_many`` calls
     by visited value: for each value x in visit order, (x, the number of
     diffs, the trees written by ``set_many`` in call order, 0 for the
-    first tree and 1 for the second)."""
+    first tree and 1 for the second).  The trees are numbered by their
+    first ``set_many``; the writes of S = {0}, before the first shift,
+    belong to no value."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_init, real_shift = cls.init, cls.shift
-    real_diff, real_set_many = cls.diff, cls.set_many
+    real_shift, real_diff, real_set_many = cls.shift, cls.diff, cls.set_many
     trees, values = [], []
-
-    def init(self, letters):
-        trees.append(self)
-        real_init(self, letters)
 
     def shift(self, k):
         values.append([(values[-1][0] if values else 0) + k, 0, []])
@@ -299,11 +305,14 @@ def tree_calls(monkeypatch, inst, backend):
         return real_diff(self, other, a, b)
 
     def set_many(self, positions, x):
-        values[-1][2].append(trees.index(self))
+        if self not in trees:
+            trees.append(self)
+        if values:
+            values[-1][2].append(trees.index(self))
         real_set_many(self, positions, x)
 
     with monkeypatch.context() as patch:
-        for name, fn in (("init", init), ("shift", shift), ("diff", diff),
+        for name, fn in (("shift", shift), ("diff", diff),
                          ("set_many", set_many)):
             patch.setattr(cls, name, fn)
         solve_with_stats(inst, backend=backend, seed=inst.m)
@@ -334,6 +343,22 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
                 productive += after > before
             checked += len(calls)
     assert 0 < productive < checked
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_solve_never_calls_init(backend, monkeypatch):
+    # a fresh tree already holds the padding: a solve writes only S = {0}
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+
+    def init(self, letters):
+        raise AssertionError("the solver called init")
+
+    monkeypatch.setattr(cls, "init", init)
+    rng = Random(23)
+    for m in EDGE_MODULI:
+        inst = random_instance(rng, m=m)
+        want = solve_naive(inst).ascending()
+        assert solve(inst, backend=backend, seed=m).ascending() == want, m
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])

@@ -75,14 +75,6 @@ def test_constructor_validation():
         Topology(3, -1)
 
 
-def test_level():
-    assert Topology.level(1) == 0
-    assert Topology.level(2) == 1
-    assert Topology.level(3) == 1
-    assert Topology.level(16) == 4
-    assert Topology.level(31) == 4
-
-
 def test_child_of_leaf_is_programming_error():
     t = Topology(3, 2)
     with pytest.raises(AssertionError):
