@@ -24,10 +24,10 @@ def parse_instance(text: str, modulus: int) -> Instance:
     """Parse one entry per line: "value" or "value multiplicity".
 
     Blank lines and '#' comments are ignored; values reduce mod ``modulus``
-    and repeated residues accumulate.  Raises ValueError with a line number
-    on malformed input.
+    and repeated residues accumulate.  Raises ValueError, with a line number
+    on a malformed line, and also on a modulus below 1.
     """
-    mult = [0] * modulus
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -43,8 +43,8 @@ def parse_instance(text: str, modulus: int) -> Instance:
             raise ValueError(f"line {lineno}: non-integer token") from None
         if count < 0:
             raise ValueError(f"line {lineno}: negative multiplicity {count}")
-        mult[value % modulus] += count
-    return Instance(modulus, mult)
+        pairs.append((value, count))
+    return Instance.from_pairs(modulus, pairs)
 
 
 def dense_instance(m: int, seed: int) -> Instance:
@@ -88,6 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def fail(message: str) -> int:
+    """Report a usage or input error on stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -95,16 +101,12 @@ def main(argv=None) -> int:
         try:
             sizes = [int(tok) for tok in args.bench.split(",") if tok.strip()]
         except ValueError:
-            print("error: --bench expects comma-separated integers",
-                  file=sys.stderr)
-            return 2
+            return fail("--bench expects comma-separated integers")
         if not sizes or min(sizes) < 1:
-            print("error: --bench sizes must be positive", file=sys.stderr)
-            return 2
+            return fail("--bench sizes must be positive")
         if max(sizes) > MAX_MODULUS:
-            print(f"error: --bench sizes must be <= {MAX_MODULUS}, "
-                  f"got {max(sizes)}", file=sys.stderr)
-            return 2
+            return fail(f"--bench sizes must be <= {MAX_MODULUS}, "
+                        f"got {max(sizes)}")
         seed = args.seed if args.seed is not None else 0
         print(BENCH_COLUMNS)
         for row in bench_rows(sizes, args.backend, seed):
@@ -115,12 +117,10 @@ def main(argv=None) -> int:
         print(f"warning: --seed is ignored for backend '{args.backend}'",
               file=sys.stderr)
     if args.modulus is None:
-        print("error: --modulus is required", file=sys.stderr)
-        return 2
+        return fail("--modulus is required")
     if not 1 <= args.modulus <= MAX_MODULUS:
-        print(f"error: modulus must be in [1, {MAX_MODULUS}], "
-              f"got {args.modulus}", file=sys.stderr)
-        return 2
+        return fail(f"modulus must be in [1, {MAX_MODULUS}], "
+                    f"got {args.modulus}")
 
     try:
         if args.input is None:
@@ -129,15 +129,12 @@ def main(argv=None) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.input or 'stdin'}: {exc}",
-              file=sys.stderr)
-        return 2
+        return fail(f"cannot read {args.input or 'stdin'}: {exc}")
 
     try:
         inst = parse_instance(text, args.modulus)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return fail(str(exc))
 
     try:
         result = solve_with_stats(inst, backend=args.backend, seed=args.seed)

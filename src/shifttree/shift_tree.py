@@ -12,7 +12,11 @@ when two summaries prove their subtrees equal.
 from itertools import compress
 from operator import ne
 
-from .topology import _BLOCK, Topology
+from .topology import Topology
+
+# Width of a leaf block: a diff stops descending at a node covering at most
+# this many positions and compares the block's letters in one C-level pass.
+_BLOCK = 64
 
 
 class ShiftTree:

@@ -33,7 +33,7 @@ None for tagged): the solver only compares its two trees, which are of
 one variant, so it never depends on what that letter is.
 """
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
@@ -54,21 +54,22 @@ class HashCollisionError(RuntimeError):
     """
 
 
-@dataclass
-class Instance:
+class Instance(SimpleNamespace):
     """A multiset of residues: mult[x] copies of each x in [0, m)."""
 
-    m: int
-    mult: list[int]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.m}")
-        if len(self.mult) != self.m:
+    def __init__(self, m: int, mult: list[int]):
+        if m < 1:
+            raise ValueError(f"modulus must be >= 1, got {m}")
+        if len(mult) != m:
             raise ValueError(
-                f"multiplicity table has {len(self.mult)} entries, expected {self.m}")
-        if any(c < 0 for c in self.mult):
+                f"multiplicity table has {len(mult)} entries, expected {m}")
+        if any(c < 0 for c in mult):
             raise ValueError("multiplicities must be >= 0")
+        super().__init__(m=m, mult=mult)
+
+    def __reduce__(self):
+        # SimpleNamespace unpickles by calling the class with no arguments
+        return type(self), (self.m, self.mult)
 
     @classmethod
     def from_pairs(cls, m: int, pairs) -> "Instance":
@@ -117,8 +118,7 @@ class SumSet:
         return sorted(self.order)
 
 
-@dataclass
-class SolverStats:
+class SolverStats(SimpleNamespace):
     """Counters of one solve.  With the trees, ``bellman_iterations``
     counts each visited value's diff and each later copy that added sums,
     and ``reported_differences`` counts diff output only; the rest sum over
@@ -126,18 +126,14 @@ class SolverStats:
     ``updates`` counts the inner nodes that shifts and writes refreshed.
     The naive backend counts its bitset passes as ``bellman_iterations``."""
 
-    backend: str = ""
-    bellman_iterations: int = 0
-    reported_differences: int = 0
-    updates: int = 0
-    diff_visits: int = 0
-    store_ops: int = 0
+    def __init__(self, backend: str = ""):
+        super().__init__(backend=backend, bellman_iterations=0,
+                         reported_differences=0, updates=0, diff_visits=0,
+                         store_ops=0)
 
 
-@dataclass
-class SolveResult:
-    sums: SumSet
-    stats: SolverStats
+class SolveResult(SimpleNamespace):
+    """A solve's ``sums`` and ``stats``, passed by keyword."""
 
 
 def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
@@ -177,7 +173,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         raise ValueError(f"unknown backend {backend!r}")
     stats = SolverStats(backend=backend)
     if backend == "naive":
-        return SolveResult(solve_naive(inst, stats), stats)
+        return SolveResult(sums=solve_naive(inst, stats), stats=stats)
 
     m = inst.m
     sums = SumSet(m)
@@ -238,7 +234,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     stats.diff_visits = t1.diff_visits + t2.diff_visits
     if backend == "tagged":
         stats.store_ops = shared.ops
-    return SolveResult(sums, stats)
+    return SolveResult(sums=sums, stats=stats)
 
 
 def solve(inst: Instance, backend: str = "tagged",

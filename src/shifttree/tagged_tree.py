@@ -15,9 +15,8 @@ refreshes in one pass.  Letters only need ``==``: no hashing, no order.
 The node array, the writes and the diff walk come from ``ShiftTree``.
 """
 
-from .shift_tree import ShiftTree
+from .shift_tree import _BLOCK, ShiftTree
 from .tag_store import TagStore
-from .topology import _BLOCK
 
 # Node entry of a mixed inner node.  It is never ``==`` to a letter: the
 # refresh relies on this to tell a uniform pair of children, and the diff

@@ -9,15 +9,11 @@ to right, are the block [2**k, 2**(k+1)) rotated right by ``delta >> (n-k)``.
 Rotating the string by a multiple of 2**j therefore leaves every subtree
 rooted at level n-j structurally untouched.
 
-Everything here is pure index arithmetic on (n, delta); node payloads live
-elsewhere (``children`` and ``letters`` slice a node array they are
-handed).  All reductions produce nonnegative representatives.
+Everything here is pure index arithmetic on (n, delta); node payloads and
+the trees' own constants, such as the diff's block width, live elsewhere
+(``children`` and ``letters`` slice a node array they are handed).  All
+reductions produce nonnegative representatives.
 """
-
-# Width of a leaf block: a diff stops descending at a node covering at most
-# this many positions and compares the block's letters in one C-level pass.
-_BLOCK = 64
-
 
 class Topology:
     """Link arithmetic for one tree of depth ``n`` at rotation ``delta``."""

@@ -1,0 +1,36 @@
+"""The names the benchmark under ``perfbench/`` imports and patches.
+
+``perfbench/run.py`` imports every module through ``import_library`` and
+its tracer wraps methods and module functions by name, so a library change
+that drops one of them breaks the benchmark.  This catches it here first.
+The check runs in a subprocess: installing and uninstalling the tracer
+leaves attributes behind on the library's classes.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import run
+from tracing import Tracer
+
+st = run.import_library()
+st.subset_sum.TagStore  # run.py swaps it for a recording factory
+tracer = Tracer()
+tracer.install(st)
+tracer.uninstall()
+print("ok")
+"""
+
+
+def test_benchmark_imports_and_patches_the_library():
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "ok"

@@ -32,6 +32,10 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("3 -2\n", 5)
     with pytest.raises(ValueError, match="line 3"):
         parse_instance("1\n2\n3 4 5\n", 7)
+    # a modulus below 1 is refused as bad input, not a crash in the loop
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            parse_instance("1 2\n", modulus)
 
 
 def test_list_mode(monkeypatch, capsys):

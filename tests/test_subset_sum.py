@@ -1,3 +1,8 @@
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,6 +11,7 @@ from shifttree import (
     HashCollisionError,
     HashedShiftTree,
     Instance,
+    SolverStats,
     SumSet,
     TaggedShiftTree,
     bitrev,
@@ -36,6 +42,49 @@ def test_instance_validation():
         Instance.from_pairs(0, [])
     with pytest.raises(ValueError):
         Instance.from_pairs(5, [(2, -1)])
+
+
+def test_records_round_trip():
+    inst = Instance.from_pairs(12, [(3, 2), (8, 1), (10, 1)])
+    assert Instance(m=12, mult=list(inst.mult)) == inst
+    assert Instance(12, list(inst.mult)) == inst
+    assert Instance(12, [0] * 12) != inst
+    for backend in BACKENDS:
+        result = solve_with_stats(inst, backend=backend, seed=3)
+        assert result.stats.backend == backend
+        for record, fields in ((inst, ("m", "mult")),
+                               (result.stats, ("backend", "bellman_iterations",
+                                               "reported_differences", "updates",
+                                               "diff_visits", "store_ops"))):
+            text = repr(record)
+            assert text.startswith(type(record).__name__ + "(")
+            assert all(f"{name}=" in text for name in fields)
+            for clone in (pickle.loads(pickle.dumps(record)),
+                          copy.deepcopy(record)):
+                assert type(clone) is type(record)
+                assert clone == record
+        assert "sums=" in repr(result) and "stats=" in repr(result)
+        for clone in (pickle.loads(pickle.dumps(result)),
+                      copy.deepcopy(result)):
+            assert clone.sums.ascending() == result.sums.ascending()
+            assert clone.stats == result.stats
+    stats = SolverStats()
+    assert stats.backend == ""
+    assert (stats.bellman_iterations, stats.reported_differences,
+            stats.updates, stats.diff_visits, stats.store_ops) == (0,) * 5
+
+
+def test_import_loads_no_dataclasses():
+    # the records are plain namespaces: a cold import of the CLI must not
+    # pull in dataclasses, and inspect/ast behind it
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+              "import shifttree.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-S", "-B", "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_from_pairs_reduces_and_accumulates():
