@@ -117,6 +117,12 @@ class SumSet:
     def ascending(self) -> list[int]:
         return sorted(self.order)
 
+    def __eq__(self, other):
+        # same residues, whatever order the backend found them in
+        if not isinstance(other, SumSet):
+            return NotImplemented
+        return self.m == other.m and self.member == other.member
+
 
 class SolverStats(SimpleNamespace):
     """Counters of one solve.  With the trees, ``bellman_iterations``

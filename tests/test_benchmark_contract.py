@@ -2,9 +2,12 @@
 
 ``perfbench/run.py`` imports every module through ``import_library`` and
 its tracer wraps methods and module functions by name, so a library change
-that drops one of them breaks the benchmark.  This catches it here first.
-The check runs in a subprocess: installing and uninstalling the tracer
-leaves attributes behind on the library's classes.
+that drops one of them breaks the benchmark.  The per-layer metrics also
+read counters off the tag store (``live``, ``ops``, ``steps``,
+``rebuilds``, ``capacity``), so one small solve per tree backend runs
+under the tracer and the metrics are computed from it.  This catches
+either break here first.  The check runs in a subprocess: installing and
+uninstalling the tracer leaves attributes behind on the library's classes.
 """
 
 import subprocess
@@ -23,7 +26,15 @@ st = run.import_library()
 st.subset_sum.TagStore  # run.py swaps it for a recording factory
 tracer = Tracer()
 tracer.install(st)
+inst = st.cli.dense_instance(200, 1)
+want = st.subset_sum.solve(inst, backend="naive").ascending()
+for backend in ("hashed", "tagged"):
+    got = st.subset_sum.solve_with_stats(inst, backend=backend, seed=1)
+    assert got.sums.ascending() == want, backend
+metrics = run.layer_metrics(tracer, run.Samples(), run.Samples())
 tracer.uninstall()
+assert metrics["tag_store.ops"]["value"] > 0, metrics["tag_store.ops"]
+assert metrics["tag_store.peak_live"]["value"] > 0
 print("ok")
 """
 

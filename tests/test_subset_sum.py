@@ -64,10 +64,8 @@ def test_records_round_trip():
                 assert type(clone) is type(record)
                 assert clone == record
         assert "sums=" in repr(result) and "stats=" in repr(result)
-        for clone in (pickle.loads(pickle.dumps(result)),
-                      copy.deepcopy(result)):
-            assert clone.sums.ascending() == result.sums.ascending()
-            assert clone.stats == result.stats
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert copy.deepcopy(result) == result
     stats = SolverStats()
     assert stats.backend == ""
     assert (stats.bellman_iterations, stats.reported_differences,
@@ -102,6 +100,14 @@ def test_sumset_basics():
     assert s.order == [0, 4]
     assert s.ascending() == [0, 4]
     assert 4 in s and 3 not in s and "x" not in s
+    # equal iff same modulus and residues; insertion order does not count
+    t = SumSet(6)
+    t.add(2)
+    assert s != t
+    t.add(4)
+    s.add(2)
+    assert s.order != t.order and s == t
+    assert SumSet(6) != SumSet(7) and SumSet(6) != {0}
 
 
 def test_unknown_backend_rejected():

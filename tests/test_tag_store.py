@@ -79,11 +79,12 @@ def test_delete_keeps_remaining_class_intact():
 def test_delete_singleton_and_reuse():
     store = TagStore()
     a = store.new_tag()
-    store.delete_tag(a)  # marked > live triggers an immediate rebuild
+    store.delete_tag(a)  # one deleted slot, no live tag: rebuild at once
     assert store.live == 0
-    assert store.marked == 0
+    assert store.rebuilds == 1
     b = store.new_tag()
     assert b == a  # slot recycled
+    assert store.capacity == 1
     assert store.find(b) == b
 
 
@@ -102,7 +103,13 @@ def test_peak_slot_bound_after_n_new_n_delete():
     store = TagStore()
     tags = [store.new_tag() for _ in range(n)]
     for t in tags:
+        deleted = store.capacity - len(store._free) - store.live
+        rebuilds = store.rebuilds
         store.delete_tag(t)
+        # a delete rebuilds iff deleted slots then outnumber live tags
+        assert store.rebuilds - rebuilds == \
+            (deleted + 1 > store.live), (deleted, store.live)
+    assert store.rebuilds >= 1
     assert store.capacity <= 2 * n + 1
     assert store.live == 0
 
@@ -165,7 +172,8 @@ def test_model_equivalence_random_interleavings():
                 store.delete_tag(x)
                 model.delete(x)
             peak_live = max(peak_live, store.live)
-            assert store.marked <= store.live  # rebuild threshold held
+            # rebuild threshold held: deleted slots never outnumber live tags
+            assert store.capacity - len(store._free) <= 2 * store.live
             assert store.capacity <= 2 * peak_live
             if step % 250 == 0:
                 assert store_partition(store, live) == model.partition()
@@ -174,20 +182,36 @@ def test_model_equivalence_random_interleavings():
 
 
 def test_store_guards_survive_optimized_mode():
-    # the dead/free-tag checks are explicit raises, which python -O keeps
+    # the dead/free-tag checks are explicit raises, which python -O keeps;
+    # a deleted slot and a slot a rebuild has freed are both checked
     script = """
 assert False, "this check must run with assertions stripped"
 from shifttree import TagStore
+
+def rejected(store, x, y):
+    for call in (lambda: store.find(x), lambda: store.union(y, x),
+                 lambda: store.union(x, y), lambda: store.delete_tag(x),
+                 lambda: store.renew(x)):
+        try:
+            call()
+        except AssertionError:
+            continue
+        raise SystemExit(f"a call on tag {x} went through")
+
 store = TagStore()
-a, b = store.new_tag(), store.new_tag()
+a, b, c = store.new_tag(), store.new_tag(), store.new_tag()
 store.delete_tag(a)
-for call in (lambda: store.find(a), lambda: store.union(b, a),
-             lambda: store.delete_tag(a), lambda: store.renew(a)):
-    try:
-        call()
-    except AssertionError:
-        continue
-    raise SystemExit("a call on a deleted tag went through")
+if store.rebuilds:
+    raise SystemExit("one delete out of three rebuilt")
+rejected(store, a, c)  # deleted, still in the forest
+store.delete_tag(b)
+if store.rebuilds != 1 or a not in store._free or b not in store._free:
+    raise SystemExit("the second delete did not free both slots")
+rejected(store, a, c)  # freed by the rebuild
+rejected(store, b, c)
+rejected(store, store.capacity, c)  # never allocated
+if (store.live, store.find(c)) != (1, c):
+    raise SystemExit("a rejected call changed the store")
 """
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-O", "-c", script],
