@@ -7,6 +7,8 @@ letters of an unequal 64-position block pair exactly.  The node array, the
 writes and the diff walk come from ``ShiftTree``.
 """
 
+from itertools import repeat
+
 from .hashing import HashContext
 from .shift_tree import ShiftTree
 
@@ -33,12 +35,16 @@ class HashedShiftTree(ShiftTree):
         self.ctx = ctx
 
     def _check(self, letters) -> None:
+        # a float would hash mod p and collapse onto an integer's hash
+        if not all(map(isinstance, letters, repeat(int))):
+            raise ValueError("letters must be integers")
         self._check_letter(min(letters))
         self._check_letter(max(letters))
 
     def _check_letter(self, x) -> None:
-        if not 0 <= x < self.ctx.p:
-            raise ValueError(f"letter {x} outside [0, {self.ctx.p})")
+        if not (isinstance(x, int) and 0 <= x < self.ctx.p):
+            raise ValueError(f"letter {x!r} is not an integer in "
+                             f"[0, {self.ctx.p})")
 
     def _refresh(self, level: int, dirty) -> None:
         hashes = self.nodes

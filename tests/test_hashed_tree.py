@@ -53,6 +53,30 @@ def test_init_validation():
         HashedShiftTree(4, make_context(8, seed=0))  # context too short
 
 
+@pytest.mark.parametrize("letter", [0.5, 1.0])
+@pytest.mark.parametrize("write", ["set", "set_many", "init"])
+def test_letters_must_be_integers(write, letter):
+    # a float letter hashes mod p like an integer: with 0.5 at position 5
+    # a diff against the zero string found no difference.  Each write path
+    # refuses it and writes nothing; a bool is an integer and passes.
+    tree, ctx = fresh(10, seed=1)
+    zeros = HashedShiftTree(10, ctx)
+    s = [0] * tree.size
+    s[5] = letter
+    with pytest.raises(ValueError):
+        if write == "set":
+            tree.set(5, letter)
+        elif write == "set_many":
+            tree.set_many([5, 6], letter)
+        else:
+            tree.init(s)
+    assert tree.materialize() == zeros.materialize()
+    assert tree.diff(zeros, 0, tree.size - 1) == []
+    s[5] = True
+    tree.init(s)
+    assert tree.diff(zeros, 0, tree.size - 1) == [5]
+
+
 def test_update_hand_checked():
     # letters 1, 2 under p=101, r=10: parent hash 1 + 2*10 = 21
     ctx = HashContext(4, r=10, p=101)

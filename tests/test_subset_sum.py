@@ -427,6 +427,22 @@ def test_chain_counters(backend):
         assert stats.reported_differences == 2, m
 
 
+def test_dense_diff_work_is_pinned():
+    # a seed-1 dense solve at m = 4096: writes, diff work, reported
+    # differences and tag store calls are exact for both backends, so a
+    # change to how the tagged tree keeps its tags shows here
+    inst = dense_instance(4096, 1)
+    stats = {backend: solve_with_stats(inst, backend, seed=1).stats
+             for backend in ("hashed", "tagged")}
+    for backend, s in stats.items():
+        assert (s.updates, s.bellman_iterations, s.reported_differences) \
+            == (83757, 1048, 8188), backend
+    assert (stats["hashed"].diff_visits, stats["hashed"].store_ops) \
+        == (4347, 0)
+    assert (stats["tagged"].diff_visits, stats["tagged"].store_ops) \
+        == (37915, 144614)
+
+
 def test_stats_are_reproducible():
     inst = Instance.from_pairs(97, [(13, 2), (40, 1), (5, 97), (64, 1)])
     for backend, seed in (("tagged", None), ("hashed", 5)):

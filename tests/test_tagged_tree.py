@@ -481,9 +481,10 @@ def audit_tag_equivalences(store, trees):
     """At every level, a node's entry is its letter if its string is
     uniform and ``_MIXED`` if not; tag slots exist only for the nodes at or
     above block level (levels 0..max(n - 6, 0)), and such a node holds a
-    tag iff it is mixed; equivalent live tags cover equal strings; every
-    live tag sits on a node (quadratic audit)."""
+    tag iff it is mixed; no two nodes hold one tag; equivalent live tags
+    cover equal strings; every live tag sits on a node (quadratic audit)."""
     by_class = {}
+    held = []
     for tree in trees:
         slots = 2 << max(tree.n - 6, 0)
         assert len(tree.tags) == slots
@@ -498,11 +499,13 @@ def audit_tag_equivalences(store, trees):
             tag = tree.tags[i]
             assert (tag is None) == uniform, i
             if tag is not None:
+                held.append(tag)
                 by_class.setdefault(store.find(tag), []).append(s)
+    assert len(set(held)) == len(held)
     for strings in by_class.values():
         for s in strings[1:]:
             assert s == strings[0]
-    assert store.live == sum(map(len, by_class.values()))
+    assert store.live == len(held)
 
 
 def test_equivalence_classes_only_join_equal_strings():
@@ -572,6 +575,53 @@ def test_fill_is_exact_on_every_write_path(letter):
             else:
                 tree.init(string())
             audit_tag_equivalences(store, [tree])
+
+
+def test_tags_stay_exact_under_random_ops():
+    # three trees share a store and take random init, set, set_many, shift
+    # and diff calls, a diff of a tree with itself included; the audit runs
+    # after every call.  Strings are eight runs, rotated mostly by whole
+    # runs and at times copied from another tree, so that diffs find equal
+    # mixed nodes to join.
+    rng = Random(303)
+    for trial in range(300):
+        n = rng.choice([0, 1, 2, 3, 4, 6, 7, 8])
+        size = 1 << n
+        run = max(size // 8, 1)
+
+        def string():
+            return runs("".join(rng.choice("01") for _ in range(size // run)),
+                        run)
+
+        store = TagStore()
+        trees = [TaggedShiftTree(n, store) for _ in range(3)]
+        first = string()
+        for t in trees:
+            t.init(first)
+        for _ in range(12):
+            t = rng.choice(trees)
+            roll = rng.random()
+            if roll < 0.1:
+                t.init(string())
+            elif roll < 0.2:
+                t.init(rng.choice(trees).materialize())  # equal strings
+            elif roll < 0.3:
+                t.set(rng.randrange(size), rng.randrange(2))
+            elif roll < 0.4:
+                t.set_many(batch_write(rng, size), rng.randrange(2))
+            elif roll < 0.55:
+                k = rng.randint(-8, 8) * run
+                t.shift(k if rng.random() < 0.8 else k + rng.randrange(size))
+            else:
+                other = rng.choice(trees)
+                lo = rng.randrange(size)
+                hi = rng.randrange(lo, size) if rng.random() < 0.5 \
+                    else size - 1
+                if rng.random() < 0.5:
+                    lo = 0
+                want = naive_diff(t.materialize(), other.materialize(), lo, hi)
+                assert t.diff(other, lo, hi) == want
+            audit_tag_equivalences(store, trees)
 
 
 @pytest.mark.parametrize("left, right, want, at_root, above", [
