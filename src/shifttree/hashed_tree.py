@@ -12,11 +12,6 @@ from itertools import repeat
 from .hashing import HashContext
 from .shift_tree import ShiftTree
 
-# Whole levels narrower than this refresh node by node: the one-pass
-# refresh costs about 1.5 us before its first node, more than the per-node
-# loop spends on so few.
-_WHOLE_LEVEL_MIN = 32
-
 
 class HashedShiftTree(ShiftTree):
     """A string of length 2**n with hashed subtree summaries.
@@ -54,7 +49,7 @@ class HashedShiftTree(ShiftTree):
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
             pw = squares[self.n - k - 1]  # r**(leaves under a left child)
-            if type(parents) is range and len(parents) >= _WHOLE_LEVEL_MIN:
+            if type(parents) is range:
                 # a whole level: one pass over its children's two rows
                 left, right = self.topo.children(hashes, k)
                 hashes[width >> 1:width] = [

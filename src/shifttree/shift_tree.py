@@ -9,7 +9,7 @@ summary is: ``_refresh``, its letter checks and ``_equality``, which says
 when two summaries prove their subtrees equal.
 """
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
 
 from .topology import Topology
@@ -17,6 +17,11 @@ from .topology import Topology
 # Width of a leaf block: a diff stops descending at a node covering at most
 # this many positions and compares the block's letters in one C-level pass.
 _BLOCK = 64
+
+# Node entry of a mixed inner node in a tree of letters.  It is never ``==``
+# to a letter: a refresh relies on this to tell a uniform pair of children,
+# and the diff walk to settle a uniform node only against a uniform one.
+_MIXED = object()
 
 
 class ShiftTree:
@@ -58,9 +63,9 @@ class ShiftTree:
         """``(t_keys, q_keys, find, union)`` for a diff against ``other``,
         a tree of the same variant; raise ValueError unless the two share
         what makes their summaries comparable.  Node entries i and j that
-        are ``==`` settle a pair when ``find`` is None, or ``t_keys[i]`` is
-        None, or ``find(t_keys[i]) == find(q_keys[j])``; a fully covered
-        pair that yields no difference is joined by ``union``, if set."""
+        are ``==`` settle a pair unless they are ``_MIXED`` and
+        ``find(t_keys[i]) != find(q_keys[j])``; a fully covered pair that
+        yields no difference is joined by ``union``, if set."""
         raise NotImplementedError
 
     def init(self, letters) -> None:
@@ -86,6 +91,8 @@ class ShiftTree:
         self._check_letter(x)
         if not positions:
             return
+        if not all(map(isinstance, positions, repeat(int))):
+            raise ValueError("positions must be integers")
         # checking the extremes checks the batch
         self.topo.leaf_of_position(min(positions))
         self.topo.leaf_of_position(max(positions))
@@ -98,6 +105,8 @@ class ShiftTree:
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
+        if not isinstance(k, int):
+            raise ValueError(f"shift {k!r} is not an integer")
         k %= self.size
         if k == 0:
             return
@@ -115,7 +124,8 @@ class ShiftTree:
         pass."""
         if other.n != self.n:
             raise ValueError("trees must have equal depth")
-        if not 0 <= a <= b < self.size:
+        if not (isinstance(a, int) and isinstance(b, int)
+                and 0 <= a <= b < self.size):
             raise ValueError(f"bad interval [{a}, {b}] for size {self.size}")
         t_keys, q_keys, find, union = self._equality(other)
         out: list[int] = []
@@ -133,9 +143,9 @@ class ShiftTree:
             visits += 1
             if y < a or b < x:
                 return
-            if t_nodes[i] == q_nodes[j] and (
-                    find is None or t_keys[i] is None
-                    or find(t_keys[i]) == find(q_keys[j])):
+            e = t_nodes[i]
+            if e == q_nodes[j] and (
+                    e is not _MIXED or find(t_keys[i]) == find(q_keys[j])):
                 return
             before = len(out)
             if y - x < _BLOCK:

@@ -10,18 +10,14 @@ last updated.  Tags are not unique per string; equality of the underlying
 strings is learned lazily.  When a diff descends through two tags it cannot
 tell apart and finds no difference below, it records their equivalence in
 the shared TagStore, so the same comparison short-circuits next time.
-Below block level a node keeps only its entry, so a whole level there
-refreshes in one pass.  Letters only need ``==``: no hashing, no order.
-The node array, the writes and the diff walk come from ``ShiftTree``.
+A refresh computes a level's entries (a whole level in one pass), then
+updates the tags of that level if it is at or above block level.  Letters
+only need ``==``: no hashing, no order.  The node array, the writes, the
+diff walk and ``_MIXED`` come from ``ShiftTree``.
 """
 
-from .shift_tree import _BLOCK, ShiftTree
+from .shift_tree import _BLOCK, _MIXED, ShiftTree
 from .tag_store import TagStore
-
-# Node entry of a mixed inner node.  It is never ``==`` to a letter: the
-# refresh relies on this to tell a uniform pair of children, and the diff
-# walk to settle a uniform node only against a uniform one of its letter.
-_MIXED = object()
 
 
 class TaggedShiftTree(ShiftTree):
@@ -48,45 +44,38 @@ class TaggedShiftTree(ShiftTree):
         self.tags: list[int | None] = [None] * (2 << self._block_level)
 
     def _refresh(self, level: int, dirty) -> None:
-        # Every node gets its letter or _MIXED.  Below block level that is
-        # all, so a whole level there is one pass.  At or above it a uniform
-        # node also drops its tag, and a mixed one gets a fresh singleton
-        # tag in place of its old one.
+        # Every node gets its letter or _MIXED.  At or above block level a
+        # uniform node then drops its tag, and a mixed one gets a fresh
+        # singleton tag in place of its old one.
         nodes = self.nodes
         tags = self.tags
         delete_tag = self.store.delete_tag
         new_tag = self.store.new_tag
         renew = self.store.renew
         block_level = self._block_level
+        mixed = _MIXED
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
             calls += len(parents)
-            if k > block_level:
-                if type(parents) is range:
-                    left, right = self.topo.children(nodes, k)
-                    nodes[width >> 1:width] = [
-                        x if x is not _MIXED and x == y else _MIXED
-                        for x, y in zip(left, right)]
-                else:
-                    for i in parents:
-                        x = nodes[(2 * i - s) % width + width]
-                        y = nodes[(2 * i + 1 - s) % width + width]
-                        nodes[i] = x if x is not _MIXED and x == y else _MIXED
-                continue
-            for i in parents:
-                left = nodes[(2 * i - s) % width + width]
-                if left is not _MIXED \
-                        and left == nodes[(2 * i + 1 - s) % width + width]:
-                    nodes[i] = left
+            if type(parents) is range:
+                left, right = self.topo.children(nodes, k)
+                nodes[width >> 1:width] = [
+                    x if x is not mixed and x == y else mixed
+                    for x, y in zip(left, right)]
+            else:
+                for i in parents:
+                    x = nodes[(2 * i - s) % width + width]
+                    y = nodes[(2 * i + 1 - s) % width + width]
+                    nodes[i] = x if x is not mixed and x == y else mixed
+            if k <= block_level:
+                for i in parents:
                     old = tags[i]
-                    if old is not None:
+                    if nodes[i] is mixed:
+                        tags[i] = new_tag() if old is None else renew(old)
+                    elif old is not None:
                         delete_tag(old)
                         tags[i] = None
-                else:
-                    nodes[i] = _MIXED
-                    old = tags[i]
-                    tags[i] = new_tag() if old is None else renew(old)
         self.update_calls += calls
 
     def _equality(self, other: "TaggedShiftTree") -> tuple:

@@ -72,8 +72,9 @@ class Topology:
 
     def leaf_of_position(self, pos: int) -> int:
         """Node index of the leaf holding string position ``pos``."""
-        if not 0 <= pos < self.size:
-            raise ValueError(f"position {pos} outside [0, {self.size})")
+        if not (isinstance(pos, int) and 0 <= pos < self.size):
+            raise ValueError(f"position {pos!r} is not an integer in "
+                             f"[0, {self.size})")
         return (pos - self.delta) % self.size + self.size
 
     def children(self, seq, k: int) -> tuple[list, list]:

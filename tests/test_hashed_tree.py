@@ -228,6 +228,39 @@ def test_single_leaf_tree(backend):
     assert tree.diff(other, 0, 0) == [0]
 
 
+@pytest.mark.parametrize("call", ["set", "set_many", "shift", "diff"])
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_positions_and_shifts_must_be_integers(backend, call):
+    # a float position passed the range check: set_many wrote positions 3
+    # and 200, then failed before the refresh, so a diff missed both, and
+    # shift(1.0) moved the offset before failing.  Each call now raises
+    # ValueError before it changes anything; a bool is an integer and passes.
+    if backend == "hashed":
+        ctx = make_context(1 << 8, 1)
+        a, b = HashedShiftTree(8, ctx), HashedShiftTree(8, ctx)
+    else:
+        store = TagStore()
+        a, b = TaggedShiftTree(8, store), TaggedShiftTree(8, store)
+    a.set(10, 1)
+    a.shift(5)
+    before = (a.materialize(), a.topo.delta, a.diff(b, 0, 255))
+    assert before[1:] == (5, [15])
+    with pytest.raises(ValueError):
+        if call == "set":
+            a.set(100.5, 1)
+        elif call == "set_many":
+            a.set_many([3, 100.5, 200], 1)
+        elif call == "shift":
+            a.shift(1.0)
+        else:
+            a.diff(b, 0, 10.0)
+    assert (a.materialize(), a.topo.delta, a.diff(b, 0, 255)) == before
+    a.set_many([3, True], 1)
+    a.shift(True)
+    a.set(False, 1)
+    assert a.diff(b, False, 255) == [0, 2, 4, 16]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_model_equivalence_property(n, data):

@@ -393,9 +393,11 @@ def test_diff_stops_at_64_position_blocks(backend):
 def test_whole_level_refresh_is_exact(backend):
     # init and every shift refresh whole levels from strided slices of the
     # node array.  After each, every inner node must summarise its
-    # substring: its hash, or its letter iff uniform and _MIXED otherwise.
-    # Depths 0-9 (block level 0-3 for tags), shifts of every 2-adic
-    # valuation, until every level was refreshed under both skew bits.
+    # substring: its hash, or its letter iff uniform and _MIXED otherwise,
+    # and the tag pass must leave a tag exactly on each mixed node at or
+    # above block level.  Depths 0-9 (block level 0-3 for tags), shifts of
+    # every 2-adic valuation, until every level was refreshed under both
+    # skew bits.
     rng = Random(29)
     for n in range(0, 10):
         size = 1 << n
@@ -416,6 +418,8 @@ def test_whole_level_refresh_is_exact(backend):
                     assert tree.nodes[i] == s[0], (n, i)
                 else:
                     assert tree.nodes[i] is _MIXED, (n, i)
+            if backend == "tagged":
+                audit_tag_equivalences(tree.store, [tree])
 
         for _ in range(2):
             # mostly one letter, so that uniform blocks of every size occur
