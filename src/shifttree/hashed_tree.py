@@ -56,9 +56,8 @@ class HashedShiftTree(ShiftTree):
                     (x + y * pw) % p for x, y in zip(left, right)]
             else:
                 for i in parents:
-                    hashes[i] = (hashes[(2 * i - s) % width + width]
-                                 + hashes[(2 * i + 1 - s) % width + width]
-                                 * pw) % p
+                    hashes[i] = (hashes[(2 * i - s) | width]
+                                 + hashes[2 * i + 1 - s] * pw) % p
             calls += len(parents)
         self.update_calls += calls
 

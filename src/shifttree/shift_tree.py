@@ -86,9 +86,13 @@ class ShiftTree:
         self._refresh(self.n, (j,))
 
     def set_many(self, positions, x) -> None:
-        """Write letter ``x`` at each of the sequence ``positions``; repeats
-        are allowed."""
+        """Write letter ``x`` at each position of the iterable ``positions``
+        (an iterator or a generator will do); repeats are allowed."""
         self._check_letter(x)
+        if iter(positions) is positions:
+            # a one-shot iterable is its own iterator: read it once, since
+            # the checks below read the positions three times
+            positions = list(positions)
         if not positions:
             return
         if not all(map(isinstance, positions, repeat(int))):
@@ -163,10 +167,8 @@ class ShiftTree:
                 width = 1 << bl
                 ts = (t_delta >> (n - bl)) & 1
                 qs = (q_delta >> (n - bl)) & 1
-                walk((2 * i - ts) % width + width,
-                     (2 * j - qs) % width + width, x, z - 1)
-                walk((2 * i + 1 - ts) % width + width,
-                     (2 * j + 1 - qs) % width + width, z, y)
+                walk((2 * i - ts) | width, (2 * j - qs) | width, x, z - 1)
+                walk(2 * i + 1 - ts, 2 * j + 1 - qs, z, y)
             if union is not None and len(out) == before and a <= x and y <= b:
                 # all of [x, y] matched: the pair's keys name equal strings
                 union(t_keys[i], q_keys[j])

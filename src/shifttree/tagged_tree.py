@@ -65,8 +65,8 @@ class TaggedShiftTree(ShiftTree):
                     for x, y in zip(left, right)]
             else:
                 for i in parents:
-                    x = nodes[(2 * i - s) % width + width]
-                    y = nodes[(2 * i + 1 - s) % width + width]
+                    x = nodes[(2 * i - s) | width]
+                    y = nodes[2 * i + 1 - s]
                     nodes[i] = x if x is not mixed and x == y else mixed
             if k <= block_level:
                 for i in parents:

@@ -11,8 +11,16 @@ rooted at level n-j structurally untouched.
 
 Everything here is pure index arithmetic on (n, delta); node payloads and
 the trees' own constants, such as the diff's block width, live elsewhere
-(``children`` and ``letters`` slice a node array they are handed).  All
-reductions produce nonnegative representatives.
+(``children`` and ``letters`` slice a node array they are handed).
+
+Each link is one bit operation.  With s the skew bit of the links from
+level k to level k+1 and ``width = 2 << k`` the first node of level k+1,
+parent i on level k has children ``(2*i - s) | width`` and ``2*i + 1 - s``,
+and child j on level k+1 has parent ``(j + s) >> 1``.  There is one wrap:
+with s = 1, the first parent's left child is the last node of level k+1
+(``2*i - s`` is ``width - 1``, which ``| width`` turns into
+``2*width - 1``), and that node's parent is the first node of level k
+(``(j + s) >> 1`` is ``width``, which becomes ``width >> 1``).
 """
 
 class Topology:
@@ -34,14 +42,13 @@ class Topology:
             raise AssertionError("leaves have no children")
         width = 1 << i.bit_length()  # children's level: [width, 2 * width)
         s = (self.delta >> (self.n - i.bit_length())) & 1
-        return (2 * i - s) % width + width
+        return (2 * i - s) | width
 
     def right_child(self, i: int) -> int:
         if not 1 <= i < self.size:
             raise AssertionError("leaves have no children")
-        width = 1 << i.bit_length()
         s = (self.delta >> (self.n - i.bit_length())) & 1
-        return (2 * i + 1 - s) % width + width
+        return 2 * i + 1 - s
 
     def parent(self, i: int) -> int:
         if not 1 < i < 2 * self.size:
@@ -63,11 +70,15 @@ class Topology:
             s = bits & 1
             bits >>= 1
             if kind is tuple:
-                nodes = (((nodes[0] + s) % half + half) >> 1,)
+                i = (nodes[0] + s) >> 1
+                nodes = (half >> 1 if i == half else i,)
             elif kind is range:
                 nodes = range(half >> 1, half)
             else:
-                nodes = {((i + s) % half + half) >> 1 for i in nodes}
+                nodes = {(i + s) >> 1 for i in nodes}
+                if half in nodes:  # the wrap: the last node's parent
+                    nodes.remove(half)
+                    nodes.add(half >> 1)
             yield level, s, nodes
 
     def leaf_of_position(self, pos: int) -> int:

@@ -261,6 +261,38 @@ def test_positions_and_shifts_must_be_integers(backend, call):
     assert a.diff(b, False, 255) == [0, 2, 4, 16]
 
 
+@pytest.mark.parametrize("kind", ["iterator", "generator", "range", "set"])
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_set_many_takes_any_iterable(backend, kind):
+    # the integer check consumed a one-shot iterable before min and max
+    # read it, so an iterator or a generator raised ValueError and wrote
+    # nothing.  A one-shot iterable is now read into a list first: every
+    # kind of iterable writes what a list would, the empty one included.
+    n, size = 7, 128
+    if backend == "hashed":
+        tree = HashedShiftTree(n, make_context(size, 1))
+    else:
+        tree = TaggedShiftTree(n, TagStore())
+    model = tree.materialize()
+    rng = Random(17)
+    for x in range(1, 9):
+        start = rng.randrange(size)
+        row = range(start, rng.randrange(start, size + 1), rng.randint(1, 9))
+        positions = list(row) if kind == "range" \
+            else [rng.randrange(size) for _ in range(rng.randint(0, 12))]
+        batch = {"iterator": iter(positions),
+                 "generator": (pos for pos in positions),
+                 "range": row, "set": set(positions)}[kind]
+        tree.set_many(batch, x)
+        for pos in positions:
+            model[pos] = x
+        assert tree.materialize() == model, (kind, x)
+        k = rng.randrange(1, size)
+        tree.shift(k)
+        model = rotate_right(model, k)
+        assert tree.materialize() == model, (kind, x)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_model_equivalence_property(n, data):

@@ -433,6 +433,39 @@ def test_whole_level_refresh_is_exact(backend):
         assert skews == {(k, s) for k in range(n) for s in (0, 1)}, n
 
 
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_node_by_node_refresh_matches_whole_level(backend):
+    # a refresh from a set of dirty nodes (the per-node loop) against one
+    # from the same whole level as a range, at every level and every delta
+    # of depths 1-7.  A whole level holds its last node, whose link to the
+    # level above wraps under skew bit 1: it is the left child of the
+    # level's first parent.  The entries above the refreshed level start
+    # stale, so a wrong child link reads a stale entry and a wrong parent
+    # leaves one in place.
+    rng = Random(43)
+    stale = -1 if backend == "hashed" else object()
+    for n in range(1, 8):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        for delta in range(size):
+            ones = rng.choice([0.02, 0.5, 0.98])
+            letters = [int(rng.random() < ones) for _ in range(size)]
+            for level in range(1, n + 1):
+                row = range(1 << level, 2 << level)
+                refreshed = []
+                for dirty in (row, set(row)):
+                    tree = HashedShiftTree(n, ctx) if backend == "hashed" \
+                        else TaggedShiftTree(n, TagStore())
+                    tree.init(letters)
+                    tree.shift(delta)
+                    tree.nodes[1:1 << level] = [stale] * ((1 << level) - 1)
+                    tree._refresh(level, dirty)
+                    if backend == "tagged":
+                        audit_tag_equivalences(tree.store, [tree])
+                    refreshed.append(tree.nodes)
+                assert refreshed[1] == refreshed[0], (n, delta, level)
+
+
 def ancestor(tree, pos, up):
     """The node ``up`` levels above the leaf of ``pos``; at up = 6 it
     covers the 64-position block that holds ``pos``."""

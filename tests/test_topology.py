@@ -215,6 +215,23 @@ def test_leaf_row_matches_leaf_of_position():
         assert row == [topo.leaf_of_position(pos) for pos in range(1 << n)]
 
 
+def test_ancestors_of_a_whole_level_as_a_set():
+    # a whole level passed as a list takes the set branch.  It always holds
+    # the level's last node j, whose link wraps under skew bit 1: (j + 1)
+    # >> 1 is then the first node of j's own level, and the parent is the
+    # first node of the level above.  Every level of every delta at n <= 7
+    # must yield the parents of the range branch.
+    for n in range(0, 8):
+        for delta in range(1 << n):
+            topo = Topology(n, delta)
+            for level in range(n + 1):
+                row = range(1 << level, 2 << level)
+                assert [(k, s, set(parents)) for k, s, parents
+                        in topo.ancestors(level, list(row))] \
+                    == [(k, s, set(parents)) for k, s, parents
+                        in topo.ancestors(level, row)], (n, delta, level)
+
+
 def test_ancestors_match_repeated_parent():
     # The shared level walk against Topology.parent applied one level at a
     # time, and its skew bits and parents against the child links, exhaustive
