@@ -9,7 +9,7 @@ with polynomial hashes (fast, fails with vanishing probability) and
 """
 
 from .hashed_tree import HashedShiftTree
-from .hashing import MERSENNE_61, HashContext, make_context
+from .hashing import MERSENNE_61, MERSENNE_89, HashContext, make_context
 from .schedule import ShiftSchedule, bitrev
 from .subset_sum import (
     BACKENDS,
@@ -35,6 +35,7 @@ __all__ = [
     "HashedShiftTree",
     "Instance",
     "MERSENNE_61",
+    "MERSENNE_89",
     "ShiftSchedule",
     "SolveResult",
     "SolverStats",

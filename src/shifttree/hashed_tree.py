@@ -3,8 +3,10 @@
 Every inner node holds the polynomial hash of the substring its subtree
 covers, so two subtrees compare in O(1) with high probability: the diff
 walk settles a node pair when the two hashes are equal.  It compares the
-letters of an unequal 64-position block pair exactly.  The node array, the
-writes and the diff walk come from ``ShiftTree``.
+letters of an unequal 64-position block pair exactly.  A word tree hashes
+the string of its windows, each a letter below 2**64, so its context needs
+a prime above that.  The node array, the writes and the diff walk come
+from ``ShiftTree``.
 """
 
 from itertools import repeat
@@ -20,7 +22,8 @@ class HashedShiftTree(ShiftTree):
     all-zero string (every subtree hash of a zero string is 0, so the
     zeroed node array is already consistent).  ``diff`` is correct unless
     a hash collision hides a genuine difference: probability at most
-    m log m / p per call.
+    l log m / p per call, for l = m letters, or l = m / 64 windows in a
+    word tree over m positions.
     """
 
     def __init__(self, n: int, ctx: HashContext):
@@ -28,6 +31,12 @@ class HashedShiftTree(ShiftTree):
         if ctx.max_len < self.size:
             raise ValueError("hash context too short for this tree")
         self.ctx = ctx
+
+    def _pack(self, q: int) -> None:
+        if self.ctx.p >> (1 << q) == 0:
+            raise ValueError(f"hash prime {self.ctx.p} does not exceed "
+                             f"every {1 << q}-bit window")
+        super()._pack(q)
 
     def _check(self, letters) -> None:
         # a float would hash mod p and collapse onto an integer's hash

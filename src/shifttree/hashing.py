@@ -10,6 +10,8 @@ probability at most len/p over the choice of r.
 import random
 
 MERSENNE_61 = (1 << 61) - 1
+# the prime above every 64-bit letter, for word trees' windows
+MERSENNE_89 = (1 << 89) - 1
 
 
 class HashContext:
@@ -40,7 +42,9 @@ class HashContext:
         self.squares = squares
 
 
-def make_context(max_len: int, seed: int | None = None) -> HashContext:
-    """Context with p = 2**61 - 1 and r drawn uniformly from ``seed``."""
+def make_context(max_len: int, seed: int | None = None,
+                 p: int = MERSENNE_61) -> HashContext:
+    """Context with prime ``p`` (2**61 - 1 unless given) and r drawn
+    uniformly from [0, p) by ``seed``."""
     rng = random.Random(seed)
-    return HashContext(max_len, rng.randrange(MERSENNE_61))
+    return HashContext(max_len, rng.randrange(p), p)

@@ -1,12 +1,22 @@
 """The shift-tree skeleton both tree variants share.
 
-One node array of 2**(n+1) entries holds a string of length 2**n: leaf slot
-j (node ``size + j``) holds a letter, and inner node i in [1, size) holds a
-summary of the substring its subtree covers.  Every write stores letters or
-moves the rotation offset, then refreshes the dirty inner nodes level by
-level.  The one diff walk lives here too.  A variant supplies what a
-summary is: ``_refresh``, its letter checks and ``_equality``, which says
-when two summaries prove their subtrees equal.
+One node array of 2**(n+1) entries holds a string: leaf slot j (node
+``size + j``) holds a letter, and inner node i in [1, size) holds a summary
+of the substring its subtree covers.  Every write stores letters or moves
+the rotation offset, then refreshes the dirty inner nodes level by level.
+The one diff walk lives here too.  A variant supplies what a summary is:
+``_refresh``, its letter checks and ``_equality``, which says when two
+summaries prove their subtrees equal.
+
+A tree of letters holds one position per leaf.  A word tree (``packed``)
+holds a 0/1 string of length 2**width with min(64, 2**width) positions per
+leaf, packed as the bits of one int, its *window*: bit i of string block
+c's window is string position 64c + i, so the tree has six levels fewer and
+its leaves are the blocks at which a diff stops.  Its rotation
+delta = 64*D + r moves the word tree by D, and the windows tile the
+unrotated bit string at offset r; a shift that changes r re-tiles every
+window, then refreshes the whole tree.  The variants see windows as
+letters.
 """
 
 from itertools import compress, repeat
@@ -16,6 +26,7 @@ from .topology import Topology
 
 # Width of a leaf block: a diff stops descending at a node covering at most
 # this many positions and compares the block's letters in one C-level pass.
+# A word tree packs this many positions per leaf, so its leaves are blocks.
 _BLOCK = 64
 
 # Node entry of a mixed inner node in a tree of letters.  It is never ``==``
@@ -24,15 +35,29 @@ _BLOCK = 64
 _MIXED = object()
 
 
-class ShiftTree:
-    """A string of length 2**n under point writes, cyclic rotations and
-    difference listing against another tree of the same variant.
+def _check_bit(x) -> None:
+    if not (isinstance(x, int) and 0 <= x <= 1):
+        raise ValueError(f"letter {x!r} of a word tree is not 0 or 1")
 
-    Costs: ``init`` O(m); ``set`` O(log m); ``set_many`` O(b log m) for b
-    positions; ``shift(k)`` O(m / 2**j) where 2**j is the largest power of
-    two dividing k; ``diff`` O((d+1) log m) for d reported differences.
-    A fresh tree holds ``size`` copies of ``letter``, which its inner
-    nodes must already summarise.
+
+def _check_bits(letters) -> None:
+    if not all(map(isinstance, letters, repeat(int))):
+        raise ValueError("letters must be integers")
+    _check_bit(min(letters))
+    _check_bit(max(letters))
+
+
+class ShiftTree:
+    """A string under point writes, cyclic rotations and difference
+    listing against another tree of the same variant.
+
+    Costs, for a string of length m: ``init`` O(m); ``set`` O(log m);
+    ``set_many`` O(b log m) for b positions; ``shift(k)`` O(m / 2**j)
+    where 2**j is the largest power of two dividing k (in a word tree,
+    O(m / 64) for j < 6); ``diff`` O((d+1) log m) for d reported
+    differences.  A fresh tree of letters holds ``size`` copies of
+    ``letter``, which its inner nodes must already summarise; a fresh word
+    tree holds the all-zero string.
 
     Every operation is shared; a variant is a node refresh, a letter check
     and a node-equality hook for the one diff walk.
@@ -44,8 +69,33 @@ class ShiftTree:
         self.size = 1 << n
         # index 0 unused; summaries at [1, size), letters at [size, 2*size)
         self.nodes = [letter] * (2 * self.size)
+        # log2 of the positions a leaf holds and the offset at which the
+        # leaves tile the unrotated string: both 0 in a tree of letters
+        self.q = 0
+        self.r = 0
+        self.length = self.size
         self.update_calls = 0
         self.diff_visits = 0
+
+    @classmethod
+    def packed(cls, width: int, shared) -> "ShiftTree":
+        """A word tree over the all-zero 0/1 string of length 2**width, its
+        min(64, 2**width) positions per leaf packed into one window;
+        ``shared`` is what the variant's constructor takes."""
+        q = min(width, _BLOCK.bit_length() - 1)
+        tree = cls(width - q, shared)
+        tree._pack(q)
+        return tree
+
+    def _pack(self, q: int) -> None:
+        """Turn this fresh tree into a word tree with 2**q positions per
+        leaf; a variant extends it with what its summaries need."""
+        self.q = q
+        self.length = self.size << q
+        self.nodes = [0] * (2 * self.size)  # zero windows, zero summaries
+        # a word tree's letters are bits, whatever the variant's alphabet
+        self._check = _check_bits
+        self._check_letter = _check_bit
 
     def _refresh(self, level: int, dirty) -> None:
         """Recompute the distinct ancestors of ``dirty`` (all on ``level``)
@@ -71,15 +121,23 @@ class ShiftTree:
     def init(self, letters) -> None:
         """Load a full string, reset the rotation, refresh every inner node."""
         vals = list(letters)
-        if len(vals) != self.size:
-            raise ValueError(f"expected {self.size} letters, got {len(vals)}")
+        if len(vals) != self.length:
+            raise ValueError(f"expected {self.length} letters, got {len(vals)}")
         self._check(vals)
         self.topo.delta = 0
+        self.r = 0
+        if self.q:
+            step = 1 << self.q
+            vals = [sum(bit << i for i, bit in enumerate(vals[c:c + step]))
+                    for c in range(0, self.length, step)]
         self.nodes[self.size:] = vals
         self._refresh(self.n, range(self.size, 2 * self.size))
 
     def set(self, pos: int, x) -> None:
         """Overwrite the letter at string position ``pos``."""
+        if self.q:
+            self.set_many((pos,), x)
+            return
         self._check_letter(x)
         j = self.topo.leaf_of_position(pos)
         self.nodes[j] = x
@@ -87,7 +145,9 @@ class ShiftTree:
 
     def set_many(self, positions, x) -> None:
         """Write letter ``x`` at each position of the iterable ``positions``
-        (an iterator or a generator will do); repeats are allowed."""
+        (an iterator or a generator will do); repeats are allowed.  A word
+        tree rewrites the distinct windows, then refreshes their ancestors
+        once."""
         self._check_letter(x)
         if iter(positions) is positions:
             # a one-shot iterable is its own iterator: read it once, since
@@ -98,42 +158,86 @@ class ShiftTree:
         if not all(map(isinstance, positions, repeat(int))):
             raise ValueError("positions must be integers")
         # checking the extremes checks the batch
-        self.topo.leaf_of_position(min(positions))
-        self.topo.leaf_of_position(max(positions))
+        for pos in (min(positions), max(positions)):
+            if not 0 <= pos < self.length:
+                raise ValueError(f"position {pos!r} is not an integer in "
+                                 f"[0, {self.length})")
         delta = self.topo.delta
         size = self.size
-        slots = {(pos - delta) % size + size for pos in positions}
-        for j in slots:
-            self.nodes[j] = x
+        nodes = self.nodes
+        q = self.q
+        if q:
+            low = (1 << q) - 1
+            slots = [((pos >> q) - delta) % size + size for pos in positions]
+            if x:
+                for j, pos in zip(slots, positions):
+                    nodes[j] |= 1 << (pos & low)
+            else:
+                for j, pos in zip(slots, positions):
+                    nodes[j] &= ~(1 << (pos & low))
+        else:
+            slots = {(pos - delta) % size + size for pos in positions}
+            for j in slots:
+                nodes[j] = x
         self._refresh(self.n, slots)
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
         if not isinstance(k, int):
             raise ValueError(f"shift {k!r} is not an integer")
-        k %= self.size
+        k %= self.length
         if k == 0:
             return
-        self.topo.delta = (self.topo.delta + k) % self.size
-        # subtrees of size k & -k moved wholesale; only nodes above them change
-        level = self.n - (k & -k).bit_length() + 1
+        q = self.q
+        delta = ((self.topo.delta << q) + self.r + k) % self.length
+        self.topo.delta = delta >> q
+        r = delta & ((1 << q) - 1)
+        if r != self.r:
+            self._retile(r)
+            level = self.n  # every window changed
+        else:
+            k >>= q
+            # subtrees of size k & -k moved wholesale; only nodes above
+            # them change
+            level = self.n - (k & -k).bit_length() + 1
         self._refresh(level, range(1 << level, 2 << level))
+
+    def _retile(self, r: int) -> None:
+        """Move a word tree's windows from offset ``self.r`` to ``r``: a
+        window at offset r holds the bits of the unrotated string from
+        64*slot - r on, so each new window joins the ends of two
+        neighbouring old ones, shifted by e = (r - self.r) mod 64."""
+        nodes = self.nodes
+        size = self.size
+        bits = 1 << self.q
+        mask = (1 << bits) - 1
+        e = (r - self.r) % bits
+        w = nodes[size:]
+        if r > self.r:  # the new window starts in the previous old one
+            pairs = zip(w[-1:] + w[:-1], w)
+        else:           # ... or in the same old one, ending in the next
+            pairs = zip(w, w[1:] + w[:1])
+        nodes[size:] = [((a >> (bits - e)) | (b << e)) & mask
+                        for a, b in pairs]
+        self.r = r
 
     def diff(self, other: "ShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ,
-        in ascending order.  ``other`` must be a tree of the same variant
-        and depth that ``_equality`` accepts.  The walk descends through
-        unsettled node pairs down to 64-position blocks (the whole string,
-        if shorter) and compares an unsettled block pair's letters in one
-        pass."""
-        if other.n != self.n:
-            raise ValueError("trees must have equal depth")
+        in ascending order.  ``other`` must be a tree of the same variant,
+        depth and leaf width that ``_equality`` accepts.  The walk descends
+        through unsettled node pairs down to 64-position blocks (the whole
+        string, if shorter): it compares an unsettled block pair's letters
+        in one pass, and a word tree's pair of leaf windows with one XOR."""
+        if other.n != self.n or other.q != self.q:
+            raise ValueError("trees must have equal depth and leaf width")
         if not (isinstance(a, int) and isinstance(b, int)
-                and 0 <= a <= b < self.size):
-            raise ValueError(f"bad interval [{a}, {b}] for size {self.size}")
+                and 0 <= a <= b < self.length):
+            raise ValueError(f"bad interval [{a}, {b}] for length "
+                             f"{self.length}")
         t_keys, q_keys, find, union = self._equality(other)
         out: list[int] = []
         n = self.n
+        q = self.q
         t_nodes = self.nodes
         q_nodes = other.nodes
         t_delta = self.topo.delta
@@ -148,14 +252,24 @@ class ShiftTree:
             if y < a or b < x:
                 return
             e = t_nodes[i]
-            if e == q_nodes[j] and (
-                    e is not _MIXED or find(t_keys[i]) == find(q_keys[j])):
-                return
-            before = len(out)
+            if e == q_nodes[j]:
+                if e is not _MIXED or find(t_keys[i]) == find(q_keys[j]):
+                    return
+                # two mixed nodes of unequal classes: a union may join them
+                before = len(out)
             if y - x < _BLOCK:
-                # a leaf block: compare its letters within [a, b] at C level
                 lo = a if x < a else x
                 hi = b if b < y else y
+                if q:
+                    # two leaf windows: the set bits of their XOR within
+                    # [a, b], lowest first; a window is never mixed
+                    d = (e ^ q_nodes[j]) >> (lo - x) & ((2 << (hi - lo)) - 1)
+                    while d:
+                        low = d & -d
+                        out.append(lo + low.bit_length() - 1)
+                        d ^= low
+                    return
+                # a leaf block: compare its letters within [a, b] at C level
                 out.extend(compress(range(lo, hi + 1), map(
                     ne, t_letters(t_nodes, lo, hi),
                     q_letters(q_nodes, lo, hi))))
@@ -169,14 +283,19 @@ class ShiftTree:
                 qs = (q_delta >> (n - bl)) & 1
                 walk((2 * i - ts) | width, (2 * j - qs) | width, x, z - 1)
                 walk(2 * i + 1 - ts, 2 * j + 1 - qs, z, y)
-            if union is not None and len(out) == before and a <= x and y <= b:
+            if e is _MIXED and q_nodes[j] is _MIXED and len(out) == before \
+                    and a <= x and y <= b:
                 # all of [x, y] matched: the pair's keys name equal strings
                 union(t_keys[i], q_keys[j])
 
-        walk(1, 1, 0, self.size - 1)
+        walk(1, 1, 0, self.length - 1)
         self.diff_visits += visits
         return out
 
     def materialize(self) -> list:
         """The maintained string as a letter list; O(m)."""
-        return self.topo.letters(self.nodes, 0, self.size - 1)
+        letters = self.topo.letters(self.nodes, 0, self.size - 1)
+        if self.q:
+            step = range(1 << self.q)
+            return [w >> i & 1 for w in letters for i in step]
+        return letters

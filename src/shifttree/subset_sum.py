@@ -27,16 +27,20 @@ The modulus is rarely a power of two, so the trees hold padded strings of
 length L = the smallest power of two >= 2m: one tree holds s padded, the
 other two copies of s around a gap, so that for any rotation d <= m the
 first m characters of the rotated double string are exactly the rotation
-of s.  A present residue's letter is 1.  The padding, the gap and the
-absent residues keep the letter a fresh tree starts with (0 for hashed,
-None for tagged): the solver only compares its two trees, which are of
-one variant, so it never depends on what that letter is.
+of s.  A present residue's letter is 1; the padding, the gap and the
+absent residues keep the 0 a fresh tree starts with.  Both trees are word
+trees (``ShiftTree.packed``): the 0/1 string sits in L/64 windows of 64
+bits (one window of L bits when L < 64), so the trees are six levels
+shallower than trees of letters, and a fresh one already holds the zero
+string.  Their diff still stops at 64-position blocks, which are now their
+leaves.  The hashed backend's context works modulo 2**89 - 1, a prime
+above every window.
 """
 
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
-from .hashing import make_context
+from .hashing import MERSENNE_89, make_context
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -46,11 +50,14 @@ BACKENDS = ("hashed", "tagged", "naive")
 class HashCollisionError(RuntimeError):
     """The hashed backend reported an inconsistent difference set.
 
-    The check runs once per visited value, on its one diff: the reported
-    positions must split evenly into new sums and the old sums they
-    rotated in from.  A collision that hides a balanced set of differences,
-    as many new sums as old ones, passes unseen and leaves those sums (and
-    their orbit under the value's later copies) out of the result.
+    The trees hash their 64-bit windows modulo p = 2**89 - 1, so one diff
+    misses a difference with probability at most (L/64) log L / p over the
+    hash point (below 1e-20 at every modulus the CLI accepts).  The check
+    runs once per visited value, on its one diff: the reported positions
+    must split evenly into new sums and the old sums they rotated in from.
+    A collision that hides a balanced set of differences, as many new sums
+    as old ones, passes unseen and leaves those sums (and their orbit under
+    the value's later copies) out of the result.
     """
 
 
@@ -186,13 +193,15 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     width = (2 * m - 1).bit_length()  # smallest width with 2**width >= 2m
     L = 1 << width
 
-    # both trees share one hash context or one tag store
+    # both word trees share one hash context or one tag store; a hash
+    # context covers one letter per window, each below 2**64 < p
     if backend == "hashed":
-        tree, shared = HashedShiftTree, make_context(L, seed)
+        tree = HashedShiftTree
+        shared = make_context(max(L >> 6, 1), seed, MERSENNE_89)
     else:
         tree, shared = TaggedShiftTree, TagStore()
-    t1, t2 = tree(width, shared), tree(width, shared)
-    t1.set_many((0,), 1)              # S = {0}, padded with the fresh letter
+    t1, t2 = tree.packed(width, shared), tree.packed(width, shared)
+    t1.set_many((0,), 1)              # S = {0}, padded with the fresh zeros
     t2.set_many((0, L - m), 1)        # two copies of it around the gap
 
     member = sums.member

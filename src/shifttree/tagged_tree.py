@@ -12,8 +12,10 @@ tell apart and finds no difference below, it records their equivalence in
 the shared TagStore, so the same comparison short-circuits next time.
 A refresh computes a level's entries (a whole level in one pass), then
 updates the tags of that level if it is at or above block level.  Letters
-only need ``==``: no hashing, no order.  The node array, the writes, the
-diff walk and ``_MIXED`` come from ``ShiftTree``.
+only need ``==``: no hashing, no order.  In a word tree the leaves are the
+blocks and their windows are exact letters, so every mixed inner node
+holds a tag and no leaf does.  The node array, the writes, the diff walk
+and ``_MIXED`` come from ``ShiftTree``.
 """
 
 from .shift_tree import _BLOCK, _MIXED, ShiftTree
@@ -29,17 +31,27 @@ class TaggedShiftTree(ShiftTree):
 
     All trees that should be comparable must share one TagStore, and all
     operations on trees sharing a store must be externally serialized
-    (diff refines the store).  A fresh tree holds the uniform string of
-    ``None`` letters until ``init`` loads one.  Only mixed nodes at or
-    above block level hold a tag: levels 0..max(n - 6, 0), whose nodes
-    cover at least min(64, 2**n) positions.
+    (diff refines the store).  A fresh tree of letters holds the uniform
+    string of ``None`` letters until ``init`` loads one; a fresh word tree
+    holds zero windows.  Only mixed nodes at or above block level hold a
+    tag: levels 0..max(n - 6, 0), whose nodes cover at least
+    min(64, 2**n) positions, or every inner level of a word tree.
     """
 
     def __init__(self, n: int, store: TagStore):
         super().__init__(n, None)
         self.store = store
-        # deepest level whose nodes cover a whole leaf block or more
-        self._block_level = max(n - _BLOCK.bit_length() + 1, 0)
+        self._make_tags()
+
+    def _pack(self, q: int) -> None:
+        super()._pack(q)
+        self._make_tags()
+
+    def _make_tags(self) -> None:
+        # deepest level whose nodes cover a whole leaf block or more: a
+        # node on level k covers 2**(n - k + q) positions, so in a word
+        # tree that is the leaf level, and no leaf is ever mixed
+        self._block_level = max(self.n + self.q - _BLOCK.bit_length() + 1, 0)
         # one slot per node at or above block level (index 0 unused)
         self.tags: list[int | None] = [None] * (2 << self._block_level)
 

@@ -66,6 +66,16 @@ def test_stats_mode_prints_counters_to_stderr(monkeypatch, capsys):
     assert set(stats) == {"updates", "diff_visits", "store_ops",
                           "bellman_iterations"}
     assert all(v.isdigit() for v in stats.values())
+    # L = 16: each word tree is one window, so no inner node is refreshed
+    # and each of the two diffs visits the root pair alone
+    assert stats == {"updates": "0", "diff_visits": "2", "store_ops": "0",
+                     "bellman_iterations": "2"}
+    # at m = 100 (L = 256, four windows) the writes refresh inner nodes
+    code, out, err = run_cli(["--modulus", "100", "--mode", "stats"],
+                             monkeypatch, capsys, "2\n3\n")
+    assert code == 0
+    assert out == "0\n2\n3\n5\n"
+    stats = dict(line.split("=") for line in err.strip().splitlines())
     assert int(stats["updates"]) > 0
 
 
@@ -196,9 +206,12 @@ def test_list_output_matches_oracle_on_random_instances(monkeypatch, capsys):
 
 
 def test_bench_rows_function():
-    rows = bench_rows([16, 32], "hashed", seed=1)
-    assert [r[0] for r in rows] == [16, 32]
-    assert all(r[1] == "hashed" and r[2] > 0 and r[3] > 0 for r in rows)
+    rows = bench_rows([16, 128], "hashed", seed=1)
+    assert [r[0] for r in rows] == [16, 128]
+    assert all(r[1] == "hashed" and r[2] > 0 for r in rows)
+    # m = 16 packs its L = 32 positions into one window: no inner node to
+    # update; m = 128 has four windows under three inner nodes
+    assert rows[0][3] == 0 and rows[1][3] > 0
     # dense instances are seeded: same seed, same instance
     assert dense_instance(64, 1).mult == dense_instance(64, 1).mult
     assert dense_instance(64, 1).mult != dense_instance(64, 2).mult

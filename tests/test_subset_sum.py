@@ -188,17 +188,18 @@ def test_prefix_padding_identity():
             assert rotate_right(doubled, d)[:m] == rotate_right(s, d)[:m]
 
 
-def membership(tree) -> list[int]:
-    """The tree's string read as membership: 1 where the letter is 1, else
-    0 (the solver leaves absent residues at the fresh letter, which is
-    None in a tagged tree)."""
-    return [int(c == 1) for c in tree.materialize()]
+def is_word_tree(tree, m: int) -> bool:
+    """Whether ``tree`` is a word tree over the solver's padded length L:
+    min(64, L) positions per leaf, so L/64 leaves (one when L <= 64)."""
+    L = 1 << (2 * m - 1).bit_length()
+    return (tree.length, tree.size, tree.q) == (L, max(L >> 6, 1),
+                                                min(L.bit_length() - 1, 6))
 
 
 def observe_solve(monkeypatch, inst, backend):
-    """Solve ``inst`` while watching the solver's two trees, each captured
-    at its first ``set_many``.  Returns the result and, for each visited
-    value x in visit order, (x, the first tree's membership string, the
+    """Solve ``inst`` while watching the solver's two word trees, each
+    captured at its first ``set_many``.  Returns the result and, for each
+    visited value x in visit order, (x, the first tree's 0/1 string, the
     second's rotated back by x), read when the value is done: at the next
     shift, or when the solve returns."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
@@ -208,11 +209,12 @@ def observe_solve(monkeypatch, inst, backend):
     def snapshot():
         first, second = trees
         x = visited[-1]
-        seen.append((x, membership(first),
-                     rotate_right(membership(second), -x)))
+        seen.append((x, first.materialize(),
+                     rotate_right(second.materialize(), -x)))
 
     def set_many(self, positions, x):
         if self not in trees:
+            assert is_word_tree(self, inst.m)
             trees.append(self)
         real_set_many(self, positions, x)
 
@@ -361,6 +363,7 @@ def tree_calls(monkeypatch, inst, backend):
 
     def set_many(self, positions, x):
         if self not in trees:
+            assert is_word_tree(self, inst.m)
             trees.append(self)
         if values:
             values[-1][2].append(trees.index(self))
@@ -402,18 +405,33 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_solve_never_calls_init(backend, monkeypatch):
-    # a fresh tree already holds the padding: a solve writes only S = {0}
+    # a fresh word tree already holds the all-zero padding, with no init:
+    # the first write a solve makes to each tree is S = {0} (the first
+    # tree) or its two copies (the second), onto zeros
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_set_many = cls.set_many
+    first_writes = []
 
     def init(self, letters):
         raise AssertionError("the solver called init")
 
+    def set_many(self, positions, x):
+        if not any(tree is self for tree, _ in first_writes):
+            assert is_word_tree(self, m)
+            assert self.materialize() == [0] * self.length
+            first_writes.append((self, (sorted(positions), x)))
+        real_set_many(self, positions, x)
+
     monkeypatch.setattr(cls, "init", init)
+    monkeypatch.setattr(cls, "set_many", set_many)
     rng = Random(23)
     for m in EDGE_MODULI:
+        first_writes.clear()
         inst = random_instance(rng, m=m)
         want = solve_naive(inst).ascending()
         assert solve(inst, backend=backend, seed=m).ascending() == want, m
+        L = 1 << (2 * m - 1).bit_length()
+        assert [w for _, w in first_writes] == [([0], 1), ([0, L - m], 1)]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -428,19 +446,22 @@ def test_chain_counters(backend):
 
 
 def test_dense_diff_work_is_pinned():
-    # a seed-1 dense solve at m = 4096: writes, diff work, reported
+    # a seed-1 dense solve at m = 4096 over word trees (L = 8192, so 128
+    # windows under trees of depth 7): writes, diff work, reported
     # differences and tag store calls are exact for both backends, so a
-    # change to how the tagged tree keeps its tags shows here
+    # change to how the tagged tree keeps its tags shows here.  The hashed
+    # walk visits the node pairs it visited over trees of letters (4347):
+    # it stops at 64-position blocks, which are now the leaves.
     inst = dense_instance(4096, 1)
     stats = {backend: solve_with_stats(inst, backend, seed=1).stats
              for backend in ("hashed", "tagged")}
     for backend, s in stats.items():
         assert (s.updates, s.bellman_iterations, s.reported_differences) \
-            == (83757, 1048, 8188), backend
+            == (24045, 1048, 8188), backend
     assert (stats["hashed"].diff_visits, stats["hashed"].store_ops) \
         == (4347, 0)
     assert (stats["tagged"].diff_visits, stats["tagged"].store_ops) \
-        == (37915, 144614)
+        == (4811, 2171)
 
 
 def test_stats_are_reproducible():

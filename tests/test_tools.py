@@ -1,3 +1,4 @@
+import ast
 import shutil
 import subprocess
 import sys
@@ -7,11 +8,27 @@ ROOT = Path(__file__).resolve().parent.parent
 AB_TIME = ROOT / "tools" / "ab_time.py"
 
 
-def ab_time(parent: Path, change: Path) -> subprocess.CompletedProcess:
+def ab_time(parent: Path, change: Path, *flags) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(AB_TIME), str(parent), str(change),
-         "--sizes", "256", "512", "--rounds", "2"],
+         "--sizes", "256", "512", "--rounds", "2", *flags],
         capture_output=True, text=True, timeout=300)
+
+
+def miscounting_copy(tmp_path: Path, body=None) -> Path:
+    """A copy of the package that counts one update too many per hashed
+    refresh; ``body(text)``, if given, rewrites its ``subset_sum.py``."""
+    shutil.copytree(ROOT / "src" / "shifttree", tmp_path / "src" / "shifttree",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "shifttree" / "hashed_tree.py"
+    text = path.read_text()
+    assert "self.update_calls += calls\n" in text
+    path.write_text(text.replace("self.update_calls += calls\n",
+                                 "self.update_calls += calls + 1\n"))
+    if body is not None:
+        path = tmp_path / "src" / "shifttree" / "subset_sum.py"
+        path.write_text(body(path.read_text()))
+    return tmp_path
 
 
 def test_ab_time_against_itself():
@@ -38,16 +55,46 @@ def test_ab_time_against_itself():
 def test_ab_time_stops_when_counters_differ(tmp_path):
     # a copy that counts one update too many per refresh is refused before
     # anything is timed
-    shutil.copytree(ROOT / "src" / "shifttree", tmp_path / "src" / "shifttree",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "src" / "shifttree" / "hashed_tree.py"
-    text = path.read_text()
-    assert "self.update_calls += calls\n" in text
-    path.write_text(text.replace("self.update_calls += calls\n",
-                                 "self.update_calls += calls + 1\n"))
-    done = ab_time(ROOT, tmp_path)
+    done = ab_time(ROOT, miscounting_copy(tmp_path))
     assert done.returncode == 1, done.stdout
     assert "hashed m=256: counters" in done.stdout
+    assert " ms [" not in done.stdout
+
+
+def test_ab_time_times_a_change_that_moves_counters(tmp_path):
+    # with the switch, the miscounting copy is timed: both sides' counters
+    # are printed first, and only the hashed updates differ
+    done = ab_time(ROOT, miscounting_copy(tmp_path), "--counters-may-differ")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    agree = lines.index("sums agree")
+    for backend in ("hashed", "tagged"):
+        for m in (256, 512):
+            stats = {}
+            for side in ("parent", "change"):
+                line, = (line for line in lines[:agree] if line.startswith(
+                    f"{backend} m={m} {side} counters: "))
+                stats[side] = ast.literal_eval(line.split(": ", 1)[1])
+                assert any(line.startswith(f"{backend} m={m} {side}: ")
+                           and " ms [" in line for line in lines[agree:])
+            parent, change = stats["parent"], stats["change"]
+            if backend == "hashed":
+                assert change.pop("updates") > parent.pop("updates")
+            assert change == parent, (backend, m)
+
+
+def test_ab_time_switch_still_requires_equal_sums(tmp_path):
+    # a copy that lists every sum set without its largest sum is refused
+    # with the switch too, and nothing is timed
+    def drop_a_sum(text):
+        line = "        return sorted(self.order)\n"
+        assert line in text
+        return text.replace(line, "        return sorted(self.order)[:-1]\n")
+
+    done = ab_time(ROOT, miscounting_copy(tmp_path, drop_a_sum),
+                   "--counters-may-differ")
+    assert done.returncode == 1, done.stdout
+    assert "hashed m=256: the sums differ" in done.stdout
     assert " ms [" not in done.stdout
 
 

@@ -1,0 +1,195 @@
+"""Word trees: 0/1 strings of length L = 2**width packed min(64, L)
+positions per leaf, checked against list models on both variants."""
+
+from random import Random
+
+import pytest
+
+from shifttree import (
+    MERSENNE_61,
+    MERSENNE_89,
+    HashedShiftTree,
+    TaggedShiftTree,
+    TagStore,
+    make_context,
+)
+
+from helpers import (
+    batch_write, hash_string, naive_diff, node_string, rotate_right)
+
+from test_tagged_tree import audit_tag_equivalences
+
+BACKENDS = ("hashed", "tagged")
+
+
+def word_trees(backend, width, seed=0):
+    """Two fresh word trees over one hash context or one tag store."""
+    if backend == "hashed":
+        cls = HashedShiftTree
+        shared = make_context(max((1 << width) >> 6, 1), seed, MERSENNE_89)
+    else:
+        cls, shared = TaggedShiftTree, TagStore()
+    return [cls.packed(width, shared) for _ in range(2)], shared
+
+
+def audit(trees, shared):
+    """Every window holds exactly min(64, L) bits; every hashed summary is
+    the hash of the windows under it; every tag is exact."""
+    for tree in trees:
+        bits = 1 << tree.q
+        leaves = tree.nodes[tree.size:]
+        assert all(0 <= w < 1 << bits for w in leaves), tree.r
+        if isinstance(shared, TagStore):
+            continue
+        for i in range(1, tree.size):
+            assert tree.nodes[i] == hash_string(shared, node_string(tree, i))
+    if isinstance(shared, TagStore):
+        audit_tag_equivalences(shared, trees)
+
+
+def shift_updates(width: int, k: int) -> int:
+    """Inner nodes a word tree refreshes on ``shift(k)``: with j the
+    valuation of k mod L, a word-tree shift by k >> 6 for j >= 6, which is
+    (L/64 >> (j - 6)) - 1, and a re-tile then a whole-tree refresh for
+    j < 6, which is L/64 - 1 (0 when L <= 64: one window, no inner node)."""
+    L = 1 << width
+    k %= L
+    if k == 0:
+        return 0
+    q = min(width, 6)
+    j = (k & -k).bit_length() - 1
+    return ((L >> q) >> max(j - q, 0)) - 1
+
+
+def random_shift(rng, width: int) -> int:
+    """A shift of valuation below 6, equal to 6 or above 6 (at times a
+    multiple of L), at times negative or larger than L."""
+    L = 1 << width
+    j = rng.choice([rng.randrange(6), 6, rng.randint(7, 12)])
+    k = (2 * rng.randrange(L) + 1) << j
+    if rng.random() < 0.3:
+        k = -k
+    if rng.random() < 0.3:
+        k += rng.randint(-3, 3) * L
+    return k
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_word_trees_match_list_models(backend):
+    # every width from 0 to 10 (L = 1 .. 1024, so L < 64 included) under
+    # random init, set, set_many with repeats, shifts of every valuation
+    # class and diffs on random intervals; each shift refreshes exactly
+    # ``shift_updates`` inner nodes, and the audit runs after every call
+    rng = Random(16)
+    valuations = set()
+    for trial in range(1100):
+        width = trial % 11
+        L = 1 << width
+        trees, shared = word_trees(backend, width, seed=trial)
+        models = [[0] * L, [0] * L]  # a fresh word tree holds zeros
+        assert [t.materialize() for t in trees] == models
+        for _ in range(rng.randint(1, 14)):
+            w = rng.randrange(2)
+            tree, model = trees[w], models[w]
+            roll = rng.random()
+            if roll < 0.08:
+                s = [rng.randrange(2) for _ in range(L)]
+                tree.init(s)
+                models[w] = s
+            elif roll < 0.25:
+                pos, bit = rng.randrange(L), rng.randrange(2)
+                tree.set(pos, bit)
+                model[pos] = bit
+            elif roll < 0.45:
+                positions, bit = batch_write(rng, L), rng.randrange(2)
+                tree.set_many(positions, bit)
+                for pos in positions:
+                    model[pos] = bit
+            elif roll < 0.75:
+                k = random_shift(rng, width)
+                before = tree.update_calls
+                tree.shift(k)
+                assert tree.update_calls - before == shift_updates(width, k)
+                models[w] = rotate_right(model, k)
+                kv = k % L
+                if kv:
+                    valuations.add(min((kv & -kv).bit_length() - 1, 7))
+            else:
+                a = rng.randrange(L)
+                b = rng.randrange(a, L)
+                want = naive_diff(models[w], models[1 - w], a, b)
+                assert tree.diff(trees[1 - w], a, b) == want, (trial, a, b)
+            audit(trees, shared)
+        assert [t.materialize() for t in trees] == models, trial
+        want = naive_diff(models[0], models[1], 0, L - 1)
+        assert trees[0].diff(trees[1], 0, L - 1) == want, trial
+    # re-tiles at every valuation below 6, word shifts at 6 and above
+    assert valuations == set(range(8))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_word_tree_shift_costs_are_exact(backend):
+    # exhaustive over every k in [0, L) for L = 2 .. 2**10
+    for width in range(1, 11):
+        (tree, _), _ = word_trees(backend, width, seed=width)
+        tree.set_many(range(0, 1 << width, 3), 1)
+        for k in range(1 << width):
+            before = tree.update_calls
+            tree.shift(k)
+            assert tree.update_calls - before == shift_updates(width, k), \
+                (width, k)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_word_tree_layout(backend):
+    # L = 2**10: 16 windows of 64 bits under a tree of depth 4; bit i of
+    # string block c's window is position 64c + i, whatever the rotation
+    (tree, other), _ = word_trees(backend, 10)
+    assert (tree.n, tree.q, tree.size, tree.length) == (4, 6, 16, 1024)
+    tree.set_many([3, 64 * 5 + 7, 1023], 1)
+    for k in (1, 64, 100, -37):
+        tree.shift(k)
+    s = tree.materialize()
+    for c in range(16):
+        window = tree.nodes[tree.topo.leaf_of_position(c)]
+        assert window == sum(bit << i for i, bit in enumerate(s[64 * c:
+                                                                 64 * c + 64]))
+    # L = 8: one window of 8 bits, the tree's only node
+    (small, _), _ = word_trees(backend, 3)
+    assert (small.n, small.q, small.size, small.length) == (0, 3, 1, 8)
+    small.set(6, 1)
+    small.shift(3)
+    assert small.nodes[1] == 1 << 1 and small.materialize()[1] == 1
+    assert small.update_calls == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_word_tree_validation(backend):
+    (tree, other), shared = word_trees(backend, 7)
+    for bad in (2, -1, 0.5, 1.0, None):
+        with pytest.raises(ValueError):
+            tree.set(3, bad)
+        with pytest.raises(ValueError):
+            tree.set_many([3], bad)
+    with pytest.raises(ValueError):
+        tree.init([0] * 127 + [2])
+    with pytest.raises(ValueError):
+        tree.init([0] * 64)
+    for pos in (-1, 128):
+        with pytest.raises(ValueError):
+            tree.set(pos, 1)
+        with pytest.raises(ValueError):
+            tree.diff(other, 0, pos)
+    assert tree.materialize() == [0] * 128 and tree.update_calls == 0
+    # a tree of letters of the same depth holds another string
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    with pytest.raises(ValueError):
+        tree.diff(cls(tree.n, shared), 0, 1)
+
+
+def test_hashed_word_tree_needs_a_prime_above_its_windows():
+    # a 64-bit window is not a letter mod 2**61 - 1; a 32-bit one is
+    with pytest.raises(ValueError):
+        HashedShiftTree.packed(6, make_context(1, 0, MERSENNE_61))
+    tree = HashedShiftTree.packed(5, make_context(1, 0, MERSENNE_61))
+    assert tree.q == 5
