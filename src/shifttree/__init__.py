@@ -3,13 +3,13 @@ cross-tree difference listing — plus a modular subset-sum solver built on
 them.
 
 Two interchangeable tree variants: ``HashedShiftTree`` summarizes subtrees
-with polynomial hashes (fast, fails with vanishing probability) and
-``TaggedShiftTree`` learns subtree equality lazily through a shared
-``TagStore`` (exact, needs only ``==`` on letters).
+with polynomial hashes or Karp-Rabin fingerprints (fast, fails with
+vanishing probability) and ``TaggedShiftTree`` learns subtree equality
+lazily through a shared ``TagStore`` (exact, needs only ``==`` on letters).
 """
 
 from .hashed_tree import HashedShiftTree
-from .hashing import MERSENNE_61, MERSENNE_89, HashContext, make_context
+from .hashing import MERSENNE_61, HashContext, make_context
 from .schedule import ShiftSchedule, bitrev
 from .subset_sum import (
     BACKENDS,
@@ -35,7 +35,6 @@ __all__ = [
     "HashedShiftTree",
     "Instance",
     "MERSENNE_61",
-    "MERSENNE_89",
     "ShiftSchedule",
     "SolveResult",
     "SolverStats",

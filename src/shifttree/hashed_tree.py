@@ -3,10 +3,10 @@
 Every inner node holds the polynomial hash of the substring its subtree
 covers, so two subtrees compare in O(1) with high probability: the diff
 walk settles a node pair when the two hashes are equal.  It compares the
-letters of an unequal 64-position block pair exactly.  A word tree hashes
-the string of its windows, each a letter below 2**64, so its context needs
-a prime above that.  The node array, the writes and the diff walk come
-from ``ShiftTree``.
+letters of an unequal block pair exactly.  A word tree needs a fingerprint
+context for its window width: there a node's hash is the value of its 0/1
+string mod a random prime p, and a window, exact at its leaf, may exceed
+p.  The node array, the writes and the diff walk come from ``ShiftTree``.
 """
 
 from itertools import repeat
@@ -21,9 +21,10 @@ class HashedShiftTree(ShiftTree):
     Letters are integers in [0, ctx.p).  A fresh tree represents the
     all-zero string (every subtree hash of a zero string is 0, so the
     zeroed node array is already consistent).  ``diff`` is correct unless
-    a hash collision hides a genuine difference: probability at most
-    l log m / p per call, for l = m letters, or l = m / 64 windows in a
-    word tree over m positions.
+    a hash collision hides a genuine difference: in a tree of m letters,
+    probability at most m log m / p per call.  In a word tree over m bits
+    it is below m log m / 2**80, since a node pair of l bits collides with
+    probability below l / 2**80 and each level's pairs cover m bits.
     """
 
     def __init__(self, n: int, ctx: HashContext):
@@ -33,9 +34,10 @@ class HashedShiftTree(ShiftTree):
         self.ctx = ctx
 
     def _pack(self, q: int) -> None:
-        if self.ctx.p >> (1 << q) == 0:
-            raise ValueError(f"hash prime {self.ctx.p} does not exceed "
-                             f"every {1 << q}-bit window")
+        ctx = self.ctx
+        if ctx.r != pow(2, 1 << q, ctx.p):
+            raise ValueError(f"hash context is not a fingerprint context "
+                             f"for {1 << q}-bit windows")
         super()._pack(q)
 
     def _check(self, letters) -> None:

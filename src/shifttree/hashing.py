@@ -1,17 +1,28 @@
 """Polynomial string hashing over a prime field.
 
-A string of integer letters maps to sum(s[i] * r**i) mod p for a random
-evaluation point r.  Hashes of adjacent substrings combine in O(1),
-h(u + v) = h(u) + h(v) * r**len(u), which is what lets a tree node derive
-its hash from its children.  Two distinct equal-length strings collide with
-probability at most len/p over the choice of r.
+A string of integer letters maps to sum(s[i] * r**i) mod p.  Hashes of
+adjacent substrings combine in O(1), h(u + v) = h(u) + h(v) * r**len(u),
+which is what lets a tree node derive its hash from its children.
+
+Contexts come in two forms that share this rule.  In the polynomial form
+p = 2**61 - 1 and r is random: two distinct equal-length strings collide
+with probability at most len/p over the choice of r.  The fingerprint form
+is Karp and Rabin's: for a 0/1 string packed w bits per letter, r = 2**w
+mod p, so a string's hash is its value as an integer (letter i holds bits
+w*i, ...) mod p, and p is a random prime in [2**80, 2**81).  A letter may
+then be any width.  Two distinct strings of l bits collide with
+probability below l / 2**80 over the choice of p: their values differ by
+a nonzero integer below 2**l, which has fewer than l/80 prime factors
+at or above 2**80, and there are more than 2**80 / 57 primes to choose
+from.
 """
 
 import random
 
 MERSENNE_61 = (1 << 61) - 1
-# the prime above every 64-bit letter, for word trees' windows
-MERSENNE_89 = (1 << 89) - 1
+
+# the prime bases a Miller-Rabin test uses to be exact below 2**81
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class HashContext:
@@ -42,9 +53,44 @@ class HashContext:
         self.squares = squares
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases 2, ..., 41, which is exact for every
+    n below 3.317 * 10**24 (Sorenson and Webster), so for every n < 2**81."""
+    if n < 2:
+        return False
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # b witnesses that n is composite
+    return True
+
+
 def make_context(max_len: int, seed: int | None = None,
-                 p: int = MERSENNE_61) -> HashContext:
-    """Context with prime ``p`` (2**61 - 1 unless given) and r drawn
-    uniformly from [0, p) by ``seed``."""
+                 window: int | None = None) -> HashContext:
+    """Context for strings of up to ``max_len`` letters, drawn by ``seed``.
+
+    Without ``window``, the polynomial form: p = 2**61 - 1 and r uniform
+    in [0, p).  With it, the fingerprint form for 0/1 strings packed
+    ``window`` bits per letter: p uniform among the primes in
+    [2**80, 2**81), by rejection sampling, and r = 2**window mod p.
+    """
     rng = random.Random(seed)
-    return HashContext(max_len, rng.randrange(p), p)
+    if window is None:
+        return HashContext(max_len, rng.randrange(MERSENNE_61))
+    while True:
+        # every prime in range is odd, so odd candidates keep p uniform
+        p = rng.randrange(1 << 80, 1 << 81) | 1
+        if _is_prime(p):
+            return HashContext(max_len, pow(2, window, p), p)

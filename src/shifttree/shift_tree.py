@@ -9,14 +9,13 @@ The one diff walk lives here too.  A variant supplies what a summary is:
 summaries prove their subtrees equal.
 
 A tree of letters holds one position per leaf.  A word tree (``packed``)
-holds a 0/1 string of length 2**width with min(64, 2**width) positions per
+holds a 0/1 string of length 2**width with min(512, 2**width) positions per
 leaf, packed as the bits of one int, its *window*: bit i of string block
-c's window is string position 64c + i, so the tree has six levels fewer and
-its leaves are the blocks at which a diff stops.  Its rotation
-delta = 64*D + r moves the word tree by D, and the windows tile the
-unrotated bit string at offset r; a shift that changes r re-tiles every
-window, then refreshes the whole tree.  The variants see windows as
-letters.
+c's window is string position 512c + i, so the tree has nine levels fewer
+and a diff stops at its leaves.  Its rotation delta = 512*D + r moves the
+word tree by D, and the windows tile the unrotated bit string at offset r;
+a shift that changes r re-tiles every window, then refreshes the whole
+tree.  The variants see windows as letters.
 """
 
 from itertools import compress, repeat
@@ -24,10 +23,13 @@ from operator import ne
 
 from .topology import Topology
 
-# Width of a leaf block: a diff stops descending at a node covering at most
-# this many positions and compares the block's letters in one C-level pass.
-# A word tree packs this many positions per leaf, so its leaves are blocks.
+# Width of a leaf block in a tree of letters: a diff stops descending at a
+# node covering at most this many positions and compares the block's
+# letters in one C-level pass.
 _BLOCK = 64
+
+# Positions a word tree packs per leaf window; its leaves are its blocks.
+_WORD = 512
 
 # Node entry of a mixed inner node in a tree of letters.  It is never ``==``
 # to a letter: a refresh relies on this to tell a uniform pair of children,
@@ -54,7 +56,7 @@ class ShiftTree:
     Costs, for a string of length m: ``init`` O(m); ``set`` O(log m);
     ``set_many`` O(b log m) for b positions; ``shift(k)`` O(m / 2**j)
     where 2**j is the largest power of two dividing k (in a word tree,
-    O(m / 64) for j < 6); ``diff`` O((d+1) log m) for d reported
+    O(m / 512) for j < 9); ``diff`` O((d+1) log m) for d reported
     differences.  A fresh tree of letters holds ``size`` copies of
     ``letter``, which its inner nodes must already summarise; a fresh word
     tree holds the all-zero string.
@@ -80,9 +82,9 @@ class ShiftTree:
     @classmethod
     def packed(cls, width: int, shared) -> "ShiftTree":
         """A word tree over the all-zero 0/1 string of length 2**width, its
-        min(64, 2**width) positions per leaf packed into one window;
+        min(512, 2**width) positions per leaf packed into one window;
         ``shared`` is what the variant's constructor takes."""
-        q = min(width, _BLOCK.bit_length() - 1)
+        q = min(width, _WORD.bit_length() - 1)
         tree = cls(width - q, shared)
         tree._pack(q)
         return tree
@@ -205,8 +207,8 @@ class ShiftTree:
     def _retile(self, r: int) -> None:
         """Move a word tree's windows from offset ``self.r`` to ``r``: a
         window at offset r holds the bits of the unrotated string from
-        64*slot - r on, so each new window joins the ends of two
-        neighbouring old ones, shifted by e = (r - self.r) mod 64."""
+        512*slot - r on, so each new window joins the ends of two
+        neighbouring old ones, shifted by e = (r - self.r) mod 512."""
         nodes = self.nodes
         size = self.size
         bits = 1 << self.q
@@ -225,9 +227,10 @@ class ShiftTree:
         """Positions in [a, b] where this string and ``other``'s differ,
         in ascending order.  ``other`` must be a tree of the same variant,
         depth and leaf width that ``_equality`` accepts.  The walk descends
-        through unsettled node pairs down to 64-position blocks (the whole
-        string, if shorter): it compares an unsettled block pair's letters
-        in one pass, and a word tree's pair of leaf windows with one XOR."""
+        through unsettled node pairs down to blocks: in a tree of letters,
+        nodes of 64 positions (the whole string, if shorter), whose letters
+        it compares in one pass; in a word tree, the leaves, whose two
+        windows it compares with one XOR."""
         if other.n != self.n or other.q != self.q:
             raise ValueError("trees must have equal depth and leaf width")
         if not (isinstance(a, int) and isinstance(b, int)
@@ -244,6 +247,7 @@ class ShiftTree:
         q_delta = other.topo.delta
         t_letters = self.topo.letters
         q_letters = other.topo.letters
+        block = 1 << q if q else _BLOCK
         visits = 0
 
         def walk(i: int, j: int, x: int, y: int) -> None:
@@ -257,7 +261,7 @@ class ShiftTree:
                     return
                 # two mixed nodes of unequal classes: a union may join them
                 before = len(out)
-            if y - x < _BLOCK:
+            if y - x < block:
                 lo = a if x < a else x
                 hi = b if b < y else y
                 if q:

@@ -29,35 +29,41 @@ other two copies of s around a gap, so that for any rotation d <= m the
 first m characters of the rotated double string are exactly the rotation
 of s.  A present residue's letter is 1; the padding, the gap and the
 absent residues keep the 0 a fresh tree starts with.  Both trees are word
-trees (``ShiftTree.packed``): the 0/1 string sits in L/64 windows of 64
-bits (one window of L bits when L < 64), so the trees are six levels
+trees (``ShiftTree.packed``): the 0/1 string sits in L/512 windows of 512
+bits (one window of L bits when L < 512), so the trees are nine levels
 shallower than trees of letters, and a fresh one already holds the zero
-string.  Their diff still stops at 64-position blocks, which are now their
-leaves.  The hashed backend's context works modulo 2**89 - 1, a prime
-above every window.
+string.  Their diff stops at the leaves.  The hashed backend fingerprints
+each node's bits modulo a random 81-bit prime drawn from ``seed``.
 """
 
+from itertools import compress
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
-from .hashing import MERSENNE_89, make_context
+from .hashing import make_context
+from .shift_tree import _WORD
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
 BACKENDS = ("hashed", "tagged", "naive")
 
+# _REV[b] is byte b with its eight bits in reverse order
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 class HashCollisionError(RuntimeError):
     """The hashed backend reported an inconsistent difference set.
 
-    The trees hash their 64-bit windows modulo p = 2**89 - 1, so one diff
-    misses a difference with probability at most (L/64) log L / p over the
-    hash point (below 1e-20 at every modulus the CLI accepts).  The check
-    runs once per visited value, on its one diff: the reported positions
-    must split evenly into new sums and the old sums they rotated in from.
-    A collision that hides a balanced set of differences, as many new sums
-    as old ones, passes unseen and leaves those sums (and their orbit under
-    the value's later copies) out of the result.
+    The trees fingerprint each node's bits modulo p, a random prime in
+    [2**80, 2**81): two distinct strings of l bits collide with probability
+    below l / 2**80 over the choice of p, so one diff misses a difference
+    with probability below L log L / 2**80 (below 1e-16 at every modulus
+    the CLI accepts).  The check runs once per visited value, on its one
+    diff: the reported positions must split evenly into new sums and the
+    old sums they rotated in from.  A collision that hides a balanced set
+    of differences, as many new sums as old ones, passes unseen and leaves
+    those sums (and their orbit under the value's later copies) out of the
+    result.
     """
 
 
@@ -180,7 +186,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                      seed: int | None = None) -> SolveResult:
     """Solve and report operation counters.
 
-    ``seed`` feeds the hashed backend's hash point and is ignored otherwise.
+    ``seed`` feeds the hashed backend's hash prime and is ignored otherwise.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -194,10 +200,10 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     L = 1 << width
 
     # both word trees share one hash context or one tag store; a hash
-    # context covers one letter per window, each below 2**64 < p
+    # context covers one letter per window
     if backend == "hashed":
         tree = HashedShiftTree
-        shared = make_context(max(L >> 6, 1), seed, MERSENNE_89)
+        shared = make_context(max(L // _WORD, 1), seed, min(L, _WORD))
     else:
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree.packed(width, shared), tree.packed(width, shared)
@@ -206,11 +212,11 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
 
     member = sums.member
     mult = inst.mult
-    # reversed zero-padded binary strings of one width sort like their
-    # integers, so this is the bit-reversed order without int() per value
-    digits = f"0{width}b"
-    present = sorted((x for x in range(1, m) if mult[x]),
-                     key=lambda x: format(x, digits)[::-1])
+    # x's little-endian bytes, each bit-reversed, are x bit-reversed over
+    # a whole number of bytes: they sort in the bit-reversed order
+    nb = (width + 7) >> 3
+    present = sorted(compress(range(1, m), mult[1:]),
+                     key=lambda x: x.to_bytes(nb, "little").translate(_REV))
     at = 0                              # t2 holds the double string rotated by at
     for x in present:
         t2.shift(x - at)

@@ -3,13 +3,14 @@
 A node whose positions all hold one letter is *uniform*: its node entry is
 that letter and it has no tag, as a leaf is a uniform block of one letter.
 Every other inner node is *mixed*: its entry is ``_MIXED``.  The diff walk
-stops at blocks of 64 positions (the whole string, if shorter), so it reads
-tags only at or above block level, and only mixed nodes there hold one: an
-opaque id standing for the string the node's subtree covered when it was
-last updated.  Tags are not unique per string; equality of the underlying
-strings is learned lazily.  When a diff descends through two tags it cannot
-tell apart and finds no difference below, it records their equivalence in
-the shared TagStore, so the same comparison short-circuits next time.
+stops at blocks (64 positions, or the whole string if shorter; a word
+tree's leaves), so it reads tags only at or above block level, and only
+mixed nodes there hold one: an opaque id standing for the string the
+node's subtree covered when it was last updated.  Tags are not unique per
+string; equality of the underlying strings is learned lazily.  When a diff
+descends through two tags it cannot tell apart and finds no difference
+below, it records their equivalence in the shared TagStore, so the same
+comparison short-circuits next time.
 A refresh computes a level's entries (a whole level in one pass), then
 updates the tags of that level if it is at or above block level.  Letters
 only need ``==``: no hashing, no order.  In a word tree the leaves are the
@@ -35,7 +36,8 @@ class TaggedShiftTree(ShiftTree):
     string of ``None`` letters until ``init`` loads one; a fresh word tree
     holds zero windows.  Only mixed nodes at or above block level hold a
     tag: levels 0..max(n - 6, 0), whose nodes cover at least
-    min(64, 2**n) positions, or every inner level of a word tree.
+    min(64, 2**n) positions, or every inner level of a word tree, whose
+    leaves are its blocks.
     """
 
     def __init__(self, n: int, store: TagStore):
@@ -48,10 +50,11 @@ class TaggedShiftTree(ShiftTree):
         self._make_tags()
 
     def _make_tags(self) -> None:
-        # deepest level whose nodes cover a whole leaf block or more: a
-        # node on level k covers 2**(n - k + q) positions, so in a word
-        # tree that is the leaf level, and no leaf is ever mixed
-        self._block_level = max(self.n + self.q - _BLOCK.bit_length() + 1, 0)
+        # deepest level whose nodes cover a whole block or more: in a tree
+        # of letters a node on level k covers 2**(n - k) positions; in a
+        # word tree it is the leaf level, and no leaf is ever mixed
+        self._block_level = self.n if self.q else max(
+            self.n - _BLOCK.bit_length() + 1, 0)
         # one slot per node at or above block level (index 0 unused)
         self.tags: list[int | None] = [None] * (2 << self._block_level)
 

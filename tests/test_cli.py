@@ -70,8 +70,8 @@ def test_stats_mode_prints_counters_to_stderr(monkeypatch, capsys):
     # and each of the two diffs visits the root pair alone
     assert stats == {"updates": "0", "diff_visits": "2", "store_ops": "0",
                      "bellman_iterations": "2"}
-    # at m = 100 (L = 256, four windows) the writes refresh inner nodes
-    code, out, err = run_cli(["--modulus", "100", "--mode", "stats"],
+    # at m = 1000 (L = 2048, four windows) the writes refresh inner nodes
+    code, out, err = run_cli(["--modulus", "1000", "--mode", "stats"],
                              monkeypatch, capsys, "2\n3\n")
     assert code == 0
     assert out == "0\n2\n3\n5\n"
@@ -206,11 +206,11 @@ def test_list_output_matches_oracle_on_random_instances(monkeypatch, capsys):
 
 
 def test_bench_rows_function():
-    rows = bench_rows([16, 128], "hashed", seed=1)
-    assert [r[0] for r in rows] == [16, 128]
+    rows = bench_rows([16, 1024], "hashed", seed=1)
+    assert [r[0] for r in rows] == [16, 1024]
     assert all(r[1] == "hashed" and r[2] > 0 for r in rows)
     # m = 16 packs its L = 32 positions into one window: no inner node to
-    # update; m = 128 has four windows under three inner nodes
+    # update; m = 1024 has four windows under three inner nodes
     assert rows[0][3] == 0 and rows[1][3] > 0
     # dense instances are seeded: same seed, same instance
     assert dense_instance(64, 1).mult == dense_instance(64, 1).mult

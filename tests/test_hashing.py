@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shifttree import MERSENNE_61, HashContext, make_context
+from shifttree.hashing import _is_prime
 
 from helpers import hash_string
 
@@ -114,3 +115,63 @@ def test_no_collisions_among_random_distinct_pairs():
         if s1 == s2:
             s2[rng.randrange(length)] ^= 1
         assert hash_string(ctx, s1) != hash_string(ctx, s2)
+
+
+def strong_probable_prime(n: int, b: int) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin round to base b."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 5000):
+        want = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert _is_prime(n) == want, n
+    for p in (MERSENNE_61, (1 << 89) - 1, (1 << 80) + 13):
+        assert _is_prime(p), p
+    assert not _is_prime(((1 << 40) + 15) * ((1 << 40) + 61))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3825123056546413051 passes the rounds to every prime base up to 23,
+    # and psi_12 = 318665857834031151167461 (a product of two primes, none
+    # up to 41) to every prime base up to 37, so only base 41 rejects it
+    psi_9 = 3825123056546413051
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert all(strong_probable_prime(psi_9, b) for b in bases[:9])
+    assert all(strong_probable_prime(psi_12, b) for b in bases[:12])
+    assert not strong_probable_prime(psi_12, 41)
+    assert not _is_prime(psi_9)
+    assert not _is_prime(psi_12)
+
+
+def test_fingerprint_context():
+    # p is an 81-bit prime drawn by the seed, and r = 2**window mod p
+    primes = set()
+    for seed in range(20):
+        ctx = make_context(16, seed, 512)
+        assert 1 << 80 <= ctx.p < 1 << 81 and _is_prime(ctx.p), seed
+        assert ctx.r == pow(2, 512, ctx.p)
+        assert make_context(16, seed, 512).p == ctx.p
+        assert make_context(16, seed, 64).p == ctx.p
+        primes.add(ctx.p)
+    assert len(primes) == 20
+    # the hash of a string of 512-bit letters is its value mod p, with
+    # letters above p
+    rng = Random(3)
+    ctx = make_context(8, 4, 512)
+    windows = [rng.getrandbits(512) | 1 << 511 for _ in range(8)]
+    value = sum(w << (512 * i) for i, w in enumerate(windows))
+    h = sum(w * pow(ctx.r, i, ctx.p) for i, w in enumerate(windows)) % ctx.p
+    assert h == value % ctx.p

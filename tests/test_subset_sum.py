@@ -190,10 +190,10 @@ def test_prefix_padding_identity():
 
 def is_word_tree(tree, m: int) -> bool:
     """Whether ``tree`` is a word tree over the solver's padded length L:
-    min(64, L) positions per leaf, so L/64 leaves (one when L <= 64)."""
+    min(512, L) positions per leaf, so L/512 leaves (one when L <= 512)."""
     L = 1 << (2 * m - 1).bit_length()
-    return (tree.length, tree.size, tree.q) == (L, max(L >> 6, 1),
-                                                min(L.bit_length() - 1, 6))
+    return (tree.length, tree.size, tree.q) == (L, max(L >> 9, 1),
+                                                min(L.bit_length() - 1, 9))
 
 
 def observe_solve(monkeypatch, inst, backend):
@@ -446,22 +446,22 @@ def test_chain_counters(backend):
 
 
 def test_dense_diff_work_is_pinned():
-    # a seed-1 dense solve at m = 4096 over word trees (L = 8192, so 128
-    # windows under trees of depth 7): writes, diff work, reported
-    # differences and tag store calls are exact for both backends, so a
-    # change to how the tagged tree keeps its tags shows here.  The hashed
-    # walk visits the node pairs it visited over trees of letters (4347):
-    # it stops at 64-position blocks, which are now the leaves.
+    # a seed-1 dense solve at m = 4096 over word trees (L = 8192, so 16
+    # windows of 512 bits under trees of depth 4): writes, diff work,
+    # reported differences and tag store calls are exact for both
+    # backends, so a change to how the tagged tree keeps its tags shows
+    # here.  Both walks stop at the leaves; the tagged one visits two node
+    # pairs more than the hashed one.
     inst = dense_instance(4096, 1)
     stats = {backend: solve_with_stats(inst, backend, seed=1).stats
              for backend in ("hashed", "tagged")}
     for backend, s in stats.items():
         assert (s.updates, s.bellman_iterations, s.reported_differences) \
-            == (24045, 1048, 8188), backend
+            == (10349, 1048, 8188), backend
     assert (stats["hashed"].diff_visits, stats["hashed"].store_ops) \
-        == (4347, 0)
+        == (3299, 0)
     assert (stats["tagged"].diff_visits, stats["tagged"].store_ops) \
-        == (4811, 2171)
+        == (3301, 125)
 
 
 def test_stats_are_reproducible():

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -102,3 +103,32 @@ def test_ab_time_refuses_a_checkout_without_the_package(tmp_path):
     done = ab_time(ROOT, tmp_path)
     assert done.returncode == 2
     assert "no shifttree package" in done.stderr
+
+
+def test_ab_time_times_a_benchmark_workload(monkeypatch):
+    # --workload times the benchmark's own instance, built by
+    # perfbench/workloads.py, in place of the dense sizes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing there
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    m, _ = workloads.solver_instance("sparse", 1)
+    done = subprocess.run(
+        [sys.executable, str(AB_TIME), str(ROOT), str(ROOT),
+         "--workload", "sparse", "--rounds", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "sums and counters agree"
+    for backend in ("hashed", "tagged"):
+        for side in ("parent", "change"):
+            line, = (line for line in lines
+                     if line.startswith(f"{backend} m={m} {side}: "))
+            assert " ms [" in line
+    # a workload and sizes together are refused
+    done = subprocess.run(
+        [sys.executable, str(AB_TIME), str(ROOT), str(ROOT),
+         "--workload", "dense", "--sizes", "256"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2 and "not allowed with" in done.stderr

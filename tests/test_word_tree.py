@@ -1,4 +1,4 @@
-"""Word trees: 0/1 strings of length L = 2**width packed min(64, L)
+"""Word trees: 0/1 strings of length L = 2**width packed min(512, L)
 positions per leaf, checked against list models on both variants."""
 
 from random import Random
@@ -6,16 +6,13 @@ from random import Random
 import pytest
 
 from shifttree import (
-    MERSENNE_61,
-    MERSENNE_89,
     HashedShiftTree,
     TaggedShiftTree,
     TagStore,
     make_context,
 )
 
-from helpers import (
-    batch_write, hash_string, naive_diff, node_string, rotate_right)
+from helpers import batch_write, naive_diff, node_string, rotate_right
 
 from test_tagged_tree import audit_tag_equivalences
 
@@ -26,46 +23,54 @@ def word_trees(backend, width, seed=0):
     """Two fresh word trees over one hash context or one tag store."""
     if backend == "hashed":
         cls = HashedShiftTree
-        shared = make_context(max((1 << width) >> 6, 1), seed, MERSENNE_89)
+        shared = make_context(max((1 << width) >> 9, 1), seed,
+                              min(1 << width, 512))
     else:
         cls, shared = TaggedShiftTree, TagStore()
     return [cls.packed(width, shared) for _ in range(2)], shared
 
 
-def audit(trees, shared):
-    """Every window holds exactly min(64, L) bits; every hashed summary is
-    the hash of the windows under it; every tag is exact."""
+def audit(trees, shared) -> bool:
+    """Every window holds exactly min(512, L) bits; every hashed summary is
+    the value of the bits under it mod p; every tag is exact.  Returns
+    whether some window is p or more."""
+    big = False
     for tree in trees:
         bits = 1 << tree.q
         leaves = tree.nodes[tree.size:]
         assert all(0 <= w < 1 << bits for w in leaves), tree.r
         if isinstance(shared, TagStore):
             continue
+        big |= max(leaves) >= shared.p
         for i in range(1, tree.size):
-            assert tree.nodes[i] == hash_string(shared, node_string(tree, i))
+            value = sum(w << (bits * c)
+                        for c, w in enumerate(node_string(tree, i)))
+            assert tree.nodes[i] == value % shared.p
     if isinstance(shared, TagStore):
         audit_tag_equivalences(shared, trees)
+    return big
 
 
 def shift_updates(width: int, k: int) -> int:
     """Inner nodes a word tree refreshes on ``shift(k)``: with j the
-    valuation of k mod L, a word-tree shift by k >> 6 for j >= 6, which is
-    (L/64 >> (j - 6)) - 1, and a re-tile then a whole-tree refresh for
-    j < 6, which is L/64 - 1 (0 when L <= 64: one window, no inner node)."""
+    valuation of k mod L, a word-tree shift by k >> 9 for j >= 9, which is
+    (L/512 >> (j - 9)) - 1, and a re-tile then a whole-tree refresh for
+    j < 9, which is L/512 - 1 (0 when L <= 512: one window, no inner
+    node)."""
     L = 1 << width
     k %= L
     if k == 0:
         return 0
-    q = min(width, 6)
+    q = min(width, 9)
     j = (k & -k).bit_length() - 1
     return ((L >> q) >> max(j - q, 0)) - 1
 
 
 def random_shift(rng, width: int) -> int:
-    """A shift of valuation below 6, equal to 6 or above 6 (at times a
+    """A shift of valuation below 9, equal to 9 or above 9 (at times a
     multiple of L), at times negative or larger than L."""
     L = 1 << width
-    j = rng.choice([rng.randrange(6), 6, rng.randint(7, 12)])
+    j = rng.choice([rng.randrange(9), 9, rng.randint(10, 15)])
     k = (2 * rng.randrange(L) + 1) << j
     if rng.random() < 0.3:
         k = -k
@@ -76,14 +81,16 @@ def random_shift(rng, width: int) -> int:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_trees_match_list_models(backend):
-    # every width from 0 to 10 (L = 1 .. 1024, so L < 64 included) under
+    # every width from 0 to 13 (L = 1 .. 8192, so L < 512 included) under
     # random init, set, set_many with repeats, shifts of every valuation
-    # class and diffs on random intervals; each shift refreshes exactly
-    # ``shift_updates`` inner nodes, and the audit runs after every call
+    # class and diffs on random intervals, each trial on its own hash
+    # prime; each shift refreshes exactly ``shift_updates`` inner nodes,
+    # and the audit runs after every call
     rng = Random(16)
     valuations = set()
-    for trial in range(1100):
-        width = trial % 11
+    big_windows = 0
+    for trial in range(1120):
+        width = trial % 14
         L = 1 << width
         trees, shared = word_trees(backend, width, seed=trial)
         models = [[0] * L, [0] * L]  # a fresh word tree holds zeros
@@ -113,24 +120,26 @@ def test_word_trees_match_list_models(backend):
                 models[w] = rotate_right(model, k)
                 kv = k % L
                 if kv:
-                    valuations.add(min((kv & -kv).bit_length() - 1, 7))
+                    valuations.add(min((kv & -kv).bit_length() - 1, 10))
             else:
                 a = rng.randrange(L)
                 b = rng.randrange(a, L)
                 want = naive_diff(models[w], models[1 - w], a, b)
                 assert tree.diff(trees[1 - w], a, b) == want, (trial, a, b)
-            audit(trees, shared)
+            big_windows += audit(trees, shared)
         assert [t.materialize() for t in trees] == models, trial
         want = naive_diff(models[0], models[1], 0, L - 1)
         assert trees[0].diff(trees[1], 0, L - 1) == want, trial
-    # re-tiles at every valuation below 6, word shifts at 6 and above
-    assert valuations == set(range(8))
+    # re-tiles at every valuation below 9, word shifts at 9 and above
+    assert valuations == set(range(11))
+    # hashed windows reached the prime: a window need not be below it
+    assert (big_windows > 0) == (backend == "hashed")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_shift_costs_are_exact(backend):
-    # exhaustive over every k in [0, L) for L = 2 .. 2**10
-    for width in range(1, 11):
+    # exhaustive over every k in [0, L) for L = 2 .. 2**12
+    for width in range(1, 13):
         (tree, _), _ = word_trees(backend, width, seed=width)
         tree.set_many(range(0, 1 << width, 3), 1)
         for k in range(1 << width):
@@ -142,18 +151,18 @@ def test_word_tree_shift_costs_are_exact(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_layout(backend):
-    # L = 2**10: 16 windows of 64 bits under a tree of depth 4; bit i of
-    # string block c's window is position 64c + i, whatever the rotation
-    (tree, other), _ = word_trees(backend, 10)
-    assert (tree.n, tree.q, tree.size, tree.length) == (4, 6, 16, 1024)
-    tree.set_many([3, 64 * 5 + 7, 1023], 1)
-    for k in (1, 64, 100, -37):
+    # L = 2**13: 16 windows of 512 bits under a tree of depth 4; bit i of
+    # string block c's window is position 512c + i, whatever the rotation
+    (tree, other), _ = word_trees(backend, 13)
+    assert (tree.n, tree.q, tree.size, tree.length) == (4, 9, 16, 8192)
+    tree.set_many([3, 512 * 5 + 7, 8191], 1)
+    for k in (1, 512, 700, -37):
         tree.shift(k)
     s = tree.materialize()
     for c in range(16):
         window = tree.nodes[tree.topo.leaf_of_position(c)]
-        assert window == sum(bit << i for i, bit in enumerate(s[64 * c:
-                                                                 64 * c + 64]))
+        assert window == sum(bit << i for i, bit in enumerate(
+            s[512 * c:512 * c + 512]))
     # L = 8: one window of 8 bits, the tree's only node
     (small, _), _ = word_trees(backend, 3)
     assert (small.n, small.q, small.size, small.length) == (0, 3, 1, 8)
@@ -187,9 +196,17 @@ def test_word_tree_validation(backend):
         tree.diff(cls(tree.n, shared), 0, 1)
 
 
-def test_hashed_word_tree_needs_a_prime_above_its_windows():
-    # a 64-bit window is not a letter mod 2**61 - 1; a 32-bit one is
-    with pytest.raises(ValueError):
-        HashedShiftTree.packed(6, make_context(1, 0, MERSENNE_61))
-    tree = HashedShiftTree.packed(5, make_context(1, 0, MERSENNE_61))
-    assert tree.q == 5
+def test_hashed_word_tree_needs_a_fingerprint_context():
+    # a polynomial context over 2**61 - 1 with a random point is refused
+    # at every window width, and so is a fingerprint context for another
+    # window width; the fingerprint context for the tree's width is taken
+    for width in (3, 9, 12):
+        bits = min(1 << width, 512)
+        for seed in range(5):
+            with pytest.raises(ValueError):
+                HashedShiftTree.packed(width, make_context(8, seed))
+            with pytest.raises(ValueError):
+                HashedShiftTree.packed(width, make_context(8, seed, bits // 2))
+            ctx = make_context(8, seed, bits)
+            tree = HashedShiftTree.packed(width, ctx)
+            assert tree.q == min(width, 9) and ctx.r == pow(2, bits, ctx.p)

@@ -1,15 +1,19 @@
 """Time the solvers of two checkouts against each other in one process.
 
-    python tools/ab_time.py PARENT CHANGE [--sizes 4096 8192 ...]
+    python tools/ab_time.py PARENT CHANGE
+        [--sizes 4096 8192 ... | --workload dense|sparse]
         [--backends hashed tagged] [--rounds 5] [--seed 1]
         [--counters-may-differ]
 
 PARENT and CHANGE are checkout roots.  Each one's ``src/shifttree`` is
 loaded under its own package name, so both sides share one interpreter and
-one machine state.  First, for every backend and size, both sides solve
-``cli.dense_instance(m, seed)`` and must give the same instance, the same
-sums and the same exact counters; otherwise the script stops with exit 1
-(exit 2 when a checkout holds no ``src/shifttree`` package).  A change
+one machine state.  The instances are ``cli.dense_instance(m, seed)`` for
+each size m, or, with ``--workload``, the one instance of that benchmark
+workload at ``seed``, from this checkout's ``perfbench/workloads.py``
+(imported, never written).  First, for every backend and instance, both
+sides build and solve it and must give the same instance, the same sums
+and the same exact counters; otherwise the script stops with exit 1 (exit
+2 when a checkout holds no ``src/shifttree`` package).  A change
 that moves the counters on purpose is timed with ``--counters-may-differ``:
 the instances and sums must still agree, and each side's counters are
 printed instead of compared.
@@ -33,6 +37,7 @@ from statistics import median, quantiles
 SIDES = ("parent", "change")
 COUNTERS = ("bellman_iterations", "reported_differences", "updates",
             "diff_visits", "store_ops")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def load(checkout: str, name: str):
@@ -49,6 +54,14 @@ def load(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
+def workload_instance(name: str, seed: int) -> tuple[int, list[int]]:
+    """``(m, mult)`` of the benchmark's ``dense`` or ``sparse`` workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.solver_instance(name, seed)
+
+
 def solve(cli, inst, backend: str, seed: int):
     """Sums and exact counters of one solve."""
     result = cli.solve_with_stats(inst, backend=backend, seed=seed)
@@ -56,13 +69,15 @@ def solve(cli, inst, backend: str, seed: int):
             {key: getattr(result.stats, key) for key in COUNTERS})
 
 
-def check(sides, backends, sizes, seed: int, same_counters: bool) -> bool:
+def check(sides, backends, sizes, make, seed: int,
+          same_counters: bool) -> bool:
     """Whether both sides agree on every instance, sum set and, if
-    ``same_counters``, counter; otherwise print both sides' counters."""
+    ``same_counters``, counter; otherwise print both sides' counters.
+    ``make(cli, m)`` builds a side's instance of size m."""
     ok = True
     for backend in backends:
         for m in sizes:
-            insts = [cli.dense_instance(m, seed) for cli in sides]
+            insts = [make(cli, m) for cli in sides]
             if (insts[0].m, insts[0].mult) != (insts[1].m, insts[1].mult):
                 print(f"{backend} m={m}: the instances differ")
                 ok = False
@@ -82,9 +97,9 @@ def check(sides, backends, sizes, seed: int, same_counters: bool) -> bool:
     return ok
 
 
-def time_rounds(sides, backend: str, sizes, seed: int, rounds: int):
+def time_rounds(sides, backend: str, sizes, make, seed: int, rounds: int):
     """``walls[side][size index]``: one process time per round, seconds."""
-    insts = [[cli.dense_instance(m, seed) for m in sizes] for cli in sides]
+    insts = [[make(cli, m) for m in sizes] for cli in sides]
     walls = [[[] for _ in sizes] for _ in sides]
     for r in range(rounds):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
@@ -123,7 +138,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout root of the parent side")
     ap.add_argument("change", help="checkout root of the change side")
-    ap.add_argument("--sizes", type=int, nargs="+", default=[4096, 8192])
+    which = ap.add_mutually_exclusive_group()
+    which.add_argument("--sizes", type=int, nargs="+", default=[4096, 8192])
+    which.add_argument("--workload", choices=("dense", "sparse"),
+                       help="time the benchmark workload's instance instead")
     ap.add_argument("--backends", nargs="+", choices=("hashed", "tagged"),
                     default=["hashed", "tagged"])
     ap.add_argument("--rounds", type=int, default=5)
@@ -135,14 +153,25 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # leave no caches in either checkout
     sides = (load(args.parent, "shifttree_parent"),
              load(args.change, "shifttree_change"))
+    sizes = args.sizes
+    if args.workload:
+        m, mult = workload_instance(args.workload, args.seed)
+        sizes = [m]
+
+        def make(cli, m):
+            return cli.Instance(m, list(mult))
+    else:
+        def make(cli, m):
+            return cli.dense_instance(m, args.seed)
     same_counters = not args.counters_may_differ
-    if not check(sides, args.backends, args.sizes, args.seed, same_counters):
+    if not check(sides, args.backends, sizes, make, args.seed,
+                 same_counters):
         return 1
     print("sums and counters agree" if same_counters else "sums agree")
     for backend in args.backends:
-        walls = time_rounds(sides, backend, args.sizes, args.seed,
+        walls = time_rounds(sides, backend, sizes, make, args.seed,
                             args.rounds)
-        report(backend, args.sizes, walls)
+        report(backend, sizes, walls)
     return 0
 
 
