@@ -3,13 +3,13 @@ cross-tree difference listing — plus a modular subset-sum solver built on
 them.
 
 Two interchangeable tree variants: ``HashedShiftTree`` summarizes subtrees
-with polynomial hashes or Karp-Rabin fingerprints (fast, fails with
+with polynomial hashes modulo a random 81-bit prime (fast, fails with
 vanishing probability) and ``TaggedShiftTree`` learns subtree equality
 lazily through a shared ``TagStore`` (exact, needs only ``==`` on letters).
 """
 
 from .hashed_tree import HashedShiftTree
-from .hashing import MERSENNE_61, HashContext, make_context
+from .hashing import HashContext, make_context
 from .schedule import ShiftSchedule, bitrev
 from .subset_sum import (
     BACKENDS,
@@ -34,7 +34,6 @@ __all__ = [
     "HashContext",
     "HashedShiftTree",
     "Instance",
-    "MERSENNE_61",
     "ShiftSchedule",
     "SolveResult",
     "SolverStats",

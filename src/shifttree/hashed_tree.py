@@ -3,10 +3,9 @@
 Every inner node holds the polynomial hash of the substring its subtree
 covers, so two subtrees compare in O(1) with high probability: the diff
 walk settles a node pair when the two hashes are equal.  It compares the
-letters of an unequal block pair exactly.  A word tree needs a fingerprint
-context for its window width: there a node's hash is the value of its 0/1
-string mod a random prime p, and a window, exact at its leaf, may exceed
-p.  The node array, the writes and the diff walk come from ``ShiftTree``.
+letters of an unequal block pair exactly.  Any context serves a word tree
+too: its windows are its letters, exact at the leaves, and may exceed p.
+The node array, the writes and the diff walk come from ``ShiftTree``.
 """
 
 from itertools import repeat
@@ -18,13 +17,15 @@ from .shift_tree import ShiftTree
 class HashedShiftTree(ShiftTree):
     """A string of length 2**n with hashed subtree summaries.
 
-    Letters are integers in [0, ctx.p).  A fresh tree represents the
-    all-zero string (every subtree hash of a zero string is 0, so the
-    zeroed node array is already consistent).  ``diff`` is correct unless
-    a hash collision hides a genuine difference: in a tree of m letters,
-    probability at most m log m / p per call.  In a word tree over m bits
-    it is below m log m / 2**80, since a node pair of l bits collides with
-    probability below l / 2**80 and each level's pairs cover m bits.
+    Letters are integers in [0, ctx.p), so every integer below 2**80 is
+    one.  A fresh tree represents the all-zero string (every subtree hash
+    of a zero string is 0, so the zeroed node array is already
+    consistent).  ``diff`` is correct unless a hash collision hides a
+    genuine difference.  It compares hashes on fewer than log m levels of
+    a tree of m leaves, whose node pairs cover at most m leaves per level,
+    so by the bound in ``hashing`` it fails with probability below
+    m log m / 2**80 per call; in a word tree, whose windows may exceed p,
+    add m * 2**-71.5.
     """
 
     def __init__(self, n: int, ctx: HashContext):
@@ -32,13 +33,6 @@ class HashedShiftTree(ShiftTree):
         if ctx.max_len < self.size:
             raise ValueError("hash context too short for this tree")
         self.ctx = ctx
-
-    def _pack(self, q: int) -> None:
-        ctx = self.ctx
-        if ctx.r != pow(2, 1 << q, ctx.p):
-            raise ValueError(f"hash context is not a fingerprint context "
-                             f"for {1 << q}-bit windows")
-        super()._pack(q)
 
     def _check(self, letters) -> None:
         # a float would hash mod p and collapse onto an integer's hash

@@ -1,25 +1,24 @@
-"""Polynomial string hashing over a prime field.
+"""Polynomial string hashing modulo a random prime.
 
 A string of integer letters maps to sum(s[i] * r**i) mod p.  Hashes of
 adjacent substrings combine in O(1), h(u + v) = h(u) + h(v) * r**len(u),
 which is what lets a tree node derive its hash from its children.
 
-Contexts come in two forms that share this rule.  In the polynomial form
-p = 2**61 - 1 and r is random: two distinct equal-length strings collide
-with probability at most len/p over the choice of r.  The fingerprint form
-is Karp and Rabin's: for a 0/1 string packed w bits per letter, r = 2**w
-mod p, so a string's hash is its value as an integer (letter i holds bits
-w*i, ...) mod p, and p is a random prime in [2**80, 2**81).  A letter may
-then be any width.  Two distinct strings of l bits collide with
-probability below l / 2**80 over the choice of p: their values differ by
-a nonzero integer below 2**l, which has fewer than l/80 prime factors
-at or above 2**80, and there are more than 2**80 / 57 primes to choose
-from.
+A context draws p uniformly from the primes in [2**80, 2**81) and r
+uniformly from [0, p).  A letter may be any non-negative integer below
+2**512: a word tree's 512-bit window may exceed p.  Two unequal strings
+u != u' of l letters collide only through one of two events:
+
+- p divides w - w', the nonzero difference of the letters at the first
+  position where u and u' differ.  It is below 2**512 in size, so it has
+  at most 6 prime factors >= 2**80, and there are more than 2**80 / 57
+  primes to choose from (Dusart's bounds on pi(x)): probability below
+  2**-71.5.  Letters below p never differ by a multiple of p.
+- Otherwise the difference polynomial is nonzero over F_p, of degree
+  below l, and vanishes at r with probability below l / 2**80.
 """
 
 import random
-
-MERSENNE_61 = (1 << 61) - 1
 
 # the prime bases a Miller-Rabin test uses to be exact below 2**81
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -39,7 +38,7 @@ class HashContext:
 
     __slots__ = ("p", "r", "max_len", "squares")
 
-    def __init__(self, max_len: int, r: int, p: int = MERSENNE_61):
+    def __init__(self, max_len: int, r: int, p: int):
         if max_len < 1:
             raise ValueError("max_len must be >= 1")
         if not 0 <= r < p:
@@ -77,20 +76,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def make_context(max_len: int, seed: int | None = None,
-                 window: int | None = None) -> HashContext:
-    """Context for strings of up to ``max_len`` letters, drawn by ``seed``.
-
-    Without ``window``, the polynomial form: p = 2**61 - 1 and r uniform
-    in [0, p).  With it, the fingerprint form for 0/1 strings packed
-    ``window`` bits per letter: p uniform among the primes in
-    [2**80, 2**81), by rejection sampling, and r = 2**window mod p.
-    """
+def make_context(max_len: int, seed: int | None = None) -> HashContext:
+    """Context for strings of up to ``max_len`` letters, drawn by ``seed``:
+    p uniform among the primes in [2**80, 2**81), by rejection sampling,
+    then r uniform in [0, p)."""
     rng = random.Random(seed)
-    if window is None:
-        return HashContext(max_len, rng.randrange(MERSENNE_61))
     while True:
         # every prime in range is odd, so odd candidates keep p uniform
         p = rng.randrange(1 << 80, 1 << 81) | 1
         if _is_prime(p):
-            return HashContext(max_len, pow(2, window, p), p)
+            return HashContext(max_len, rng.randrange(p), p)

@@ -32,16 +32,16 @@ absent residues keep the 0 a fresh tree starts with.  Both trees are word
 trees (``ShiftTree.packed``): the 0/1 string sits in L/512 windows of 512
 bits (one window of L bits when L < 512), so the trees are nine levels
 shallower than trees of letters, and a fresh one already holds the zero
-string.  Their diff stops at the leaves.  The hashed backend fingerprints
-each node's bits modulo a random 81-bit prime drawn from ``seed``.
+string.  Their diff stops at the leaves.  The hashed backend hashes the
+windows modulo a random 81-bit prime at a random point, both drawn from
+``seed``.
 """
 
-from itertools import compress
+from itertools import compress, repeat
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
-from .shift_tree import _WORD
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -54,29 +54,37 @@ _REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 class HashCollisionError(RuntimeError):
     """The hashed backend reported an inconsistent difference set.
 
-    The trees fingerprint each node's bits modulo p, a random prime in
-    [2**80, 2**81): two distinct strings of l bits collide with probability
-    below l / 2**80 over the choice of p, so one diff misses a difference
-    with probability below L log L / 2**80 (below 1e-16 at every modulus
-    the CLI accepts).  The check runs once per visited value, on its one
-    diff: the reported positions must split evenly into new sums and the
-    old sums they rotated in from.  A collision that hides a balanced set
-    of differences, as many new sums as old ones, passes unseen and leaves
-    those sums (and their orbit under the value's later copies) out of the
-    result.
+    The trees hash their L/512 windows modulo p, a random prime in
+    [2**80, 2**81), at a random point r in [0, p): by the bound in
+    ``HashedShiftTree``, one diff misses a difference with probability
+    below (L/512) (log L + 2**8.5) / 2**80 < L / 2**80 (below 1e-16 at
+    every modulus the CLI accepts).  The check runs once per visited
+    value, on its one diff: the reported positions must split evenly into
+    new sums and the old sums they rotated in from.  A collision that
+    hides a balanced set of differences, as many new sums as old ones,
+    passes unseen and leaves those sums (and their orbit under the value's
+    later copies) out of the result.
     """
 
 
+def _check_modulus(m) -> None:
+    if not (isinstance(m, int) and m >= 1):
+        raise ValueError(f"modulus must be an integer >= 1, got {m!r}")
+
+
 class Instance(SimpleNamespace):
-    """A multiset of residues: mult[x] copies of each x in [0, m)."""
+    """A multiset of residues: mult[x] copies of each x in [0, m).  The
+    modulus, the multiplicities and ``from_pairs``' values are integers (a
+    bool passes), checked before any table is built."""
 
     def __init__(self, m: int, mult: list[int]):
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
+        _check_modulus(m)
         if len(mult) != m:
             raise ValueError(
                 f"multiplicity table has {len(mult)} entries, expected {m}")
-        if any(c < 0 for c in mult):
+        if not all(map(isinstance, mult, repeat(int))):
+            raise ValueError("multiplicities must be integers")
+        if min(mult) < 0:
             raise ValueError("multiplicities must be >= 0")
         super().__init__(m=m, mult=mult)
 
@@ -88,10 +96,12 @@ class Instance(SimpleNamespace):
     def from_pairs(cls, m: int, pairs) -> "Instance":
         """Build from (value, multiplicity) pairs; values reduce mod m and
         multiplicities of equal residues accumulate."""
-        if m < 1:
-            raise ValueError(f"modulus must be >= 1, got {m}")
+        _check_modulus(m)
         mult = [0] * m
         for value, count in pairs:
+            if not (isinstance(value, int) and isinstance(count, int)):
+                raise ValueError(f"value {value!r} and multiplicity "
+                                 f"{count!r} must be integers")
             if count < 0:
                 raise ValueError(f"negative multiplicity for value {value}")
             mult[value % m] += count
@@ -186,7 +196,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                      seed: int | None = None) -> SolveResult:
     """Solve and report operation counters.
 
-    ``seed`` feeds the hashed backend's hash prime and is ignored otherwise.
+    ``seed`` draws the hashed backend's hash prime and point and is ignored
+    otherwise.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -199,11 +210,9 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     width = (2 * m - 1).bit_length()  # smallest width with 2**width >= 2m
     L = 1 << width
 
-    # both word trees share one hash context or one tag store; a hash
-    # context covers one letter per window
+    # both word trees share one hash context or one tag store
     if backend == "hashed":
-        tree = HashedShiftTree
-        shared = make_context(max(L // _WORD, 1), seed, min(L, _WORD))
+        tree, shared = HashedShiftTree, make_context(L, seed)
     else:
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree.packed(width, shared), tree.packed(width, shared)

@@ -320,15 +320,18 @@ def test_randomized_model_stress_with_audits():
     # naive position-wise comparison within the visit budget.  A batched
     # write, made after a shift of a random valuation, must leave the same
     # nodes as point sets and update each distinct inner ancestor once.
+    # The last 200 trials write four letters drawn from [2**61, 2**80).
     rng = Random(2024)
-    for trial in range(1000):
+    for trial in range(1200):
+        alphabet = range(4) if trial < 1000 else [
+            rng.randrange(1 << 61, 1 << 80) for _ in range(4)]
         n = rng.choice([1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 6, 7, 8, 9, 10])
         size = 1 << n
         ctx = make_context(size, seed=trial)
         trees = []
         models = []
         for _ in range(2):
-            s = [rng.randrange(4) for _ in range(size)]
+            s = [rng.choice(alphabet) for _ in range(size)]
             t = HashedShiftTree(n, ctx)
             t.init(s)
             trees.append(t)
@@ -337,7 +340,7 @@ def test_randomized_model_stress_with_audits():
             w = rng.randrange(2)
             roll = rng.random()
             if roll < 0.4:
-                pos, x = rng.randrange(size), rng.randrange(4)
+                pos, x = rng.randrange(size), rng.choice(alphabet)
                 trees[w].set(pos, x)
                 models[w][pos] = x
             elif roll < 0.8:
@@ -348,7 +351,7 @@ def test_randomized_model_stress_with_audits():
                 k = (2 * rng.randrange(size) + 1) << rng.randrange(n)
                 trees[w].shift(k)
                 models[w] = rotate_right(models[w], k)
-                positions, x = batch_write(rng, size), rng.randrange(4)
+                positions, x = batch_write(rng, size), rng.choice(alphabet)
                 twin = HashedShiftTree(n, ctx)
                 twin.nodes = list(trees[w].nodes)
                 twin.topo.delta = trees[w].topo.delta

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from shifttree import MERSENNE_61, HashContext, make_context
+from shifttree import HashContext, make_context
 from shifttree.hashing import _is_prime
 
 from helpers import hash_string
@@ -11,9 +11,6 @@ from helpers import hash_string
 
 def test_make_context_basics():
     # one square per power of two <= max_len
-    ctx = make_context(8, seed=42)
-    assert ctx.p == MERSENNE_61
-    assert 0 <= ctx.r < ctx.p
     for max_len in (1, 2, 3, 7, 8, 9, 1000, 1 << 16, (1 << 16) + 1):
         squares = make_context(max_len, seed=42).squares
         assert len(squares) == max_len.bit_length(), max_len
@@ -34,9 +31,9 @@ def test_validation():
     with pytest.raises(ValueError):
         make_context(0, seed=1)
     with pytest.raises(ValueError):
-        HashContext(4, r=-1)
+        HashContext(4, r=-1, p=101)
     with pytest.raises(ValueError):
-        HashContext(4, r=MERSENNE_61)
+        HashContext(4, r=101, p=101)
     with pytest.raises(ValueError):
         HashContext(4, r=200, p=101)
 
@@ -104,8 +101,20 @@ def test_three_way_split_associativity(s1, s2, s3):
     assert left_first == right_first == hash_string(ctx, s1 + s2 + s3)
 
 
+def tree_hash(ctx, letters) -> int:
+    """The root hash a tree over ``letters`` (a power-of-two count) holds:
+    leaves exact, each parent (left + right * r**leaves(left)) % p."""
+    level, j = list(letters), 0
+    while len(level) > 1:
+        level = [(x + y * ctx.squares[j]) % ctx.p
+                 for x, y in zip(level[::2], level[1::2])]
+        j += 1
+    return level[0]
+
+
 def test_no_collisions_among_random_distinct_pairs():
-    # Expected collisions over 10^4 pairs at p = 2^61 - 1: ~ 10^-13.
+    # Expected collisions over 10^4 pairs of up to 64 letters below p:
+    # below 10^4 * 64 / 2^80 ~ 10^-18.
     ctx = make_context(64, seed=23)
     rng = Random(23)
     for _ in range(10_000):
@@ -115,6 +124,18 @@ def test_no_collisions_among_random_distinct_pairs():
         if s1 == s2:
             s2[rng.randrange(length)] ^= 1
         assert hash_string(ctx, s1) != hash_string(ctx, s2)
+    # strings of 512-bit windows, as a word tree holds them, most of them
+    # p or more: below 2^-71.5 + 16 / 2^80 per pair
+    big = 0
+    for _ in range(2_000):
+        length = 1 << rng.randrange(5)
+        s1 = [rng.getrandbits(512) for _ in range(length)]
+        s2 = list(s1)
+        for i in rng.sample(range(length), rng.randint(1, length)):
+            s2[i] = rng.choice([rng.getrandbits(512), s1[i] ^ 1])
+        big += max(s1 + s2) >= ctx.p
+        assert tree_hash(ctx, s1) != tree_hash(ctx, s2)
+    assert big > 1_000
 
 
 def strong_probable_prime(n: int, b: int) -> bool:
@@ -136,7 +157,7 @@ def test_is_prime_matches_trial_division():
     for n in range(-2, 5000):
         want = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
         assert _is_prime(n) == want, n
-    for p in (MERSENNE_61, (1 << 89) - 1, (1 << 80) + 13):
+    for p in ((1 << 61) - 1, (1 << 89) - 1, (1 << 80) + 13):
         assert _is_prime(p), p
     assert not _is_prime(((1 << 40) + 15) * ((1 << 40) + 61))
 
@@ -157,21 +178,22 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 
 def test_fingerprint_context():
-    # p is an 81-bit prime drawn by the seed, and r = 2**window mod p
+    # p is an 81-bit prime and r a point in [0, p), both drawn by the
+    # seed: the same seed gives the same pair, different seeds different
+    # primes
     primes = set()
     for seed in range(20):
-        ctx = make_context(16, seed, 512)
+        ctx = make_context(16, seed)
         assert 1 << 80 <= ctx.p < 1 << 81 and _is_prime(ctx.p), seed
-        assert ctx.r == pow(2, 512, ctx.p)
-        assert make_context(16, seed, 512).p == ctx.p
-        assert make_context(16, seed, 64).p == ctx.p
+        assert 0 <= ctx.r < ctx.p
+        same = make_context(16, seed)
+        assert (same.p, same.r) == (ctx.p, ctx.r)
         primes.add(ctx.p)
     assert len(primes) == 20
-    # the hash of a string of 512-bit letters is its value mod p, with
-    # letters above p
+    # a string of 512-bit letters, most of them above p, hashes under the
+    # tree's rule as its letters reduced mod p do
     rng = Random(3)
-    ctx = make_context(8, 4, 512)
+    ctx = make_context(8, 4)
     windows = [rng.getrandbits(512) | 1 << 511 for _ in range(8)]
-    value = sum(w << (512 * i) for i, w in enumerate(windows))
-    h = sum(w * pow(ctx.r, i, ctx.p) for i, w in enumerate(windows)) % ctx.p
-    assert h == value % ctx.p
+    assert tree_hash(ctx, windows) == hash_string(
+        ctx, [w % ctx.p for w in windows])

@@ -44,6 +44,23 @@ def test_instance_validation():
         Instance.from_pairs(5, [(2, -1)])
 
 
+def test_instance_rejects_non_integers():
+    # a float modulus, multiplicity or value used to construct and fail
+    # later inside a backend with a TypeError; each is refused up front,
+    # and a bool passes as an integer
+    for m, mult in ((5, [0, 1.5, 0, 0, 0]), (5, [0, 1.0, 0, 0, 0]),
+                    (5.0, [0] * 5), (5, [0, None, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            Instance(m, mult)
+    for m, pairs in ((5, [(1.0, 1)]), (5, [(1, 1.0)]), (5.0, [(1, 1)]),
+                     (5, [(1, 2), ("1", 1)])):
+        with pytest.raises(ValueError):
+            Instance.from_pairs(m, pairs)
+    assert Instance(2, [True, 1]).mult == [True, 1]
+    assert Instance.from_pairs(True, [(True, True)]).mult == [1]
+    assert solve(Instance.from_pairs(4, [(True, 2)])).ascending() == [0, 1, 2]
+
+
 def test_records_round_trip():
     inst = Instance.from_pairs(12, [(3, 2), (8, 1), (10, 1)])
     assert Instance(m=12, mult=list(inst.mult)) == inst

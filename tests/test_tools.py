@@ -132,3 +132,46 @@ def test_ab_time_times_a_benchmark_workload(monkeypatch):
          "--workload", "dense", "--sizes", "256"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 2 and "not allowed with" in done.stderr
+
+
+SRC_LINES_SAMPLE = '''"""Module docstring
+over two lines."""
+
+# a comment line
+import os  # a line with a trailing comment is code
+
+
+class Box:
+    """Class docstring."""
+
+    size = 1
+
+    def text(self):
+        """Function
+        docstring."""
+        # a comment line
+        return """a string
+that is no docstring"""
+'''
+
+
+def test_src_lines_counts_code_lines(tmp_path):
+    # code lines: import, class, size, def and the two lines of the
+    # returned string; docstrings, comment lines and blank lines are not
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    assert src_lines.count(SRC_LINES_SAMPLE) == (18, 6)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "box.py").write_text(SRC_LINES_SAMPLE)
+    (tmp_path / "empty.py").write_text("")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "     0      0  empty.py",
+        "    18      6  pkg/box.py",
+        "    18      6  total",
+    ]

@@ -12,7 +12,8 @@ from shifttree import (
     make_context,
 )
 
-from helpers import batch_write, naive_diff, node_string, rotate_right
+from helpers import (
+    batch_write, hash_string, naive_diff, node_string, rotate_right)
 
 from test_tagged_tree import audit_tag_equivalences
 
@@ -22,9 +23,7 @@ BACKENDS = ("hashed", "tagged")
 def word_trees(backend, width, seed=0):
     """Two fresh word trees over one hash context or one tag store."""
     if backend == "hashed":
-        cls = HashedShiftTree
-        shared = make_context(max((1 << width) >> 9, 1), seed,
-                              min(1 << width, 512))
+        cls, shared = HashedShiftTree, make_context(1 << width, seed)
     else:
         cls, shared = TaggedShiftTree, TagStore()
     return [cls.packed(width, shared) for _ in range(2)], shared
@@ -32,8 +31,8 @@ def word_trees(backend, width, seed=0):
 
 def audit(trees, shared) -> bool:
     """Every window holds exactly min(512, L) bits; every hashed summary is
-    the value of the bits under it mod p; every tag is exact.  Returns
-    whether some window is p or more."""
+    the hash of the windows under it, each reduced mod p; every tag is
+    exact.  Returns whether some window is p or more."""
     big = False
     for tree in trees:
         bits = 1 << tree.q
@@ -43,9 +42,9 @@ def audit(trees, shared) -> bool:
             continue
         big |= max(leaves) >= shared.p
         for i in range(1, tree.size):
-            value = sum(w << (bits * c)
-                        for c, w in enumerate(node_string(tree, i)))
-            assert tree.nodes[i] == value % shared.p
+            windows = node_string(tree, i)
+            assert tree.nodes[i] == hash_string(
+                shared, [w % shared.p for w in windows])
     if isinstance(shared, TagStore):
         audit_tag_equivalences(shared, trees)
     return big
@@ -196,17 +195,22 @@ def test_word_tree_validation(backend):
         tree.diff(cls(tree.n, shared), 0, 1)
 
 
-def test_hashed_word_tree_needs_a_fingerprint_context():
-    # a polynomial context over 2**61 - 1 with a random point is refused
-    # at every window width, and so is a fingerprint context for another
-    # window width; the fingerprint context for the tree's width is taken
-    for width in (3, 9, 12):
-        bits = min(1 << width, 512)
-        for seed in range(5):
-            with pytest.raises(ValueError):
-                HashedShiftTree.packed(width, make_context(8, seed))
-            with pytest.raises(ValueError):
-                HashedShiftTree.packed(width, make_context(8, seed, bits // 2))
-            ctx = make_context(8, seed, bits)
-            tree = HashedShiftTree.packed(width, ctx)
-            assert tree.q == min(width, 9) and ctx.r == pow(2, bits, ctx.p)
+def test_one_context_serves_every_window_width():
+    # one context serves word trees of one 8-bit window, one 512-bit
+    # window and eight 512-bit windows, and their diffs and hashes stay
+    # exact; a context
+    # with too few squares for the leaf count is still refused
+    for seed in range(5):
+        ctx = make_context(8, seed)
+        for width in (3, 9, 12):
+            a, b = (HashedShiftTree.packed(width, ctx) for _ in range(2))
+            assert a.q == min(width, 9)
+            a.set_many(range(0, 1 << width, 5), 1)
+            b.set_many(range(0, 1 << width, 7), 1)
+            b.shift(3)
+            want = naive_diff(a.materialize(), b.materialize(),
+                              0, (1 << width) - 1)
+            assert a.diff(b, 0, (1 << width) - 1) == want
+            audit([a, b], ctx)
+        with pytest.raises(ValueError):
+            HashedShiftTree.packed(13, ctx)  # 16 leaves
