@@ -14,10 +14,9 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
 # Largest modulus (and --bench size) accepted.  A solve holds under 0.6 kB
-# per residue (peak RSS growth on a dense instance: 182 bytes on both
-# backends at m = 2**16, 192 hashed and 193 tagged at m = 2**20), so this
-# keeps one solve under 1 GB; larger inputs are refused before any table is
-# allocated.
+# per residue (peak RSS growth on a dense instance, seed 1: 82 bytes on
+# both backends at m = 2**16, 83 at m = 2**20), so this keeps one solve
+# under 1 GB; larger inputs are refused before any table is allocated.
 MAX_MODULUS = 1 << 20
 
 

@@ -15,7 +15,10 @@ c's window is string position 512c + i, so the tree has nine levels fewer
 and a diff stops at its leaves.  Its rotation delta = 512*D + r moves the
 word tree by D, and the windows tile the unrotated bit string at offset r;
 a shift that changes r re-tiles every window, then refreshes the whole
-tree.  The variants see windows as letters.
+tree.  The variants see windows as letters.  A word tree also reads and
+writes whole windows: ``diff_windows`` reports each differing window with
+both trees' bits, and ``set_bits`` writes the set bits of ``(start,
+bits)`` spans; every word-tree write goes through it.
 """
 
 from itertools import compress, repeat
@@ -36,6 +39,9 @@ _WORD = 512
 # and the diff walk to settle a uniform node only against a uniform one.
 _MIXED = object()
 
+# _ONE maps the digits "0" and "1" of bin() to the bytes 0 and 1
+_ONE = bytes.maketrans(b"01", b"\0\1")
+
 
 def _check_bit(x) -> None:
     if not (isinstance(x, int) and 0 <= x <= 1):
@@ -49,6 +55,25 @@ def _check_bits(letters) -> None:
     _check_bit(max(letters))
 
 
+def bit_positions(windows, q: int) -> list[int]:
+    """The positions c * 2**q + i of the set bits i of ``(c, bits)``
+    windows, window by window, lowest first; O(1) per position."""
+    out: list[int] = []
+    for c, w in windows:
+        base = c << q
+        if w.bit_count() > 64:
+            # a dense window: one C pass over all its bits, as bytes 0/1,
+            # beats a Python step per set bit
+            out += compress(range(base, base + (1 << q)),
+                            bin(w)[:1:-1].encode().translate(_ONE))
+            continue
+        while w:
+            low = w & -w
+            out.append(base + low.bit_length() - 1)
+            w ^= low
+    return out
+
+
 class ShiftTree:
     """A string under point writes, cyclic rotations and difference
     listing against another tree of the same variant.
@@ -57,9 +82,11 @@ class ShiftTree:
     ``set_many`` O(b log m) for b positions; ``shift(k)`` O(m / 2**j)
     where 2**j is the largest power of two dividing k (in a word tree,
     O(m / 512) for j < 9); ``diff`` O((d+1) log m) for d reported
-    differences.  A fresh tree of letters holds ``size`` copies of
-    ``letter``, which its inner nodes must already summarise; a fresh word
-    tree holds the all-zero string.
+    differences.  A word tree adds ``diff_windows`` O((w+1) log m) for w
+    reported windows, and ``set_bits`` O(s + b/512 + w log m) for s spans
+    of b bits in all that write w windows.  A fresh tree of letters holds
+    ``size`` copies of ``letter``, which its inner nodes must already
+    summarise; a fresh word tree holds the all-zero string.
 
     Every operation is shared; a variant is a node refresh, a letter check
     and a node-equality hook for the one diff walk.
@@ -72,9 +99,10 @@ class ShiftTree:
         # index 0 unused; summaries at [1, size), letters at [size, 2*size)
         self.nodes = [letter] * (2 * self.size)
         # log2 of the positions a leaf holds and the offset at which the
-        # leaves tile the unrotated string: both 0 in a tree of letters
-        self.q = 0
-        self.r = 0
+        # leaves tile the unrotated string: both 0 in a tree of letters,
+        # and q is 0 in a word tree of one position too, so ``word`` tells
+        self.q = self.r = 0
+        self.word = False
         self.length = self.size
         self.update_calls = 0
         self.diff_visits = 0
@@ -92,7 +120,7 @@ class ShiftTree:
     def _pack(self, q: int) -> None:
         """Turn this fresh tree into a word tree with 2**q positions per
         leaf; a variant extends it with what its summaries need."""
-        self.q = q
+        self.q, self.word = q, True
         self.length = self.size << q
         self.nodes = [0] * (2 * self.size)  # zero windows, zero summaries
         # a word tree's letters are bits, whatever the variant's alphabet
@@ -137,7 +165,7 @@ class ShiftTree:
 
     def set(self, pos: int, x) -> None:
         """Overwrite the letter at string position ``pos``."""
-        if self.q:
+        if self.word:
             self.set_many((pos,), x)
             return
         self._check_letter(x)
@@ -164,24 +192,50 @@ class ShiftTree:
             if not 0 <= pos < self.length:
                 raise ValueError(f"position {pos!r} is not an integer in "
                                  f"[0, {self.length})")
+        if self.word:
+            return self.set_bits(zip(positions, repeat(1)), x)
         delta = self.topo.delta
         size = self.size
         nodes = self.nodes
-        q = self.q
-        if q:
-            low = (1 << q) - 1
-            slots = [((pos >> q) - delta) % size + size for pos in positions]
-            if x:
-                for j, pos in zip(slots, positions):
-                    nodes[j] |= 1 << (pos & low)
-            else:
-                for j, pos in zip(slots, positions):
-                    nodes[j] &= ~(1 << (pos & low))
-        else:
-            slots = {(pos - delta) % size + size for pos in positions}
-            for j in slots:
-                nodes[j] = x
+        slots = {(pos - delta) % size + size for pos in positions}
+        for j in slots:
+            nodes[j] = x
         self._refresh(self.n, slots)
+
+    def set_bits(self, spans, x) -> None:
+        """Write bit ``x`` of a word tree at position (start + i) mod
+        ``length`` for every set bit i of each ``(start, bits)`` span, where
+        start and bits >= 0 are integers; the spans may be any iterable.
+        Each window is written once, then the ancestors of the distinct
+        dirty leaves are refreshed once: O(w log m) for w windows written,
+        plus a step per span and per 512 bits of it."""
+        if not self.word:
+            raise ValueError("set_bits needs a word tree")
+        self._check_letter(x)
+        q, size, delta = self.q, self.size, self.topo.delta
+        step, full = 1 << q, (1 << (1 << q)) - 1
+        windows: dict[int, int] = {}    # leaf slot -> bits to write there
+        get = windows.get
+        try:  # every check runs before anything is written
+            for start, bits in spans:
+                if bits < 0:
+                    raise ValueError(f"span bits {bits} are negative")
+                j = ((start >> q) - delta) % size + size
+                bits <<= start % step
+                while bits > full:      # the span runs into the next window
+                    w = bits & full
+                    if w:
+                        windows[j] = get(j, 0) | w
+                    bits >>= step
+                    j = j + 1 if j + 1 < 2 * size else size
+                if bits:
+                    windows[j] = get(j, 0) | bits
+        except TypeError as err:
+            raise ValueError("span starts and bits must be integers") from err
+        nodes = self.nodes
+        for j, w in windows.items():
+            nodes[j] = nodes[j] | w if x else nodes[j] & ~w
+        self._refresh(self.n, windows.keys())
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
@@ -229,25 +283,45 @@ class ShiftTree:
         depth and leaf width that ``_equality`` accepts.  The walk descends
         through unsettled node pairs down to blocks: in a tree of letters,
         nodes of 64 positions (the whole string, if shorter), whose letters
-        it compares in one pass; in a word tree, the leaves, whose two
-        windows it compares with one XOR."""
-        if other.n != self.n or other.q != self.q:
+        it compares in one pass; in a word tree, the leaves, whose windows
+        ``diff_windows`` reports and this expands bit by bit."""
+        out = self._walk(other, a, b)
+        if self.word:  # a word tree's walk reports windows: expand them
+            out = bit_positions(
+                [(c, own ^ theirs) for c, own, theirs in out], self.q)
+        return out
+
+    def diff_windows(self, other: "ShiftTree", a: int,
+                     b: int) -> list[tuple[int, int, int]]:
+        """``diff`` of two word trees by window: ``(c, own, theirs)`` for
+        each window c (string positions c * 2**q on, with 2**q =
+        min(512, length)) that differs within [a, b], in ascending order,
+        with both trees' bits of that window masked to [a, b].
+        O((w+1) log m) for w windows reported."""
+        if not self.word:
+            raise ValueError("diff_windows needs word trees")
+        return self._walk(other, a, b)
+
+    def _walk(self, other: "ShiftTree", a: int, b: int) -> list:
+        """The one diff walk: differing positions of a tree of letters, or
+        differing windows of a word tree, in [a, b]."""
+        if (other.n, other.q, other.word) != (self.n, self.q, self.word):
             raise ValueError("trees must have equal depth and leaf width")
         if not (isinstance(a, int) and isinstance(b, int)
                 and 0 <= a <= b < self.length):
             raise ValueError(f"bad interval [{a}, {b}] for length "
                              f"{self.length}")
         t_keys, q_keys, find, union = self._equality(other)
-        out: list[int] = []
+        out: list = []
         n = self.n
-        q = self.q
+        q, word = self.q, self.word
         t_nodes = self.nodes
         q_nodes = other.nodes
         t_delta = self.topo.delta
         q_delta = other.topo.delta
         t_letters = self.topo.letters
         q_letters = other.topo.letters
-        block = 1 << q if q else _BLOCK
+        block = 1 << q if word else _BLOCK
         visits = 0
 
         def walk(i: int, j: int, x: int, y: int) -> None:
@@ -264,14 +338,12 @@ class ShiftTree:
             if y - x < block:
                 lo = a if x < a else x
                 hi = b if b < y else y
-                if q:
-                    # two leaf windows: the set bits of their XOR within
-                    # [a, b], lowest first; a window is never mixed
-                    d = (e ^ q_nodes[j]) >> (lo - x) & ((2 << (hi - lo)) - 1)
-                    while d:
-                        low = d & -d
-                        out.append(lo + low.bit_length() - 1)
-                        d ^= low
+                if word:
+                    # two leaf windows, masked to [a, b]; a window is never
+                    # mixed
+                    mask = ((2 << (hi - lo)) - 1) << (lo - x)
+                    if e & mask != q_nodes[j] & mask:
+                        out.append((x >> q, e & mask, q_nodes[j] & mask))
                     return
                 # a leaf block: compare its letters within [a, b] at C level
                 out.extend(compress(range(lo, hi + 1), map(

@@ -12,9 +12,9 @@ and the first part already lies in S_(i-1), so
 
     New_i = (New_(i-1) + x) \\ S_(i-1):
 
-the later copies follow the orbit of the first copy's new sums under +x,
-at O(|New_(i-1)|) list work each, until a copy adds nothing.  All the new
-sums of one value then reach each tree in one batched write.
+the later copies follow the orbit of the first copy's new sums under +x
+until a copy adds nothing.  All the new sums of one value then reach each
+tree in one span write.
 
 Only the values x present in the instance are visited, in bit-reversed
 order, and the rotated tree moves from one to the next by the net delta.
@@ -35,6 +35,27 @@ shallower than trees of letters, and a fresh one already holds the zero
 string.  Their diff stops at the leaves.  The hashed backend hashes the
 windows modulo a random 81-bit prime at a random point, both drawn from
 ``seed``.
+
+The solver works on windows end to end, never on single sums:
+
+- S is a list of L/512 windows (ints of 512 bits) that mirrors the first
+  tree's string.
+- A value's one diff, ``diff_windows``, reports each window c in which the
+  two strings differ as ``(c, own, theirs)``.  The new sums there are
+  ``theirs & ~own``, and the balance check compares popcounts.
+- A later copy steps each ``(window, new sums)`` pair by x mod m: the bits
+  move into one or two windows, and those that pass m wrap to 0.  The
+  pairs that land in one window merge, and S masks them.
+- A value's new sums gather per window, so each tree gets one
+  ``set_bits`` call per productive value with O(windows) spans: window c
+  at 512c in the first tree, and at 512c + x and 512c + x - m in the
+  second.
+- ``SumSet`` is built once, at the end, from S's windows, in ascending
+  order.
+
+A value's diff and each of its later copies thus cost O(windows they
+report or add + 1), besides the value's shift and the refresh of the
+windows it writes, and never O(m).
 """
 
 from itertools import compress, repeat
@@ -42,6 +63,7 @@ from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
+from .shift_tree import bit_positions
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -59,8 +81,10 @@ class HashCollisionError(RuntimeError):
     ``HashedShiftTree``, one diff misses a difference with probability
     below (L/512) (log L + 2**8.5) / 2**80 < L / 2**80 (below 1e-16 at
     every modulus the CLI accepts).  The check runs once per visited
-    value, on its one diff: the reported positions must split evenly into
-    new sums and the old sums they rotated in from.  A collision that
+    value, on its one diff: the popcount of each reported window's
+    ``own ^ theirs``, summed, must be twice that of its new sums
+    ``theirs & ~own``, since every new sum pairs with the old sum it
+    rotated in from.  A collision that
     hides a balanced set of differences, as many new sums as old ones,
     passes unseen and leaves those sums (and their orbit under the value's
     later copies) out of the result.
@@ -114,14 +138,17 @@ class Instance(SimpleNamespace):
 class SumSet:
     """Attainable residues: a membership bitmap plus insertion order.
 
-    0 is always attainable (the empty subset).
+    0 is always attainable (the empty subset).  ``order`` lists distinct
+    residues in [0, m), 0 among them, in the order they were found; the
+    tree backends find them in ascending order.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, order=(0,)):
         self.m = m
         self.member = [False] * m
-        self.member[0] = True
-        self.order = [0]
+        self.order = list(order)
+        for d in self.order:
+            self.member[d] = True
 
     def add(self, d: int) -> None:
         if not self.member[d]:
@@ -206,7 +233,6 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         return SolveResult(sums=solve_naive(inst, stats), stats=stats)
 
     m = inst.m
-    sums = SumSet(m)
     width = (2 * m - 1).bit_length()  # smallest width with 2**width >= 2m
     L = 1 << width
 
@@ -219,51 +245,73 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     t1.set_many((0,), 1)              # S = {0}, padded with the fresh zeros
     t2.set_many((0, L - m), 1)        # two copies of it around the gap
 
-    member = sums.member
-    mult = inst.mult
+    q = t1.q
+    step, full = 1 << q, (1 << (1 << q)) - 1
+    s = [0] * (L >> q)                  # S's windows, as t1 holds them
+    s[0] = count = 1
     # x's little-endian bytes, each bit-reversed, are x bit-reversed over
-    # a whole number of bytes: they sort in the bit-reversed order
+    # a whole number of bytes: they sort in the bit-reversed order, with
+    # x = 0 (which adds nothing) first if present
     nb = (width + 7) >> 3
-    present = sorted(compress(range(1, m), mult[1:]),
-                     key=lambda x: x.to_bytes(nb, "little").translate(_REV))
+    present = sorted(compress(range(m), inst.mult), key=lambda x: x.to_bytes(
+        nb, "little").translate(_REV))[inst.mult[0] > 0:]
     at = 0                              # t2 holds the double string rotated by at
     for x in present:
         t2.shift(x - at)
         at = x
         stats.bellman_iterations += 1
-        diffs = t1.diff(t2, 0, m - 1)
-        stats.reported_differences += len(diffs)
-        new = [d for d in diffs if not member[d]]
-        if len(diffs) != 2 * len(new):
+        found = t1.diff_windows(t2, 0, m - 1)
+        reported = sum((own ^ theirs).bit_count() for _, own, theirs in found)
+        # (window, its new sums): set in the rotated copy, not yet in S
+        new = [(c, b) for c, own, theirs in found if (b := theirs & ~own)]
+        fresh = sum(bits.bit_count() for _, bits in new)
+        stats.reported_differences += reported
+        if reported != 2 * fresh:
             # each reported position must be a new sum or the old sum it
             # rotated in from; an imbalance means a difference was missed
             if backend == "hashed":
-                raise HashCollisionError(
-                    f"{len(diffs)} differences but {len(new)} new sums "
-                    f"at shift {x}")
+                raise HashCollisionError(f"{reported} differences but "
+                                         f"{fresh} new sums at shift {x}")
             raise AssertionError("tagged diff returned an unbalanced set")
-        for d in new:
-            sums.add(d)
-        added = list(new)
-        # each later copy's new sums follow exactly from the last copy's
-        for _ in range(mult[x] - 1):
-            new = [e for e in ((d + x) % m for d in new) if not member[e]]
-            if not new:
-                break                   # S is stable under +x
-            stats.bellman_iterations += 1
-            for d in new:
-                sums.add(d)
-            added += new
+        added: dict[int, int] = {}      # window -> the value's new sums
+        for copy in range(inst.mult[x]):
+            if copy:
+                # this copy's new sums follow exactly from the last copy's:
+                # its windows step by x, and the bits from m on wrap to 0
+                moved: dict[int, int] = {}
+                todo = [((c << q) + x, bits) for c, bits in new]
+                for p, bits in todo:    # (where bit 0 moved to, bits)
+                    if p + bits.bit_length() > m:
+                        # split off the bits from m on: their piece starts
+                        # at 0 or above and this loop places it later
+                        k = max(m - p, 0)
+                        todo.append((p + k - m, bits >> k))
+                        bits &= (1 << k) - 1
+                    c, bits = p >> q, bits << p % step
+                    moved[c] = moved.get(c, 0) | bits & full
+                    if bits > full:
+                        moved[c + 1] = moved.get(c + 1, 0) | bits >> step
+                new = [(c, b) for c, bits in moved.items()
+                       if (b := bits & ~s[c])]
+                if not new:
+                    break               # S is stable under +x
+                stats.bellman_iterations += 1
+            for c, bits in new:
+                s[c] |= bits
+                added[c] = added.get(c, 0) | bits
         if added:
-            t1.set_many(added, 1)
-            t2.set_many([(d + r) % L for d in added for r in (x, x - m)], 1)
-        if len(sums) == m:
+            count += sum(bits.bit_count() for bits in added.values())
+            t1.set_bits([(c << q, bits) for c, bits in added.items()], 1)
+            t2.set_bits([((c << q) + r, bits) for c, bits in added.items()
+                         for r in (x, x - m)], 1)
+        if count == m:
             break                       # every residue attainable
 
     stats.updates = t1.update_calls + t2.update_calls
     stats.diff_visits = t1.diff_visits + t2.diff_visits
     if backend == "tagged":
         stats.store_ops = shared.ops
+    sums = SumSet(m, bit_positions(compress(enumerate(s), s), q))
     return SolveResult(sums=sums, stats=stats)
 
 

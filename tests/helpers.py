@@ -125,3 +125,19 @@ def random_instance(rng: Random, m: int | None = None) -> Instance:
     if rng.random() < 0.3:
         mult[0] += rng.choice([1, m])  # zero-valued elements must be harmless
     return Instance(m, mult)
+
+
+def lying_diff_windows(real, last=False):
+    """``diff_windows`` that hides one difference: the lowest bit in which
+    the first reported window differs, or with ``last`` the highest bit in
+    which the last one differs, now matches on both sides."""
+    def diff_windows(self, other, a, b):
+        out = real(self, other, a, b)
+        if out:
+            i = -1 if last else 0
+            c, own, theirs = out[i]
+            d = own ^ theirs
+            bit = 1 << (d.bit_length() - 1) if last else d & -d
+            out[i] = (c, own & ~bit, theirs & ~bit)
+        return out
+    return diff_windows

@@ -6,6 +6,8 @@ from shifttree import HashedShiftTree
 from shifttree.cli import (MAX_MODULUS, bench_rows, dense_instance, main,
                            parse_instance)
 
+from helpers import lying_diff_windows
+
 
 def run_cli(argv, monkeypatch, capsys, stdin=""):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -143,13 +145,9 @@ def test_usage_error_is_exit_2():
 
 
 def test_collision_tripwire_is_exit_3(monkeypatch, capsys):
-    real_diff = HashedShiftTree.diff
-
-    def lying_diff(self, other, a, b):
-        out = real_diff(self, other, a, b)
-        return out[1:] if len(out) >= 2 else out
-
-    monkeypatch.setattr(HashedShiftTree, "diff", lying_diff)
+    # the lowest bit in which the first window differs now matches
+    monkeypatch.setattr(HashedShiftTree, "diff_windows", lying_diff_windows(
+        HashedShiftTree.diff_windows))
     code, _, err = run_cli(["--modulus", "6", "--backend", "hashed"],
                            monkeypatch, capsys, "2\n3\n")
     assert code == 3

@@ -21,8 +21,8 @@ from shifttree import (
 )
 from shifttree.cli import dense_instance
 
-from helpers import (EDGE_MODULI, naive_diff, random_instance, rotate_right,
-                     solver_visits)
+from helpers import (EDGE_MODULI, lying_diff_windows, naive_diff,
+                     random_instance, rotate_right, solver_visits)
 
 BACKENDS = ("hashed", "tagged", "naive")
 
@@ -359,36 +359,75 @@ def test_orbit_copies_match_oracle(backend):
                                      if c])
 
 
+def near_modulus(rng, m):
+    """Values at or close to m - 1, m - 511, m - 513 and 511, with many
+    copies, among others: the orbit of a copy then moves windows of new
+    sums across both m, where they wrap to 0, and a window edge."""
+    near = [m - 1, m - 2, m - 511, m - 513, 511, 513, m // 2 + 1]
+    yield Instance.from_pairs(m, [(m - 1, m)])
+    yield Instance.from_pairs(m, [(rng.choice(near) % m, rng.choice(
+        [2, 3, 9, m // 5 + 1])) for _ in range(3)])
+    yield Instance.from_pairs(m, [(rng.choice(near) % m, rng.randint(2, 6))
+                                  for _ in range(2)] + [
+        (rng.randrange(1, m), rng.randint(1, 3)) for _ in range(4)])
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_window_solver_matches_oracle_around_window_edges(backend):
+    # moduli one below, at and above a window of 512 and its multiples;
+    # the sums come back in ascending order
+    rng = Random(24)
+    for m in (511, 512, 513, 1000, 1025, 1537, 4097):
+        for inst in [*multiplicity_heavy(rng, m), *near_modulus(rng, m)]:
+            want = solve_naive(inst).ascending()
+            sums = solve(inst, backend=backend, seed=m)
+            assert list(sums) == sums.ascending() == want, (
+                m, [(x, c) for x, c in enumerate(inst.mult) if c])
+            wanted = set(want)
+            assert [int(b) for b in sums.member] == [
+                int(d in wanted) for d in range(m)]
+
+
 def tree_calls(monkeypatch, inst, backend):
-    """Solve ``inst`` and group the trees' ``diff`` and ``set_many`` calls
-    by visited value: for each value x in visit order, (x, the number of
-    diffs, the trees written by ``set_many`` in call order, 0 for the
-    first tree and 1 for the second).  The trees are numbered by their
-    first ``set_many``; the writes of S = {0}, before the first shift,
-    belong to no value."""
+    """Solve ``inst`` and group the trees' diffs and window writes by
+    visited value: for each value x in visit order, (x, the names of the
+    diff methods called, the trees written by ``set_bits`` in call order,
+    0 for the first tree and 1 for the second, and each write's bit and
+    spans).  Every word-tree write goes through ``set_bits``,
+    ``set_many``'s too.  The trees are numbered by their first write; the
+    writes of S = {0}, before the first shift, belong to no value."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_shift, real_diff, real_set_many = cls.shift, cls.diff, cls.set_many
+    real = {name: getattr(cls, name)
+            for name in ("shift", "diff", "diff_windows", "set_bits")}
     trees, values = [], []
 
     def shift(self, k):
-        values.append([(values[-1][0] if values else 0) + k, 0, []])
-        real_shift(self, k)
+        values.append([(values[-1][0] if values else 0) + k, [], [], []])
+        real["shift"](self, k)
 
     def diff(self, other, a, b):
-        values[-1][1] += 1
-        return real_diff(self, other, a, b)
+        values[-1][1].append("diff")
+        return real["diff"](self, other, a, b)
 
-    def set_many(self, positions, x):
+    def diff_windows(self, other, a, b):
+        values[-1][1].append("diff_windows")
+        assert (a, b) == (0, inst.m - 1)
+        return real["diff_windows"](self, other, a, b)
+
+    def set_bits(self, spans, x):
         if self not in trees:
             assert is_word_tree(self, inst.m)
             trees.append(self)
+        spans = list(spans)
         if values:
             values[-1][2].append(trees.index(self))
-        real_set_many(self, positions, x)
+            values[-1][3].append((x, spans))
+        real["set_bits"](self, spans, x)
 
     with monkeypatch.context() as patch:
         for name, fn in (("shift", shift), ("diff", diff),
-                         ("set_many", set_many)):
+                         ("diff_windows", diff_windows),
+                         ("set_bits", set_bits)):
             patch.setattr(cls, name, fn)
         solve_with_stats(inst, backend=backend, seed=inst.m)
     return [tuple(v) for v in values]
@@ -396,25 +435,40 @@ def tree_calls(monkeypatch, inst, backend):
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
-    # a visited value makes one diff, however many copies it has, and a
-    # value that adds sums writes each tree once; one that adds none
-    # writes nothing
+    # a visited value makes one window diff, however many copies it has,
+    # and a value that adds sums makes one span write per tree; one that
+    # adds none writes nothing
     rng = Random(22)
     checked = productive = 0
-    for m in (5, 40, 96, 333):
+    for m in (5, 40, 96, 333, 1000):
         for inst in [*multiplicity_heavy(rng, m), random_instance(rng, m)]:
             calls = tree_calls(monkeypatch, inst, backend)
-            visited = [x for x, _, _ in calls]
+            visited = [x for x, _, _, _ in calls]
             assert visited == solver_visits(inst), m
             # the oracle's sum count over the values visited so far
             sizes = [len(solve_naive(Instance(m, [
                 c if v in visited[:i] else 0
                 for v, c in enumerate(inst.mult)])))
                 for i in range(len(visited) + 1)]
-            for (x, diffs, writes), before, after in zip(
+            for (x, diffs, writes, spans), before, after in zip(
                     calls, sizes, sizes[1:]):
-                assert diffs == 1, (m, x)
+                assert diffs == ["diff_windows"], (m, x)
                 assert writes == ([0, 1] if after > before else []), (m, x)
+                if writes:
+                    # the value's new sums, one span per window: in the
+                    # first tree at the window's start, in the second
+                    # twice, moved by x and by x - m
+                    (bit1, first), (bit2, second) = spans
+                    step = 1 << min((2 * m - 1).bit_length(), 9)
+                    starts = [start for start, _ in first]
+                    assert bit1 == bit2 == 1
+                    assert len(set(starts)) == len(starts)
+                    assert all(start % step == 0 for start in starts)
+                    assert sum(bits.bit_count() for _, bits in first) \
+                        == after - before, (m, x)
+                    assert sorted(second) == sorted(
+                        (start + r, bits) for start, bits in first
+                        for r in (x, x - m))
                 productive += after > before
             checked += len(calls)
     assert 0 < productive < checked
@@ -491,16 +545,17 @@ def test_stats_are_reproducible():
 
 
 def test_collision_tripwire_raises_distinct_error(monkeypatch):
-    inst = Instance.from_pairs(6, [(2, 1), (3, 1)])
-    real_diff = HashedShiftTree.diff
-
-    def lying_diff(self, other, a, b):
-        out = real_diff(self, other, a, b)
-        return out[1:] if len(out) >= 2 else out  # hide one difference
-
-    monkeypatch.setattr(HashedShiftTree, "diff", lying_diff)
-    with pytest.raises(HashCollisionError):
-        solve(inst, backend="hashed", seed=0)
+    # S = {0} and the first value x differ at 0, an old sum, and x, a new
+    # one; the lie hides the first or, with ``last``, the second.  At
+    # m = 600 and x = 512 the two lie in different windows
+    real = HashedShiftTree.diff_windows
+    for last in (False, True):
+        monkeypatch.setattr(HashedShiftTree, "diff_windows",
+                            lying_diff_windows(real, last))
+        for inst in (Instance.from_pairs(6, [(2, 1), (3, 1)]),
+                     Instance.from_pairs(600, [(512, 1)])):
+            with pytest.raises(HashCollisionError):
+                solve(inst, backend="hashed", seed=0)
 
 
 def test_edge_moduli_smoke():

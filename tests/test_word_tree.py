@@ -13,7 +13,8 @@ from shifttree import (
 )
 
 from helpers import (
-    batch_write, hash_string, naive_diff, node_string, rotate_right)
+    batch_write, hash_string, inner_ancestors, naive_diff, node_string,
+    rotate_right)
 
 from test_tagged_tree import audit_tag_equivalences
 
@@ -214,3 +215,117 @@ def test_one_context_serves_every_window_width():
             audit([a, b], ctx)
         with pytest.raises(ValueError):
             HashedShiftTree.packed(13, ctx)  # 16 leaves
+
+
+def random_word_pair(rng, backend, width, seed):
+    """Two word trees holding random strings of one random density, each
+    rotated by a random shift, and their list models."""
+    trees, shared = word_trees(backend, width, seed)
+    L = 1 << width
+    density = rng.choice([0.01, 0.3, 0.5, 0.97])
+    models = []
+    for tree in trees:
+        s = [int(rng.random() < density) for _ in range(L)]
+        tree.init(s)
+        k = random_shift(rng, width)
+        tree.shift(k)
+        models.append(rotate_right(s, k))
+    return trees, models
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_diff_is_diff_windows_expanded(backend):
+    # on random unaligned [a, b]: diff_windows lists each window that
+    # differs within [a, b] once, in ascending order, with both trees'
+    # bits masked to [a, b], and diff is exactly its set bits of
+    # own ^ theirs, window by window
+    rng = Random(19)
+    for trial in range(400):
+        width = rng.choice([0, 3, 9, 10, 12])
+        L = 1 << width
+        (t, o), (s, u) = random_word_pair(rng, backend, width, trial)
+        q = t.q
+        for _ in range(4):
+            a = rng.randrange(L)
+            b = rng.choice([a, rng.randrange(a, L), L - 1])
+            want = naive_diff(s, u, a, b)
+            visits = t.diff_visits
+            windows = t.diff_windows(o, a, b)
+            assert t.diff_visits > visits
+            assert [c for c, _, _ in windows] == sorted(
+                {d >> q for d in want}), (trial, a, b)
+            for c, own, theirs in windows:
+                span = range(max(a, c << q), min(b, ((c + 1) << q) - 1) + 1)
+                assert own == sum(s[p] << (p - (c << q)) for p in span)
+                assert theirs == sum(u[p] << (p - (c << q)) for p in span)
+            expanded = [(c << q) + i for c, own, theirs in windows
+                        for i in range(1 << q) if (own ^ theirs) >> i & 1]
+            assert expanded == t.diff(o, a, b) == want, (trial, a, b)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_set_bits_matches_set_many(backend):
+    # a span write on one twin and the per-position write of the same
+    # positions on the other leave the same string, the same nodes and the
+    # same refresh count: one per distinct inner ancestor of the written
+    # windows.  Spans run across windows and past L (starts below 0 and
+    # above L, bits longer than a window or than L), and x is 0 or 1
+    rng = Random(20)
+    writes = 0
+    for trial in range(150):
+        width = rng.choice([0, 2, 9, 10, 12])
+        L = 1 << width
+        (a, b), _ = word_trees(backend, width, seed=trial)
+        model = [0] * L
+        for _ in range(6):
+            k = random_shift(rng, width)
+            a.shift(k)
+            b.shift(k)
+            model = rotate_right(model, k)
+            x = rng.randrange(2)
+            # bits shifted up leave whole windows of a span empty
+            spans = [(rng.randrange(-2 * L, 2 * L), rng.getrandbits(
+                rng.choice([1, 9, 512, 700, 1500])) << rng.choice(
+                [0, 0, 511, 1100])) for _ in range(rng.choice([0, 1, 3, 8]))]
+            positions = [(start + i) % L for start, bits in spans
+                         for i in range(bits.bit_length()) if bits >> i & 1]
+            before = a.update_calls, b.update_calls
+            a.set_bits(iter(spans), x)
+            b.set_many(positions, x)
+            assert a.update_calls - before[0] == b.update_calls - before[1] \
+                == len(inner_ancestors(a.topo, {p >> a.q for p in positions}))
+            for p in positions:
+                model[p] = x
+            assert a.materialize() == b.materialize() == model, trial
+            assert a.nodes == b.nodes
+            writes += bool(positions)
+    assert writes > 300
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_methods_validation(backend):
+    (tree, other), shared = word_trees(backend, 10)
+    # a bad span anywhere in the batch: nothing is written
+    for spans in ([(0, 1), (0.5, 1)], [(0, 1), (3, 1.0)],
+                  [(0, 1), (3, -1)], [(0, 1), (None, 1)]):
+        with pytest.raises(ValueError):
+            tree.set_bits(spans, 1)
+    for bad in (2, -1, 0.5, None):
+        with pytest.raises(ValueError):
+            tree.set_bits([(0, 1)], bad)
+    assert tree.materialize() == [0] * 1024 and tree.update_calls == 0
+    tree.set_bits([], 1)
+    tree.set_bits([(5, 0)], 1)  # no bits: no window written or refreshed
+    assert tree.materialize() == [0] * 1024 and tree.update_calls == 0
+    for a, b in ((-1, 3), (3, 2), (0, 1024), (0.0, 3)):
+        with pytest.raises(ValueError):
+            tree.diff_windows(other, a, b)
+    # both methods are for word trees only
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    letters, twin = cls(3, shared), cls(3, shared)
+    with pytest.raises(ValueError):
+        letters.set_bits([(0, 1)], 1)
+    with pytest.raises(ValueError):
+        letters.diff_windows(twin, 0, 7)
+    with pytest.raises(ValueError):
+        tree.diff_windows(letters, 0, 7)
