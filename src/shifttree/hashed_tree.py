@@ -50,10 +50,27 @@ class HashedShiftTree(ShiftTree):
         hashes = self.nodes
         squares = self.ctx.squares
         p = self.ctx.p
+        n = self.n
+        if type(dirty) is tuple:
+            # one node, as a point write's leaf: walk its ancestor chain
+            i, = dirty
+            bits = self.topo.delta >> (n - level)
+            width = 1 << level  # first node of i's level
+            for pw in squares[n - level:n]:
+                s = bits & 1
+                bits >>= 1
+                i = (i + s) >> 1
+                if i == width:  # the wrap: the last node's parent
+                    i >>= 1
+                hashes[i] = (hashes[(2 * i - s) | width]
+                             + hashes[2 * i + 1 - s] * pw) % p
+                width >>= 1
+            self.update_calls += level
+            return
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
-            pw = squares[self.n - k - 1]  # r**(leaves under a left child)
+            pw = squares[n - k - 1]  # r**(leaves under a left child)
             if type(parents) is range:
                 # a whole level: one pass over its children's two rows
                 left, right = self.topo.children(hashes, k)

@@ -3,7 +3,9 @@
 One node array of 2**(n+1) entries holds a string: leaf slot j (node
 ``size + j``) holds a letter, and inner node i in [1, size) holds a summary
 of the substring its subtree covers.  Every write stores letters or moves
-the rotation offset, then refreshes the dirty inner nodes level by level.
+the rotation offset, then refreshes the dirty inner nodes bottom-up: a
+point write's one leaf up its ancestor chain in one loop, any other write
+level by level.
 The one diff walk lives here too.  A variant supplies what a summary is:
 ``_refresh``, its letter checks and ``_equality``, which says when two
 summaries prove their subtrees equal.
@@ -129,7 +131,10 @@ class ShiftTree:
 
     def _refresh(self, level: int, dirty) -> None:
         """Recompute the distinct ancestors of ``dirty`` (all on ``level``)
-        bottom-up from their children; count them in ``update_calls``."""
+        bottom-up from their children; count them in ``update_calls``.
+        ``dirty`` is a one-element tuple (a point write's leaf, whose
+        chain is walked directly), a whole-level ``range`` (refreshed a
+        level at a time) or any other collection of nodes."""
         raise NotImplementedError
 
     def _check(self, letters) -> None:

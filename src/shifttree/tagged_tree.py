@@ -12,10 +12,12 @@ descends through two tags it cannot tell apart and finds no difference
 below, it records their equivalence in the shared TagStore, so the same
 comparison short-circuits next time.
 A refresh computes a level's entries (a whole level in one pass), then
-updates the tags of that level if it is at or above block level.  Letters
-only need ``==``: no hashing, no order.  In a word tree the leaves are the
-blocks and their windows are exact letters, so every mixed inner node
-holds a tag and no leaf does.  The node array, the writes, the diff walk
+updates the tags of that level if it is at or above block level; a point
+write's refresh walks its leaf's ancestor chain and settles each
+ancestor's entry and tag in one step.  Letters only need ``==``: no
+hashing, no order.  In a word tree the leaves are the blocks and their
+windows are exact letters, so every mixed inner node holds a tag and no
+leaf does.  The node array, the writes, the diff walk
 and ``_MIXED`` come from ``ShiftTree``.
 """
 
@@ -69,6 +71,34 @@ class TaggedShiftTree(ShiftTree):
         renew = self.store.renew
         block_level = self._block_level
         mixed = _MIXED
+        if type(dirty) is tuple:
+            # one node, as a point write's leaf: walk its ancestor chain,
+            # settling each ancestor's entry, then its tag if it has a slot
+            # (the nodes at or above block level are those below len(tags))
+            i, = dirty
+            bits = self.topo.delta >> (self.n - level)
+            width = 1 << level  # first node of i's level
+            slots = len(tags)
+            for _ in range(level):
+                s = bits & 1
+                bits >>= 1
+                i = (i + s) >> 1
+                if i == width:  # the wrap: the last node's parent
+                    i >>= 1
+                x = nodes[(2 * i - s) | width]
+                if x is not mixed and x == nodes[2 * i + 1 - s]:
+                    nodes[i] = x
+                    if i < slots and tags[i] is not None:
+                        delete_tag(tags[i])
+                        tags[i] = None
+                else:
+                    nodes[i] = mixed
+                    if i < slots:
+                        old = tags[i]
+                        tags[i] = new_tag() if old is None else renew(old)
+                width >>= 1
+            self.update_calls += level
+            return
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k

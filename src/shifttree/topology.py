@@ -53,26 +53,26 @@ class Topology:
     def parent(self, i: int) -> int:
         if not 1 < i < 2 * self.size:
             raise AssertionError("the root has no parent")
-        return next(self.ancestors(i.bit_length() - 1, (i,)))[2][0]
+        half = 1 << (i.bit_length() - 1)  # i's level: [half, 2 * half)
+        s = (self.delta >> (self.n - i.bit_length() + 1)) & 1
+        j = (i + s) >> 1
+        return half >> 1 if j == half else j  # the wrap
 
     def ancestors(self, level: int, nodes):
         """Yield ``(k, s, parents)`` for k = level-1 down to 0: the distinct
         ancestors on level k of ``nodes`` (all on ``level``), and the skew
         bit s of the links from level k to level k+1, which is bit n-k-1 of
-        ``delta``.  A one-element tuple yields one-element tuples and a
-        whole-level ``range`` yields ranges, so neither builds a set; other
-        collections, repeats allowed, are deduplicated into sets."""
+        ``delta``.  A whole-level ``range`` yields ranges, so it builds no
+        set; any other collection, repeats allowed, is deduplicated into
+        sets."""
         bits = self.delta >> (self.n - level)
-        kind = type(nodes)
+        whole = type(nodes) is range
         while level:
             half = 1 << level
             level -= 1
             s = bits & 1
             bits >>= 1
-            if kind is tuple:
-                i = (nodes[0] + s) >> 1
-                nodes = (half >> 1 if i == half else i,)
-            elif kind is range:
+            if whole:
                 nodes = range(half >> 1, half)
             else:
                 nodes = {(i + s) >> 1 for i in nodes}

@@ -188,9 +188,12 @@ def test_model_equivalence():
                     assert tree.materialize() == model
                 tree.set_many(positions, x)
                 assert tree.update_calls - before == want
+                before = twin.update_calls
                 for pos in positions:
                     twin.set(pos, x)
                     model[pos] = x
+                # a point write refreshes its leaf's n ancestors
+                assert twin.update_calls - before == n * len(positions)
             assert tree.materialize() == twin.materialize() == model
             assert store.live == 2 * mixed_blocks(model)
 
@@ -441,9 +444,29 @@ def test_node_by_node_refresh_matches_whole_level(backend):
     # level above wraps under skew bit 1: it is the left child of the
     # level's first parent.  The entries above the refreshed level start
     # stale, so a wrong child link reads a stale entry and a wrong parent
-    # leaves one in place.
+    # leaves one in place.  Then each single node j of the level, as a
+    # point write passes it, against the set {j}: only j's ancestors start
+    # stale, and in a tagged tree each of them that has a tag slot but no
+    # tag gets one, which a uniform node must drop.  Both trees take the
+    # same steps, so their entries, update counts and tag stores must stay
+    # equal after every node.
     rng = Random(43)
     stale = -1 if backend == "hashed" else object()
+
+    def fresh(letters, delta):
+        tree = HashedShiftTree(n, ctx) if backend == "hashed" \
+            else TaggedShiftTree(n, TagStore())
+        tree.init(letters)
+        tree.shift(delta)
+        return tree
+
+    def state(tree):
+        if backend == "hashed":
+            return tree.nodes, tree.update_calls
+        store = tree.store
+        return (tree.nodes, tree.update_calls, tree.tags, store.ops,
+                store.live)
+
     for n in range(1, 8):
         size = 1 << n
         ctx = make_context(size, seed=n)
@@ -454,16 +477,28 @@ def test_node_by_node_refresh_matches_whole_level(backend):
                 row = range(1 << level, 2 << level)
                 refreshed = []
                 for dirty in (row, set(row)):
-                    tree = HashedShiftTree(n, ctx) if backend == "hashed" \
-                        else TaggedShiftTree(n, TagStore())
-                    tree.init(letters)
-                    tree.shift(delta)
+                    tree = fresh(letters, delta)
                     tree.nodes[1:1 << level] = [stale] * ((1 << level) - 1)
                     tree._refresh(level, dirty)
                     if backend == "tagged":
                         audit_tag_equivalences(tree.store, [tree])
                     refreshed.append(tree.nodes)
                 assert refreshed[1] == refreshed[0], (n, delta, level)
+                pair = [fresh(letters, delta) for _ in range(2)]
+                for j in row:
+                    for tree, dirty in zip(pair, ((j,), {j})):
+                        i = j
+                        while i > 1:
+                            i = tree.topo.parent(i)
+                            tree.nodes[i] = stale
+                            if backend == "tagged" and i < len(tree.tags) \
+                                    and tree.tags[i] is None:
+                                tree.tags[i] = tree.store.new_tag()
+                        tree._refresh(level, dirty)
+                    assert state(pair[0]) == state(pair[1]), \
+                        (n, delta, level, j)
+                if backend == "tagged":
+                    audit_tag_equivalences(pair[0].store, [pair[0]])
 
 
 def ancestor(tree, pos, up):

@@ -134,6 +134,45 @@ def test_ab_time_times_a_benchmark_workload(monkeypatch):
     assert done.returncode == 2 and "not allowed with" in done.stderr
 
 
+def tree_ops(parent: Path, change: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(AB_TIME), str(parent), str(change),
+         "--workload", "tree_ops", "--rounds", "2"],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_ab_time_times_the_tree_ops_stream():
+    # both sides replay the benchmark's tree_ops stream to its expected
+    # outputs and final strings, agree on the counters, and are timed
+    done = tree_ops(ROOT, ROOT)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs and counters agree"
+    for backend in ("hashed", "tagged"):
+        for side in ("parent", "change"):
+            line, = (line for line in lines
+                     if line.startswith(f"{backend} tree_ops {side}: "))
+            assert " ms [" in line and line.endswith("/2")
+
+
+def test_ab_time_tree_ops_refuses_a_broken_set(tmp_path):
+    # a copy whose point write stores the letter but refreshes no ancestor
+    # misses differences: its diffs differ from the stream's, so the run
+    # stops before anything is timed
+    shutil.copytree(ROOT / "src" / "shifttree", tmp_path / "src" / "shifttree",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "shifttree" / "shift_tree.py"
+    text = path.read_text()
+    line = "        self._refresh(self.n, (j,))\n"
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, ""))
+    done = tree_ops(ROOT, tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "hashed change: batch 0 differs" in done.stdout
+    assert "hashed parent:" not in done.stdout
+    assert " ms [" not in done.stdout
+
+
 SRC_LINES_SAMPLE = '''"""Module docstring
 over two lines."""
 

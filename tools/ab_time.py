@@ -1,7 +1,8 @@
-"""Time the solvers of two checkouts against each other in one process.
+"""Time the solvers or tree calls of two checkouts against each other in
+one process.
 
     python tools/ab_time.py PARENT CHANGE
-        [--sizes 4096 8192 ... | --workload dense|sparse]
+        [--sizes 4096 8192 ... | --workload dense|sparse|tree_ops]
         [--backends hashed tagged] [--rounds 5] [--seed 1]
         [--counters-may-differ]
 
@@ -23,6 +24,16 @@ first alternates from round to round.  For every backend and size it prints
 each side's median, quartiles and the rounds that side won, then each
 side's ratio of medians from one size to the next: with sizes that double,
 the statistic that acceptance criterion 7 bounds.
+
+``--workload tree_ops`` replays the benchmark's ``TreeOpsStream`` batches
+for ``seed`` (set, shift and diff calls on two trees, built fresh and
+loaded with the stream's initial string) instead of solving.  First each
+side's per-tree shift update counts and diff outputs must equal the
+stream's ``expected``, its final strings ``final_first`` and
+``final_second``, and, unless ``--counters-may-differ``, both sides must
+agree on ``updates``, ``diff_visits`` and ``store_ops``.  Then every
+round replays each batch once per side on fresh trees, each batch timed
+alone, and the report lists the batches under ``tree_ops``.
 """
 
 import argparse
@@ -41,7 +52,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 
 def load(checkout: str, name: str):
-    """The ``cli`` module of ``checkout``'s package, imported as ``name``."""
+    """The ``cli`` module of ``checkout``'s package, imported as ``name``;
+    the package itself is ``sys.modules[name]``."""
     pkg = Path(checkout).resolve() / "src" / "shifttree"
     if not (pkg / "__init__.py").is_file():
         print(f"error: no shifttree package under {pkg}", file=sys.stderr)
@@ -54,12 +66,12 @@ def load(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def workload_instance(name: str, seed: int) -> tuple[int, list[int]]:
-    """``(m, mult)`` of the benchmark's ``dense`` or ``sparse`` workload."""
+def bench_workloads():
+    """This checkout's ``perfbench/workloads.py`` as a module."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.solver_instance(name, seed)
+    return module
 
 
 def solve(cli, inst, backend: str, seed: int):
@@ -112,6 +124,92 @@ def time_rounds(sides, backend: str, sizes, make, seed: int, rounds: int):
     return walls
 
 
+def fresh_trees(pkg, backend: str, stream, seed: int):
+    """The two trees of a tree_ops pass, loaded with the stream's initial
+    string, and their shared tag store (``None`` for hashed trees)."""
+    size = len(stream.initial)
+    n = size.bit_length() - 1
+    store = None
+    if backend == "hashed":
+        ctx = pkg.make_context(size, seed)
+        trees = [pkg.HashedShiftTree(n, ctx) for _ in range(2)]
+    else:
+        store = pkg.TagStore()
+        trees = [pkg.TaggedShiftTree(n, store) for _ in range(2)]
+    for tree in trees:
+        tree.init(stream.initial)
+    return trees, store
+
+
+def replay(bench, trees, ops) -> list:
+    """Run one tree_ops batch as the benchmark does; return its outputs in
+    the form of the stream's ``expected``."""
+    t1, t2 = trees
+    out: list = []
+    for code, a, b in ops:
+        if code == bench.SHIFT:
+            u1, u2 = t1.update_calls, t2.update_calls
+            t1.shift(a)
+            t2.shift(a)
+            out += (t1.update_calls - u1, t2.update_calls - u2)
+        elif code == bench.SET_A:
+            t1.set(a, b)
+        elif code == bench.SET_B:
+            t2.set(a, b)
+        else:
+            out.append(t1.diff(t2, a, b))
+    return out
+
+
+def check_tree_ops(pkgs, backends, bench, stream, seed: int,
+                   same_counters: bool) -> bool:
+    """Whether each side replays the stream to its expected outputs and
+    final strings and, if ``same_counters``, both sides agree on every
+    counter; otherwise print both sides' counters."""
+    ok = True
+    for backend in backends:
+        counters = []
+        for side, pkg in zip(SIDES, pkgs):
+            trees, store = fresh_trees(pkg, backend, stream, seed)
+            for index, (ops, want) in enumerate(
+                    zip(stream.batches, stream.expected)):
+                if replay(bench, trees, ops) != want:
+                    print(f"{backend} {side}: batch {index} differs from "
+                          f"the stream's expected outputs")
+                    ok = False
+            if [t.materialize() for t in trees] \
+                    != [stream.final_first, stream.final_second]:
+                print(f"{backend} {side}: the final strings differ from "
+                      f"the stream's")
+                ok = False
+            counters.append({
+                "updates": sum(t.update_calls for t in trees),
+                "diff_visits": sum(t.diff_visits for t in trees),
+                "store_ops": store.ops if store else 0})
+        if not same_counters:
+            for side, stats in zip(SIDES, counters):
+                print(f"{backend} tree_ops {side} counters: {stats}")
+        elif counters[0] != counters[1]:
+            print(f"{backend} tree_ops: counters {counters[0]} != "
+                  f"{counters[1]}")
+            ok = False
+    return ok
+
+
+def time_tree_ops(pkgs, backend: str, bench, stream, seed: int, rounds: int):
+    """``walls[side][0]``: one process time per batch and round, seconds."""
+    walls = [[[]] for _ in pkgs]
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            trees, _ = fresh_trees(pkgs[side], backend, stream, seed)
+            for ops in stream.batches:
+                gc.collect()
+                start = time.process_time()
+                replay(bench, trees, ops)
+                walls[side][0].append(time.process_time() - start)
+    return walls
+
+
 def spread(values) -> str:
     """``median [q1, q3]`` of ``values`` in milliseconds."""
     q1, mid, q3 = quantiles(values, n=4, method="inclusive") \
@@ -119,14 +217,18 @@ def spread(values) -> str:
     return f"{1e3 * mid:9.1f} ms [{1e3 * q1:.1f}, {1e3 * q3:.1f}]"
 
 
-def report(backend: str, sizes, walls) -> None:
-    for col, m in enumerate(sizes):
+def report(backend: str, labels, walls) -> None:
+    """Each side's spread and wins per column; with several columns, the
+    ratios of medians from one to the next."""
+    for col, label in enumerate(labels):
         a, b = walls[0][col], walls[1][col]
         wins = [sum(map(float.__lt__, a, b)), sum(map(float.__lt__, b, a))]
         for side in (0, 1):
-            print(f"{backend} m={m} {SIDES[side]}: "
+            print(f"{backend} {label} {SIDES[side]}: "
                   f"{spread(walls[side][col])}  "
                   f"won {wins[side]}/{len(a)}")
+    if len(labels) < 2:
+        return
     for side in (0, 1):
         mids = [median(w) for w in walls[side]]
         ratios = ", ".join(f"{y / x:.2f}" for x, y in zip(mids, mids[1:]))
@@ -140,22 +242,39 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout root of the change side")
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--sizes", type=int, nargs="+", default=[4096, 8192])
-    which.add_argument("--workload", choices=("dense", "sparse"),
-                       help="time the benchmark workload's instance instead")
+    which.add_argument("--workload", choices=("dense", "sparse", "tree_ops"),
+                       help="time the benchmark workload's instance, or "
+                            "its tree_ops stream, instead")
     ap.add_argument("--backends", nargs="+", choices=("hashed", "tagged"),
                     default=["hashed", "tagged"])
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--counters-may-differ", action="store_true",
                     help="time a change that moves the exact counters: "
-                         "print both sides' counters, compare sums only")
+                         "print both sides' counters, compare sums or "
+                         "outputs only")
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True  # leave no caches in either checkout
-    sides = (load(args.parent, "shifttree_parent"),
-             load(args.change, "shifttree_change"))
+    names = ("shifttree_parent", "shifttree_change")
+    sides = (load(args.parent, names[0]), load(args.change, names[1]))
+    same_counters = not args.counters_may_differ
+    what = "outputs" if args.workload == "tree_ops" else "sums"
+    agree = f"{what} and counters agree" if same_counters else f"{what} agree"
+    if args.workload == "tree_ops":
+        bench = bench_workloads()
+        stream = bench.TreeOpsStream(args.seed)
+        pkgs = [sys.modules[name] for name in names]
+        if not check_tree_ops(pkgs, args.backends, bench, stream, args.seed,
+                              same_counters):
+            return 1
+        print(agree)
+        for backend in args.backends:
+            report(backend, ["tree_ops"], time_tree_ops(
+                pkgs, backend, bench, stream, args.seed, args.rounds))
+        return 0
     sizes = args.sizes
     if args.workload:
-        m, mult = workload_instance(args.workload, args.seed)
+        m, mult = bench_workloads().solver_instance(args.workload, args.seed)
         sizes = [m]
 
         def make(cli, m):
@@ -163,15 +282,14 @@ def main(argv=None) -> int:
     else:
         def make(cli, m):
             return cli.dense_instance(m, args.seed)
-    same_counters = not args.counters_may_differ
     if not check(sides, args.backends, sizes, make, args.seed,
                  same_counters):
         return 1
-    print("sums and counters agree" if same_counters else "sums agree")
+    print(agree)
     for backend in args.backends:
         walls = time_rounds(sides, backend, sizes, make, args.seed,
                             args.rounds)
-        report(backend, sizes, walls)
+        report(backend, [f"m={m}" for m in sizes], walls)
     return 0
 
 
