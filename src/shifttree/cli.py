@@ -1,10 +1,12 @@
 """Command-line front end: solve instances from text, or run benchmark sweeps.
 
-Exit codes: 0 success, 2 usage or input errors (including a modulus or
-bench size above MAX_MODULUS), 3 hash-collision tripwire.
+Exit codes: 0 success, 1 standard output closed before the result was
+written (``modsum ... | head -1``), 2 usage or input errors (including a
+modulus or bench size above MAX_MODULUS), 3 hash-collision tripwire.
 """
 
 import argparse
+import os
 import sys
 import time
 from random import Random
@@ -13,10 +15,12 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
-# Largest modulus (and --bench size) accepted.  A solve holds under 0.6 kB
-# per residue (peak RSS growth on a dense instance, seed 1: 82 bytes on
-# both backends at m = 2**16, 83 at m = 2**20), so this keeps one solve
-# under 1 GB; larger inputs are refused before any table is allocated.
+# Largest modulus (and --bench size) accepted.  A run holds under 0.6 kB
+# per residue (peak RSS growth on a dense instance, seed 1, at m = 2**16
+# and 2**20: 4-6 bytes for the solve on either backend, about 125 once
+# list mode has built the residue list and its output text), so this
+# keeps one run under 1 GB; larger inputs are refused before any table is
+# allocated.
 MAX_MODULUS = 1 << 20
 
 
@@ -142,11 +146,20 @@ def main(argv=None) -> int:
         print(f"error: hash collision tripwire: {exc}", file=sys.stderr)
         return 3
 
-    if args.mode == "count":
-        print(len(result.sums))
-    else:
-        for residue in result.sums.ascending():
-            print(residue)
+    try:
+        if args.mode == "count":
+            print(len(result.sums))
+        else:
+            sys.stdout.write("\n".join(map(str, result.sums.ascending()))
+                             + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, as the Python docs
+        # advise, so that the interpreter's final flush fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if args.mode == "stats":
         for key in STATS_KEYS:
             print(f"{key}={getattr(result.stats, key)}", file=sys.stderr)

@@ -11,7 +11,7 @@ The node array, the writes and the diff walk come from ``ShiftTree``.
 from itertools import repeat
 
 from .hashing import HashContext
-from .shift_tree import ShiftTree
+from .shift_tree import _WHOLE_LEVEL, ShiftTree
 
 
 class HashedShiftTree(ShiftTree):
@@ -71,7 +71,7 @@ class HashedShiftTree(ShiftTree):
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
             pw = squares[n - k - 1]  # r**(leaves under a left child)
-            if type(parents) is range:
+            if type(parents) is range and len(parents) >= _WHOLE_LEVEL:
                 # a whole level: one pass over its children's two rows
                 left, right = self.topo.children(hashes, k)
                 hashes[width >> 1:width] = [

@@ -36,6 +36,13 @@ _BLOCK = 64
 # Positions a word tree packs per leaf window; its leaves are its blocks.
 _WORD = 512
 
+# Fewest parents for which a refresh takes a whole level in one slice
+# pass.  That pass has a fixed cost of about 1.5 us, so a narrower level
+# is cheaper node by node: on a depth-14 tree of letters, levels of up to
+# 16 nodes were faster node by node on both variants, levels of 32 and 64
+# were even, and from 128 nodes on the slice pass won.
+_WHOLE_LEVEL = 32
+
 # Node entry of a mixed inner node in a tree of letters.  It is never ``==``
 # to a letter: a refresh relies on this to tell a uniform pair of children,
 # and the diff walk to settle a uniform node only against a uniform one.

@@ -23,6 +23,12 @@ the full bit-reversal schedule between them, so the rotations cost no more
 than that schedule (linearithmic) and far less when few values are
 present.  The solve stops as soon as every residue is attainable.
 
+That order sorts first by the low k bits of x, reversed, so the solver
+takes the classes x = r (mod 2**k) in the k-bit reversed order of r and
+sorts a class only when the loop reaches it; an empty class costs one C
+pass over its multiplicities.  A solve that saturates early never sorts
+the classes it does not reach.
+
 The modulus is rarely a power of two, so the trees hold padded strings of
 length L = the smallest power of two >= 2m: one tree holds s padded, the
 other two copies of s around a gap, so that for any rotation d <= m the
@@ -50,15 +56,15 @@ The solver works on windows end to end, never on single sums:
   ``set_bits`` call per productive value with O(windows) spans: window c
   at 512c in the first tree, and at 512c + x and 512c + x - m in the
   second.
-- ``SumSet`` is built once, at the end, from S's windows, in ascending
-  order.
+- ``SumSet`` is S as one m-bit int, joined from S's windows in C at the
+  end; its residue list is built only when ``ascending()`` asks for it.
 
 A value's diff and each of its later copies thus cost O(windows they
 report or add + 1), besides the value's shift and the refresh of the
 windows it writes, and never O(m).
 """
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
@@ -136,42 +142,39 @@ class Instance(SimpleNamespace):
 
 
 class SumSet:
-    """Attainable residues: a membership bitmap plus insertion order.
+    """Attainable residues mod m as one m-bit int: bit d of ``bits`` is set
+    iff d is attainable.
 
-    0 is always attainable (the empty subset).  ``order`` lists distinct
-    residues in [0, m), 0 among them, in the order they were found; the
-    tree backends find them in ascending order.
+    0 is always attainable (the empty subset), so ``SumSet(m)`` is {0}.
+    A membership test reads one bit and ``len`` counts the set bits; the
+    residue list, in ascending order, is built only by ``ascending()`` and
+    iteration, from the int's 512-bit windows.
     """
 
-    def __init__(self, m: int, order=(0,)):
+    def __init__(self, m: int, bits: int = 1):
         self.m = m
-        self.member = [False] * m
-        self.order = list(order)
-        for d in self.order:
-            self.member[d] = True
-
-    def add(self, d: int) -> None:
-        if not self.member[d]:
-            self.member[d] = True
-            self.order.append(d)
+        self.bits = bits
 
     def __contains__(self, d) -> bool:
-        return isinstance(d, int) and 0 <= d < self.m and self.member[d]
+        return isinstance(d, int) and 0 <= d < self.m and bool(
+            self.bits >> d & 1)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.bits.bit_count()
 
     def __iter__(self):
-        return iter(self.order)
+        return iter(self.ascending())
 
     def ascending(self) -> list[int]:
-        return sorted(self.order)
+        raw = self.bits.to_bytes(-(-self.m // 512) * 64, "little")
+        windows = [int.from_bytes(raw[i:i + 64], "little")
+                   for i in range(0, len(raw), 64)]
+        return bit_positions(compress(enumerate(windows), windows), 9)
 
     def __eq__(self, other):
-        # same residues, whatever order the backend found them in
         if not isinstance(other, SumSet):
             return NotImplemented
-        return self.m == other.m and self.member == other.member
+        return self.m == other.m and self.bits == other.bits
 
 
 class SolverStats(SimpleNamespace):
@@ -199,7 +202,7 @@ def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
     a pass is S | rot(S, x) in O(m / word) machine steps.  Multiplicities are
     capped at m passes per value (further copies cannot add residues), and a
     value's remaining copies are skipped once a pass adds nothing.  The
-    residues are recorded in ascending order.
+    int is the returned ``SumSet``'s ``bits``.
     """
     m = inst.m
     full = (1 << m) - 1
@@ -212,11 +215,26 @@ def solve_naive(inst: Instance, stats: SolverStats | None = None) -> SumSet:
             if grown == bits:
                 break
             bits = grown
-    sums = SumSet(m)
-    for j, bit in enumerate(bin(bits)[:1:-1]):  # bit j of S at index j
-        if bit == "1":
-            sums.add(j)
-    return sums
+    return SumSet(m, bits)
+
+
+def _bitrev_classes(mult: list, width: int):
+    """Yield the values x in [1, m) with ``mult[x] > 0`` in bit-reversed
+    order over ``width`` bits, as one sorted list per class x = r (mod K),
+    K = 2**k: the classes come in the k-bit reversed order of r, and each
+    is sorted only when it is asked for.  Empty classes are skipped."""
+    m = len(mult)
+    k = min(8, max(width - 7, 0))   # at most 64 residues a class below k = 8
+    K = 1 << k
+    # x's little-endian bytes, each bit-reversed, are x bit-reversed over
+    # a whole number of bytes, so they sort in the bit-reversed order
+    nb = (width + 7) >> 3
+    for i in range(K):
+        r = _REV[i] >> (8 - k) or K     # x = 0 adds nothing: start at K
+        cls = mult[r::K]
+        if cls.count(0) != len(cls):
+            yield sorted(compress(range(r, m, K), cls), key=lambda x:
+                         x.to_bytes(nb, "little").translate(_REV))
 
 
 def solve_with_stats(inst: Instance, backend: str = "tagged",
@@ -249,14 +267,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     step, full = 1 << q, (1 << (1 << q)) - 1
     s = [0] * (L >> q)                  # S's windows, as t1 holds them
     s[0] = count = 1
-    # x's little-endian bytes, each bit-reversed, are x bit-reversed over
-    # a whole number of bytes: they sort in the bit-reversed order, with
-    # x = 0 (which adds nothing) first if present
-    nb = (width + 7) >> 3
-    present = sorted(compress(range(m), inst.mult), key=lambda x: x.to_bytes(
-        nb, "little").translate(_REV))[inst.mult[0] > 0:]
     at = 0                              # t2 holds the double string rotated by at
-    for x in present:
+    for x in chain.from_iterable(_bitrev_classes(inst.mult, width)):
         t2.shift(x - at)
         at = x
         stats.bellman_iterations += 1
@@ -311,7 +323,9 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     stats.diff_visits = t1.diff_visits + t2.diff_visits
     if backend == "tagged":
         stats.store_ops = shared.ops
-    sums = SumSet(m, bit_positions(compress(enumerate(s), s), q))
+    # every window fits in 64 bytes: 512 bits, or all L < 512 of one
+    sums = SumSet(m, int.from_bytes(b"".join(
+        map(int.to_bytes, s, repeat(64), repeat("little"))), "little"))
     return SolveResult(sums=sums, stats=stats)
 
 

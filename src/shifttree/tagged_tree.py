@@ -21,7 +21,7 @@ leaf does.  The node array, the writes, the diff walk
 and ``_MIXED`` come from ``ShiftTree``.
 """
 
-from .shift_tree import _BLOCK, _MIXED, ShiftTree
+from .shift_tree import _BLOCK, _MIXED, _WHOLE_LEVEL, ShiftTree
 from .tag_store import TagStore
 
 
@@ -103,7 +103,7 @@ class TaggedShiftTree(ShiftTree):
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k
             calls += len(parents)
-            if type(parents) is range:
+            if type(parents) is range and len(parents) >= _WHOLE_LEVEL:
                 left, right = self.topo.children(nodes, k)
                 nodes[width >> 1:width] = [
                     x if x is not mixed and x == y else mixed

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,40 @@ def test_undecodable_input_is_exit_2(source, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read")
+
+
+def modsum_process(*argv) -> subprocess.Popen:
+    """``modsum`` in a child interpreter, with pipes on all three
+    streams."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "shifttree.cli", *argv], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("mode", ["list", "count"])
+def test_closed_stdout_is_exit_1_without_traceback(mode):
+    # the reader is gone before anything is written: the write fails with
+    # a broken pipe, reported by exit code 1 alone, and the interpreter's
+    # final flush raises nothing either
+    with modsum_process("--modulus", "100", "--mode", mode) as proc:
+        proc.stdout.close()
+        proc.stdin.write(b"3\n5\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
+def test_reader_that_stops_early_sees_no_traceback():
+    # modsum ... | head -1: the reader takes one line of 32768 and leaves;
+    # Python may report the pipe closed in the middle of the one large
+    # write as a short write, so the exit code is 1 or 0
+    with modsum_process("--modulus", str(1 << 15)) as proc:
+        proc.stdin.write("".join(f"{x}\n" for x in range(1, 301)).encode())
+        proc.stdin.close()
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert proc.stderr.read() == b""

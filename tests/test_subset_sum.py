@@ -112,19 +112,24 @@ def test_sumset_basics():
     s = SumSet(6)
     assert 0 in s
     assert len(s) == 1
-    s.add(4)
-    s.add(4)
-    assert s.order == [0, 4]
-    assert s.ascending() == [0, 4]
+    assert s.bits == 1 and s.ascending() == [0]
+    s = SumSet(6, 0b10001)
+    assert len(s) == 2
+    assert s.ascending() == list(s) == [0, 4]
     assert 4 in s and 3 not in s and "x" not in s
-    # equal iff same modulus and residues; insertion order does not count
-    t = SumSet(6)
-    t.add(2)
+    assert 6 not in s and -1 not in s and 0.0 not in s
+    # equal iff same modulus and residues
+    t = SumSet(6, 0b00101)
     assert s != t
-    t.add(4)
-    s.add(2)
-    assert s.order != t.order and s == t
+    t = SumSet(6, 0b10101)
+    s = SumSet(6, 0b10101)
+    assert s == t and s.ascending() == [0, 2, 4]
     assert SumSet(6) != SumSet(7) and SumSet(6) != {0}
+    # residues in several 512-bit windows, some of them empty
+    residues = [0, 1, 511, 512, 1537, 1999, 2000]
+    big = SumSet(2001, sum(1 << d for d in residues))
+    assert big.ascending() == list(big) == residues and len(big) == 7
+    assert 1999 in big and 1998 not in big and 2001 not in big
 
 
 def test_unknown_backend_rejected():
@@ -187,9 +192,11 @@ def test_sums_only_grow_and_keep_zero():
     for _ in range(30):
         inst = random_instance(rng, m=rng.randint(1, 120))
         sums = solve(inst)
-        assert sums.order[0] == 0
-        assert len(set(sums.order)) == len(sums.order)
-        assert all(0 <= d < inst.m for d in sums.order)
+        residues = sums.ascending()
+        assert residues[0] == 0 and 0 in sums
+        assert residues == sorted(set(residues)) and len(sums) == len(residues)
+        assert all(0 <= d < inst.m for d in residues)
+        assert sums.bits >> inst.m == 0
 
 
 def test_prefix_padding_identity():
@@ -211,6 +218,11 @@ def is_word_tree(tree, m: int) -> bool:
     L = 1 << (2 * m - 1).bit_length()
     return (tree.length, tree.size, tree.q) == (L, max(L >> 9, 1),
                                                 min(L.bit_length() - 1, 9))
+
+
+def membership(sums) -> list[int]:
+    """The 0/1 membership string of a ``SumSet``, one bit per residue."""
+    return [sums.bits >> d & 1 for d in range(sums.m)]
 
 
 def observe_solve(monkeypatch, inst, backend):
@@ -267,11 +279,11 @@ def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
             prefix = set(visited[:i + 1])
             sub = Instance(m, [c if v in prefix else 0
                                for v, c in enumerate(inst.mult)])
-            s = [int(b) for b in solve_naive(sub).member]
+            s = membership(solve_naive(sub))
             assert first == s + [0] * (L - m), (m, x)
             assert second == s + [0] * (L - 2 * m) + s, (m, x)
         if seen:
-            assert seen[-1][1][:m] == [int(b) for b in result.sums.member]
+            assert seen[-1][1][:m] == membership(result.sums)
         audits += len(seen)
     assert audits > 0
 
@@ -315,6 +327,66 @@ def test_solver_stops_at_saturation(backend, monkeypatch):
     assert len(shifts) < len(order)
     assert [n == m for _, n in seen] == [False] * (len(seen) - 1) + [True]
     assert solve(inst, backend=backend, seed=3).ascending() == list(range(m))
+
+
+def class_order_instances(rng):
+    """Instances whose sums stay in a proper subgroup (every value a
+    multiple of g, with g | m) or below 2**8 < m (at most eight values, one
+    copy each), so that a solve never saturates and visits every present
+    nonzero value.  The solver takes the classes x = r (mod K) one by one;
+    K = 64 at m = 4096 and m = 3072, 256 at m = 2**15, 2 at m = 100 and
+    127, and 1 at m <= 64."""
+    for m, g in ((4096, 2), (3072, 3)):
+        K = 64
+
+        def pick(r):
+            # a nonzero multiple of g in class r
+            while True:
+                x = rng.randrange(r, m, K)
+                if x and x % g == 0:
+                    return x
+        # one value in every class that holds a multiple of g
+        yield Instance.from_pairs(m, [(pick(r), rng.randint(1, 2))
+                                      for r in range(0, K, 2 if g == 2 else 1)])
+        # one non-empty class: r = 0, whose walk starts at K, and r = 6
+        for r in (0, 6):
+            yield Instance.from_pairs(m, [(pick(r), rng.choice([1, 3]))
+                                          for _ in range(20)])
+        # zero-valued elements among multiples of g, some with many copies
+        yield Instance.from_pairs(m, [(0, rng.choice([1, m]))] + [
+            (g * rng.randrange(1, m // g), rng.choice([1, 2, m]))
+            for _ in range(200)])
+    for _ in range(3):
+        # 8 values at m = 2**15, as the benchmark's sparse instance
+        yield Instance.from_pairs(
+            1 << 15, [(x, 1) for x in rng.sample(range(1, 1 << 15), 8)])
+    for m in (100, 127, 64, 40):
+        yield Instance.from_pairs(m, [(0, 2)] + [
+            (x, 1) for x in rng.sample(range(1, m), min(5, m - 1))])
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_class_order_matches_global_bitrev_sort(backend, monkeypatch):
+    # the solver sorts one residue class at a time, only when it reaches
+    # it; its visits must be the one global sort of the present values by
+    # bit reversal, which ``solver_visits`` makes
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_shift = cls.shift
+    visited = []
+
+    def shift(self, k):
+        # each visited value moves the second tree by the net delta
+        visited.append((visited[-1] if visited else 0) + k)
+        real_shift(self, k)
+
+    monkeypatch.setattr(cls, "shift", shift)
+    for inst in class_order_instances(Random(25)):
+        visited.clear()
+        sums = solve(inst, backend=backend, seed=inst.m)
+        present = [x for x in range(1, inst.m) if inst.mult[x]]
+        assert sorted(visited) == present, inst.m
+        assert visited == solver_visits(inst), inst.m
+        assert sums == solve_naive(inst) and len(sums) < inst.m
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -384,8 +456,7 @@ def test_window_solver_matches_oracle_around_window_edges(backend):
             assert list(sums) == sums.ascending() == want, (
                 m, [(x, c) for x, c in enumerate(inst.mult) if c])
             wanted = set(want)
-            assert [int(b) for b in sums.member] == [
-                int(d in wanted) for d in range(m)]
+            assert membership(sums) == [int(d in wanted) for d in range(m)]
 
 
 def tree_calls(monkeypatch, inst, backend):
@@ -541,7 +612,8 @@ def test_stats_are_reproducible():
         r1 = solve_with_stats(inst, backend=backend, seed=seed)
         r2 = solve_with_stats(inst, backend=backend, seed=seed)
         assert r1.stats == r2.stats
-        assert r1.sums.order == r2.sums.order
+        assert r1.sums == r2.sums
+        assert r1.sums.ascending() == r2.sums.ascending()
 
 
 def test_collision_tripwire_raises_distinct_error(monkeypatch):

@@ -20,10 +20,12 @@ the instances and sums must still agree, and each side's counters are
 printed instead of compared.
 Then every round solves each size once per side, timed with
 ``time.process_time`` after a ``gc.collect()``, and the side that goes
-first alternates from round to round.  For every backend and size it prints
-each side's median, quartiles and the rounds that side won, then each
-side's ratio of medians from one size to the next: with sizes that double,
-the statistic that acceptance criterion 7 bounds.
+first alternates from round to round.  Each solve's ``sums.ascending()``,
+the residue list that a solve itself no longer builds, is timed apart.
+For every backend and size it prints each side's median, quartiles and
+the rounds that side won, with its median ``ascending()`` time beside
+them, then each side's ratio of medians from one size to the next: with
+sizes that double, the statistic that acceptance criterion 7 bounds.
 
 ``--workload tree_ops`` replays the benchmark's ``TreeOpsStream`` batches
 for ``seed`` (set, shift and diff calls on two trees, built fresh and
@@ -110,18 +112,25 @@ def check(sides, backends, sizes, make, seed: int,
 
 
 def time_rounds(sides, backend: str, sizes, make, seed: int, rounds: int):
-    """``walls[side][size index]``: one process time per round, seconds."""
+    """``walls[side][size index]`` and ``lists[side][size index]``: one
+    process time per round, in seconds, of the solve and of its sums'
+    ``ascending()``."""
     insts = [[make(cli, m) for m in sizes] for cli in sides]
     walls = [[[] for _ in sizes] for _ in sides]
+    lists = [[[] for _ in sizes] for _ in sides]
     for r in range(rounds):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
             cli = sides[side]
             for col, inst in enumerate(insts[side]):
                 gc.collect()
                 start = time.process_time()
-                cli.solve_with_stats(inst, backend=backend, seed=seed)
-                walls[side][col].append(time.process_time() - start)
-    return walls
+                sums = cli.solve_with_stats(inst, backend=backend,
+                                            seed=seed).sums
+                middle = time.process_time()
+                sums.ascending()
+                walls[side][col].append(middle - start)
+                lists[side][col].append(time.process_time() - middle)
+    return walls, lists
 
 
 def fresh_trees(pkg, backend: str, stream, seed: int):
@@ -217,16 +226,21 @@ def spread(values) -> str:
     return f"{1e3 * mid:9.1f} ms [{1e3 * q1:.1f}, {1e3 * q3:.1f}]"
 
 
-def report(backend: str, labels, walls) -> None:
-    """Each side's spread and wins per column; with several columns, the
-    ratios of medians from one to the next."""
+def report(backend: str, labels, walls, lists=None) -> None:
+    """Each side's spread and wins per column, and its median
+    ``ascending()`` time if ``lists`` holds them; with several columns,
+    the ratios of medians from one to the next."""
     for col, label in enumerate(labels):
         a, b = walls[0][col], walls[1][col]
         wins = [sum(map(float.__lt__, a, b)), sum(map(float.__lt__, b, a))]
         for side in (0, 1):
-            print(f"{backend} {label} {SIDES[side]}: "
-                  f"{spread(walls[side][col])}  "
-                  f"won {wins[side]}/{len(a)}")
+            line = (f"{backend} {label} {SIDES[side]}: "
+                    f"{spread(walls[side][col])}  "
+                    f"won {wins[side]}/{len(a)}")
+            if lists is not None:
+                line += (f"  ascending() "
+                         f"{1e3 * median(lists[side][col]):.2f} ms")
+            print(line)
     if len(labels) < 2:
         return
     for side in (0, 1):
@@ -287,9 +301,9 @@ def main(argv=None) -> int:
         return 1
     print(agree)
     for backend in args.backends:
-        walls = time_rounds(sides, backend, sizes, make, args.seed,
-                            args.rounds)
-        report(backend, [f"m={m}" for m in sizes], walls)
+        walls, lists = time_rounds(sides, backend, sizes, make, args.seed,
+                                   args.rounds)
+        report(backend, [f"m={m}" for m in sizes], walls, lists)
     return 0
 
 
