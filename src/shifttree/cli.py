@@ -16,12 +16,14 @@ from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
 # Largest modulus (and --bench size) accepted.  A run holds under 0.6 kB
-# per residue (peak RSS growth on a dense instance, seed 1, at m = 2**16
-# and 2**20: 4-6 bytes for the solve on either backend, about 125 once
-# list mode has built the residue list and its output text), so this
+# per residue (peak RSS growth on a dense instance, seed 1: 4-6 bytes for
+# the solve on either backend at m = 2**16 and 2**20; across parse, solve
+# and list-mode output, about 130 at 2**16 and 85 at 2**20), so this
 # keeps one run under 1 GB; larger inputs are refused before any table is
 # allocated.
 MAX_MODULUS = 1 << 20
+# Residues list mode encodes and writes at a time.
+_SLICE = 1 << 16
 
 
 def parse_instance(text: str, modulus: int) -> Instance:
@@ -92,6 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def write_residues(residues: list[int]) -> None:
+    """Write one residue a line to standard output's binary layer, a slice
+    of 2**16 at a time, so only one slice's text is held at once.  A write
+    of fewer bytes than a slice holds means the reader has gone: it raises
+    BrokenPipeError, as the text layer would not."""
+    out = sys.stdout.buffer
+    for i in range(0, len(residues), _SLICE):
+        data = ("\n".join(map(str, residues[i:i + _SLICE])) + "\n").encode()
+        if out.write(data) < len(data):
+            raise BrokenPipeError("standard output took a short write")
+
+
 def fail(message: str) -> int:
     """Report a usage or input error on stderr; returns exit code 2."""
     print(f"error: {message}", file=sys.stderr)
@@ -150,8 +164,7 @@ def main(argv=None) -> int:
         if args.mode == "count":
             print(len(result.sums))
         else:
-            sys.stdout.write("\n".join(map(str, result.sums.ascending()))
-                             + "\n")
+            write_residues(result.sums.ascending())
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull, as the Python docs

@@ -24,8 +24,8 @@ class HashedShiftTree(ShiftTree):
     genuine difference.  It compares hashes on fewer than log m levels of
     a tree of m leaves, whose node pairs cover at most m leaves per level,
     so by the bound in ``hashing`` it fails with probability below
-    m log m / 2**80 per call; in a word tree, whose windows may exceed p,
-    add m * 2**-71.5.
+    m log m / 2**80 per call; for a word tree's ``diff_windows``, whose
+    windows may exceed p, add m * 2**-71.5.
     """
 
     def __init__(self, n: int, ctx: HashContext):

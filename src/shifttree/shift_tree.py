@@ -17,10 +17,11 @@ c's window is string position 512c + i, so the tree has nine levels fewer
 and a diff stops at its leaves.  Its rotation delta = 512*D + r moves the
 word tree by D, and the windows tile the unrotated bit string at offset r;
 a shift that changes r re-tiles every window, then refreshes the whole
-tree.  The variants see windows as letters.  A word tree also reads and
-writes whole windows: ``diff_windows`` reports each differing window with
-both trees' bits, and ``set_bits`` writes the set bits of ``(start,
-bits)`` spans; every word-tree write goes through it.
+tree.  The variants see windows as letters.  A word tree is read and
+written by whole windows only: ``diff_windows`` reports each differing
+window with both trees' bits, and ``set_bits`` writes the set bits of
+``(start, bits)`` spans.  The letter methods ``init``, ``set``,
+``set_many``, ``diff`` and ``materialize`` refuse a word tree.
 """
 
 from itertools import compress, repeat
@@ -48,54 +49,30 @@ _WHOLE_LEVEL = 32
 # and the diff walk to settle a uniform node only against a uniform one.
 _MIXED = object()
 
-# _ONE maps the digits "0" and "1" of bin() to the bytes 0 and 1
-_ONE = bytes.maketrans(b"01", b"\0\1")
-
 
 def _check_bit(x) -> None:
     if not (isinstance(x, int) and 0 <= x <= 1):
         raise ValueError(f"letter {x!r} of a word tree is not 0 or 1")
 
 
-def _check_bits(letters) -> None:
-    if not all(map(isinstance, letters, repeat(int))):
-        raise ValueError("letters must be integers")
-    _check_bit(min(letters))
-    _check_bit(max(letters))
-
-
-def bit_positions(windows, q: int) -> list[int]:
-    """The positions c * 2**q + i of the set bits i of ``(c, bits)``
-    windows, window by window, lowest first; O(1) per position."""
-    out: list[int] = []
-    for c, w in windows:
-        base = c << q
-        if w.bit_count() > 64:
-            # a dense window: one C pass over all its bits, as bytes 0/1,
-            # beats a Python step per set bit
-            out += compress(range(base, base + (1 << q)),
-                            bin(w)[:1:-1].encode().translate(_ONE))
-            continue
-        while w:
-            low = w & -w
-            out.append(base + low.bit_length() - 1)
-            w ^= low
-    return out
+def _refuse_letters(letters) -> None:
+    raise ValueError("a word tree is written by set_bits only")
 
 
 class ShiftTree:
     """A string under point writes, cyclic rotations and difference
     listing against another tree of the same variant.
 
-    Costs, for a string of length m: ``init`` O(m); ``set`` O(log m);
-    ``set_many`` O(b log m) for b positions; ``shift(k)`` O(m / 2**j)
-    where 2**j is the largest power of two dividing k (in a word tree,
-    O(m / 512) for j < 9); ``diff`` O((d+1) log m) for d reported
-    differences.  A word tree adds ``diff_windows`` O((w+1) log m) for w
-    reported windows, and ``set_bits`` O(s + b/512 + w log m) for s spans
-    of b bits in all that write w windows.  A fresh tree of letters holds
-    ``size`` copies of ``letter``, which its inner nodes must already
-    summarise; a fresh word tree holds the all-zero string.
+    Costs, for a string of length m: ``shift(k)`` O(m / 2**j) where 2**j
+    is the largest power of two dividing k (in a word tree, O(m / 512)
+    for j < 9).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
+    ``set_many`` O(b log m) for b positions; ``diff`` O((d+1) log m) for
+    d reported differences.  A word tree has ``diff_windows``
+    O((w+1) log m) for w reported windows, and ``set_bits``
+    O(s + b/512 + w log m) for s spans of b bits in all that write w
+    windows, in their place.  A fresh tree of letters holds ``size``
+    copies of ``letter``, which its inner nodes must already summarise; a
+    fresh word tree holds the all-zero string.
 
     Every operation is shared; a variant is a node refresh, a letter check
     and a node-equality hook for the one diff walk.
@@ -132,9 +109,8 @@ class ShiftTree:
         self.q, self.word = q, True
         self.length = self.size << q
         self.nodes = [0] * (2 * self.size)  # zero windows, zero summaries
-        # a word tree's letters are bits, whatever the variant's alphabet
-        self._check = _check_bits
-        self._check_letter = _check_bit
+        # the letter writes refuse a word tree at their letter check
+        self._check = self._check_letter = _refuse_letters
 
     def _refresh(self, level: int, dirty) -> None:
         """Recompute the distinct ancestors of ``dirty`` (all on ``level``)
@@ -167,19 +143,11 @@ class ShiftTree:
             raise ValueError(f"expected {self.length} letters, got {len(vals)}")
         self._check(vals)
         self.topo.delta = 0
-        self.r = 0
-        if self.q:
-            step = 1 << self.q
-            vals = [sum(bit << i for i, bit in enumerate(vals[c:c + step]))
-                    for c in range(0, self.length, step)]
         self.nodes[self.size:] = vals
         self._refresh(self.n, range(self.size, 2 * self.size))
 
     def set(self, pos: int, x) -> None:
         """Overwrite the letter at string position ``pos``."""
-        if self.word:
-            self.set_many((pos,), x)
-            return
         self._check_letter(x)
         j = self.topo.leaf_of_position(pos)
         self.nodes[j] = x
@@ -187,9 +155,7 @@ class ShiftTree:
 
     def set_many(self, positions, x) -> None:
         """Write letter ``x`` at each position of the iterable ``positions``
-        (an iterator or a generator will do); repeats are allowed.  A word
-        tree rewrites the distinct windows, then refreshes their ancestors
-        once."""
+        (an iterator or a generator will do); repeats are allowed."""
         self._check_letter(x)
         if iter(positions) is positions:
             # a one-shot iterable is its own iterator: read it once, since
@@ -204,8 +170,6 @@ class ShiftTree:
             if not 0 <= pos < self.length:
                 raise ValueError(f"position {pos!r} is not an integer in "
                                  f"[0, {self.length})")
-        if self.word:
-            return self.set_bits(zip(positions, repeat(1)), x)
         delta = self.topo.delta
         size = self.size
         nodes = self.nodes
@@ -223,7 +187,7 @@ class ShiftTree:
         plus a step per span and per 512 bits of it."""
         if not self.word:
             raise ValueError("set_bits needs a word tree")
-        self._check_letter(x)
+        _check_bit(x)
         q, size, delta = self.q, self.size, self.topo.delta
         step, full = 1 << q, (1 << (1 << q)) - 1
         windows: dict[int, int] = {}    # leaf slot -> bits to write there
@@ -291,25 +255,23 @@ class ShiftTree:
 
     def diff(self, other: "ShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ,
-        in ascending order.  ``other`` must be a tree of the same variant,
-        depth and leaf width that ``_equality`` accepts.  The walk descends
-        through unsettled node pairs down to blocks: in a tree of letters,
-        nodes of 64 positions (the whole string, if shorter), whose letters
-        it compares in one pass; in a word tree, the leaves, whose windows
-        ``diff_windows`` reports and this expands bit by bit."""
-        out = self._walk(other, a, b)
-        if self.word:  # a word tree's walk reports windows: expand them
-            out = bit_positions(
-                [(c, own ^ theirs) for c, own, theirs in out], self.q)
-        return out
+        in ascending order.  ``other`` must be a tree of letters of the
+        same variant and depth that ``_equality`` accepts.  The walk
+        descends through unsettled node pairs down to blocks of 64
+        positions (the whole string, if shorter), whose letters it compares
+        in one pass."""
+        if self.word:
+            raise ValueError("a word tree is read by diff_windows only")
+        return self._walk(other, a, b)
 
     def diff_windows(self, other: "ShiftTree", a: int,
                      b: int) -> list[tuple[int, int, int]]:
-        """``diff`` of two word trees by window: ``(c, own, theirs)`` for
-        each window c (string positions c * 2**q on, with 2**q =
-        min(512, length)) that differs within [a, b], in ascending order,
-        with both trees' bits of that window masked to [a, b].
-        O((w+1) log m) for w windows reported."""
+        """The differences of two word trees in [a, b], by window:
+        ``(c, own, theirs)`` for each window c (string positions c * 2**q
+        on, with 2**q = min(512, length)) that differs within [a, b], in
+        ascending order, with both trees' bits of that window masked to
+        [a, b].  The walk stops at the leaves.  O((w+1) log m) for w
+        windows reported."""
         if not self.word:
             raise ValueError("diff_windows needs word trees")
         return self._walk(other, a, b)
@@ -381,9 +343,7 @@ class ShiftTree:
         return out
 
     def materialize(self) -> list:
-        """The maintained string as a letter list; O(m)."""
-        letters = self.topo.letters(self.nodes, 0, self.size - 1)
-        if self.q:
-            step = range(1 << self.q)
-            return [w >> i & 1 for w in letters for i in step]
-        return letters
+        """The maintained string of a tree of letters as a list; O(m)."""
+        if self.word:
+            raise ValueError("a word tree is read by diff_windows only")
+        return self.topo.letters(self.nodes, 0, self.size - 1)

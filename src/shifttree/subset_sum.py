@@ -69,7 +69,6 @@ from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
 from .hashing import make_context
-from .shift_tree import bit_positions
 from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
@@ -77,6 +76,9 @@ BACKENDS = ("hashed", "tagged", "naive")
 
 # _REV[b] is byte b with its eight bits in reverse order
 _REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+# _ONE maps the digits "0" and "1" of bin() to the bytes 0 and 1
+_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
 class HashCollisionError(RuntimeError):
@@ -139,6 +141,25 @@ class Instance(SimpleNamespace):
 
     def total_count(self) -> int:
         return sum(self.mult)
+
+
+def bit_positions(windows, q: int) -> list[int]:
+    """The positions c * 2**q + i of the set bits i of ``(c, bits)``
+    windows, window by window, lowest first; O(1) per position."""
+    out: list[int] = []
+    for c, w in windows:
+        base = c << q
+        if w.bit_count() > 64:
+            # a dense window: one C pass over all its bits, as bytes 0/1,
+            # beats a Python step per set bit
+            out += compress(range(base, base + (1 << q)),
+                            bin(w)[:1:-1].encode().translate(_ONE))
+            continue
+        while w:
+            low = w & -w
+            out.append(base + low.bit_length() - 1)
+            w ^= low
+    return out
 
 
 class SumSet:
@@ -260,8 +281,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     else:
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree.packed(width, shared), tree.packed(width, shared)
-    t1.set_many((0,), 1)              # S = {0}, padded with the fresh zeros
-    t2.set_many((0, L - m), 1)        # two copies of it around the gap
+    t1.set_bits([(0, 1)], 1)              # S = {0}, padded with the zeros
+    t2.set_bits([(0, 1), (L - m, 1)], 1)  # two copies around the gap
 
     q = t1.q
     step, full = 1 << q, (1 << (1 << q)) - 1
@@ -323,9 +344,9 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     stats.diff_visits = t1.diff_visits + t2.diff_visits
     if backend == "tagged":
         stats.store_ops = shared.ops
-    # every window fits in 64 bytes: 512 bits, or all L < 512 of one
-    sums = SumSet(m, int.from_bytes(b"".join(
-        map(int.to_bytes, s, repeat(64), repeat("little"))), "little"))
+    # a window of 2**q bits is whole bytes, unless it is the only window
+    sums = SumSet(m, int.from_bytes(b"".join(map(
+        int.to_bytes, s, repeat(-(-step // 8)), repeat("little"))), "little"))
     return SolveResult(sums=sums, stats=stats)
 
 

@@ -93,6 +93,14 @@ def solver_visits(inst: Instance) -> list[int]:
     return visits
 
 
+def word_string(tree) -> list[int]:
+    """A word tree's 0/1 string, read bit by bit off its windows in string
+    order."""
+    step = range(1 << tree.q)
+    return [w >> i & 1 for w in tree.topo.letters(tree.nodes, 0, tree.size - 1)
+            for i in step]
+
+
 def node_string(tree, i: int) -> list:
     """Letters covered by node i, left to right."""
     if i >= tree.size:

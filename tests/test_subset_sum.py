@@ -14,15 +14,19 @@ from shifttree import (
     SolverStats,
     SumSet,
     TaggedShiftTree,
+    TagStore,
     bitrev,
     solve,
     solve_naive,
     solve_with_stats,
 )
+from shifttree import shift_tree
 from shifttree.cli import dense_instance
+from shifttree.subset_sum import bit_positions
 
 from helpers import (EDGE_MODULI, lying_diff_windows, naive_diff,
-                     random_instance, rotate_right, solver_visits)
+                     random_instance, rotate_right, solver_visits,
+                     word_string)
 
 BACKENDS = ("hashed", "tagged", "naive")
 
@@ -132,6 +136,25 @@ def test_sumset_basics():
     assert 1999 in big and 1998 not in big and 2001 not in big
 
 
+def test_bit_positions_matches_naive_expansion():
+    # windows of 0, 1, 63, 64, 65 and all bits set, at window indices 0 and
+    # above with gaps, for every q from 0 to 9: a window with more than 64
+    # set bits takes the one C pass, the others the per-bit loop
+    rng = Random(26)
+    for q in range(10):
+        width = 1 << q
+        counts = [c for c in (0, 1, 63, 64, 65) if c < width] + [width]
+        indices = sorted(rng.sample(range(3 * len(counts)), len(counts)))
+        windows = [(c, sum(1 << i for i in rng.sample(range(width), count)))
+                   for c, count in zip([0] + indices[1:], counts)]
+        rng.shuffle(windows)
+        want = [(c << q) + i for c, w in windows for i in range(width)
+                if w >> i & 1]
+        assert bit_positions(windows, q) == want, q
+        assert bit_positions(iter(windows), q) == want, q
+        assert bit_positions([], q) == []
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         solve(Instance(3, [0, 1, 0]), backend="quantum")
@@ -227,25 +250,25 @@ def membership(sums) -> list[int]:
 
 def observe_solve(monkeypatch, inst, backend):
     """Solve ``inst`` while watching the solver's two word trees, each
-    captured at its first ``set_many``.  Returns the result and, for each
+    captured at its first ``set_bits``.  Returns the result and, for each
     visited value x in visit order, (x, the first tree's 0/1 string, the
     second's rotated back by x), read when the value is done: at the next
     shift, or when the solve returns."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_set_many, real_shift = cls.set_many, cls.shift
+    real_set_bits, real_shift = cls.set_bits, cls.shift
     trees, visited, seen = [], [], []
 
     def snapshot():
         first, second = trees
         x = visited[-1]
-        seen.append((x, first.materialize(),
-                     rotate_right(second.materialize(), -x)))
+        seen.append((x, word_string(first),
+                     rotate_right(word_string(second), -x)))
 
-    def set_many(self, positions, x):
+    def set_bits(self, spans, x):
         if self not in trees:
             assert is_word_tree(self, inst.m)
             trees.append(self)
-        real_set_many(self, positions, x)
+        real_set_bits(self, spans, x)
 
     def shift(self, k):
         if visited:
@@ -254,7 +277,7 @@ def observe_solve(monkeypatch, inst, backend):
         real_shift(self, k)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cls, "set_many", set_many)
+        patch.setattr(cls, "set_bits", set_bits)
         patch.setattr(cls, "shift", shift)
         result = solve_with_stats(inst, backend=backend, seed=inst.m)
         if visited:
@@ -444,6 +467,21 @@ def near_modulus(rng, m):
         (rng.randrange(1, m), rng.randint(1, 3)) for _ in range(4)])
 
 
+@pytest.mark.parametrize("word", [64, 256, 1024])
+def test_solver_follows_the_trees_window_width(word, monkeypatch):
+    # the solver takes its windows' width from its trees, so the sums stay
+    # the oracle's at any window width the trees are built with
+    monkeypatch.setattr(shift_tree, "_WORD", word)
+    assert TaggedShiftTree.packed(12, TagStore()).q == word.bit_length() - 1
+    rng = Random(25)
+    for m in EDGE_MODULI:
+        inst = random_instance(rng, m=m)
+        want = solve_naive(inst)
+        for backend in ("hashed", "tagged"):
+            assert solve(inst, backend=backend, seed=m) == want, \
+                (word, m, backend)
+
+
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_window_solver_matches_oracle_around_window_edges(backend):
     # moduli one below, at and above a window of 512 and its multiples;
@@ -464,8 +502,8 @@ def tree_calls(monkeypatch, inst, backend):
     visited value: for each value x in visit order, (x, the names of the
     diff methods called, the trees written by ``set_bits`` in call order,
     0 for the first tree and 1 for the second, and each write's bit and
-    spans).  Every word-tree write goes through ``set_bits``,
-    ``set_many``'s too.  The trees are numbered by their first write; the
+    spans).  A word tree is written by ``set_bits`` only.  The trees are
+    numbered by their first write; the
     writes of S = {0}, before the first shift, belong to no value."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real = {name: getattr(cls, name)
@@ -549,23 +587,24 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
 def test_solve_never_calls_init(backend, monkeypatch):
     # a fresh word tree already holds the all-zero padding, with no init:
     # the first write a solve makes to each tree is S = {0} (the first
-    # tree) or its two copies (the second), onto zeros
+    # tree) or its two copies (the second), as one-bit spans onto zeros
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_set_many = cls.set_many
+    real_set_bits = cls.set_bits
     first_writes = []
 
     def init(self, letters):
         raise AssertionError("the solver called init")
 
-    def set_many(self, positions, x):
+    def set_bits(self, spans, x):
+        spans = list(spans)
         if not any(tree is self for tree, _ in first_writes):
             assert is_word_tree(self, m)
-            assert self.materialize() == [0] * self.length
-            first_writes.append((self, (sorted(positions), x)))
-        real_set_many(self, positions, x)
+            assert word_string(self) == [0] * self.length
+            first_writes.append((self, (sorted(spans), x)))
+        real_set_bits(self, spans, x)
 
     monkeypatch.setattr(cls, "init", init)
-    monkeypatch.setattr(cls, "set_many", set_many)
+    monkeypatch.setattr(cls, "set_bits", set_bits)
     rng = Random(23)
     for m in EDGE_MODULI:
         first_writes.clear()
@@ -573,7 +612,8 @@ def test_solve_never_calls_init(backend, monkeypatch):
         want = solve_naive(inst).ascending()
         assert solve(inst, backend=backend, seed=m).ascending() == want, m
         L = 1 << (2 * m - 1).bit_length()
-        assert [w for _, w in first_writes] == [([0], 1), ([0, L - m], 1)]
+        assert [w for _, w in first_writes] == [
+            ([(0, 1)], 1), ([(0, 1), (L - m, 1)], 1)]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])

@@ -218,3 +218,14 @@ def test_src_lines_counts_code_lines(tmp_path):
         "    18      6  pkg/box.py",
         "    18      6  total",
     ]
+
+
+def test_no_bare_assert_under_src():
+    # an invariant under src/ must hold under python -O, which drops every
+    # assert statement, so none may guard one
+    modules = sorted((ROOT / "src" / "shifttree").rglob("*.py"))
+    assert len(modules) > 5
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

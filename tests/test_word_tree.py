@@ -1,5 +1,6 @@
 """Word trees: 0/1 strings of length L = 2**width packed min(512, L)
-positions per leaf, checked against list models on both variants."""
+positions per leaf, written by ``set_bits`` and read by ``diff_windows``,
+checked against list models on both variants."""
 
 from random import Random
 
@@ -14,7 +15,7 @@ from shifttree import (
 
 from helpers import (
     batch_write, hash_string, inner_ancestors, naive_diff, node_string,
-    rotate_right)
+    rotate_right, word_string)
 
 from test_tagged_tree import audit_tag_equivalences
 
@@ -28,6 +29,27 @@ def word_trees(backend, width, seed=0):
     else:
         cls, shared = TaggedShiftTree, TagStore()
     return [cls.packed(width, shared) for _ in range(2)], shared
+
+
+def write(tree, positions, x):
+    """Write bit ``x`` at each of ``positions`` as one-bit spans."""
+    tree.set_bits([(pos, 1) for pos in positions], x)
+
+
+def load(tree, s):
+    """Make a word tree hold the 0/1 list ``s``, whatever it held: its ones
+    as one span of set bits, then its zeros as another."""
+    ones = int("".join(map(str, reversed(s))), 2)
+    tree.set_bits([(0, ones)], 1)
+    tree.set_bits([(0, ones ^ ((1 << len(s)) - 1))], 0)
+
+
+def diff_positions(tree, other, a, b):
+    """The set bits of ``own ^ theirs`` over the windows ``diff_windows``
+    reports, as string positions in ascending order."""
+    q = tree.q
+    return [(c << q) + i for c, own, theirs in tree.diff_windows(other, a, b)
+            for i in range(1 << q) if (own ^ theirs) >> i & 1]
 
 
 def audit(trees, shared) -> bool:
@@ -82,10 +104,10 @@ def random_shift(rng, width: int) -> int:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_trees_match_list_models(backend):
     # every width from 0 to 13 (L = 1 .. 8192, so L < 512 included) under
-    # random init, set, set_many with repeats, shifts of every valuation
-    # class and diffs on random intervals, each trial on its own hash
-    # prime; each shift refreshes exactly ``shift_updates`` inner nodes,
-    # and the audit runs after every call
+    # random whole-string loads, one-bit and batched writes with repeats,
+    # shifts of every valuation class and diffs on random intervals, each
+    # trial on its own hash prime; each shift refreshes exactly
+    # ``shift_updates`` inner nodes, and the audit runs after every call
     rng = Random(16)
     valuations = set()
     big_windows = 0
@@ -94,22 +116,22 @@ def test_word_trees_match_list_models(backend):
         L = 1 << width
         trees, shared = word_trees(backend, width, seed=trial)
         models = [[0] * L, [0] * L]  # a fresh word tree holds zeros
-        assert [t.materialize() for t in trees] == models
+        assert [word_string(t) for t in trees] == models
         for _ in range(rng.randint(1, 14)):
             w = rng.randrange(2)
             tree, model = trees[w], models[w]
             roll = rng.random()
             if roll < 0.08:
                 s = [rng.randrange(2) for _ in range(L)]
-                tree.init(s)
+                load(tree, s)
                 models[w] = s
             elif roll < 0.25:
                 pos, bit = rng.randrange(L), rng.randrange(2)
-                tree.set(pos, bit)
+                write(tree, [pos], bit)
                 model[pos] = bit
             elif roll < 0.45:
                 positions, bit = batch_write(rng, L), rng.randrange(2)
-                tree.set_many(positions, bit)
+                write(tree, positions, bit)
                 for pos in positions:
                     model[pos] = bit
             elif roll < 0.75:
@@ -125,11 +147,12 @@ def test_word_trees_match_list_models(backend):
                 a = rng.randrange(L)
                 b = rng.randrange(a, L)
                 want = naive_diff(models[w], models[1 - w], a, b)
-                assert tree.diff(trees[1 - w], a, b) == want, (trial, a, b)
+                assert diff_positions(tree, trees[1 - w], a, b) == want, \
+                    (trial, a, b)
             big_windows += audit(trees, shared)
-        assert [t.materialize() for t in trees] == models, trial
+        assert [word_string(t) for t in trees] == models, trial
         want = naive_diff(models[0], models[1], 0, L - 1)
-        assert trees[0].diff(trees[1], 0, L - 1) == want, trial
+        assert diff_positions(trees[0], trees[1], 0, L - 1) == want, trial
     # re-tiles at every valuation below 9, word shifts at 9 and above
     assert valuations == set(range(11))
     # hashed windows reached the prime: a window need not be below it
@@ -141,7 +164,7 @@ def test_word_tree_shift_costs_are_exact(backend):
     # exhaustive over every k in [0, L) for L = 2 .. 2**12
     for width in range(1, 13):
         (tree, _), _ = word_trees(backend, width, seed=width)
-        tree.set_many(range(0, 1 << width, 3), 1)
+        write(tree, range(0, 1 << width, 3), 1)
         for k in range(1 << width):
             before = tree.update_calls
             tree.shift(k)
@@ -155,10 +178,13 @@ def test_word_tree_layout(backend):
     # string block c's window is position 512c + i, whatever the rotation
     (tree, other), _ = word_trees(backend, 13)
     assert (tree.n, tree.q, tree.size, tree.length) == (4, 9, 16, 8192)
-    tree.set_many([3, 512 * 5 + 7, 8191], 1)
+    ones = [3, 512 * 5 + 7, 8191]
+    write(tree, ones, 1)
+    s = [int(p in ones) for p in range(8192)]
     for k in (1, 512, 700, -37):
         tree.shift(k)
-    s = tree.materialize()
+        s = rotate_right(s, k)
+    assert word_string(tree) == s
     for c in range(16):
         window = tree.nodes[tree.topo.leaf_of_position(c)]
         assert window == sum(bit << i for i, bit in enumerate(
@@ -166,34 +192,40 @@ def test_word_tree_layout(backend):
     # L = 8: one window of 8 bits, the tree's only node
     (small, _), _ = word_trees(backend, 3)
     assert (small.n, small.q, small.size, small.length) == (0, 3, 1, 8)
-    small.set(6, 1)
+    write(small, [6], 1)
     small.shift(3)
-    assert small.nodes[1] == 1 << 1 and small.materialize()[1] == 1
+    assert small.nodes[1] == 1 << 1 and word_string(small)[1] == 1
     assert small.update_calls == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_validation(backend):
-    (tree, other), shared = word_trees(backend, 7)
-    for bad in (2, -1, 0.5, 1.0, None):
-        with pytest.raises(ValueError):
-            tree.set(3, bad)
-        with pytest.raises(ValueError):
-            tree.set_many([3], bad)
-    with pytest.raises(ValueError):
-        tree.init([0] * 127 + [2])
-    with pytest.raises(ValueError):
-        tree.init([0] * 64)
-    for pos in (-1, 128):
-        with pytest.raises(ValueError):
-            tree.set(pos, 1)
-        with pytest.raises(ValueError):
-            tree.diff(other, 0, pos)
-    assert tree.materialize() == [0] * 128 and tree.update_calls == 0
-    # a tree of letters of the same depth holds another string
+    # the letter methods refuse a word tree, valid arguments or not, before
+    # anything is written or counted: it is written by set_bits and read
+    # by diff_windows only
+    (tree, other), shared = word_trees(backend, 10)
+    write(tree, [3, 600, 1023], 1)
+    tree.shift(700)
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    state = (list(tree.nodes), tree.update_calls, tree.diff_visits,
+             tree.topo.delta, tree.r)
+    for name, args in (
+            ("init", ([0] * 1024,)), ("init", ([1] * 1024,)),
+            ("init", ([0] * 1023 + [2],)), ("init", ([0] * 64,)),
+            ("set", (3, 1)), ("set", (3, 0)), ("set", (3, 2)),
+            ("set", (-1, 1)), ("set", (3, None)),
+            ("set_many", ([3], 1)), ("set_many", (iter([3, 5]), 0)),
+            ("set_many", ([], 1)), ("set_many", ([3], 0.5)),
+            ("diff", (other, 0, 1023)), ("diff", (other, 0, 1024)),
+            ("diff", (cls(tree.n, shared), 0, 1)), ("materialize", ())):
+        with pytest.raises(ValueError):
+            getattr(tree, name)(*args)
+        assert (tree.nodes, tree.update_calls, tree.diff_visits,
+                tree.topo.delta, tree.r) == state, name
+    assert other.diff_visits == 0
+    # a tree of letters refuses a word tree in its diff
     with pytest.raises(ValueError):
-        tree.diff(cls(tree.n, shared), 0, 1)
+        cls(tree.n, shared).diff(tree, 0, 1)
 
 
 def test_one_context_serves_every_window_width():
@@ -206,12 +238,12 @@ def test_one_context_serves_every_window_width():
         for width in (3, 9, 12):
             a, b = (HashedShiftTree.packed(width, ctx) for _ in range(2))
             assert a.q == min(width, 9)
-            a.set_many(range(0, 1 << width, 5), 1)
-            b.set_many(range(0, 1 << width, 7), 1)
+            write(a, range(0, 1 << width, 5), 1)
+            write(b, range(0, 1 << width, 7), 1)
             b.shift(3)
-            want = naive_diff(a.materialize(), b.materialize(),
+            want = naive_diff(word_string(a), word_string(b),
                               0, (1 << width) - 1)
-            assert a.diff(b, 0, (1 << width) - 1) == want
+            assert diff_positions(a, b, 0, (1 << width) - 1) == want
             audit([a, b], ctx)
         with pytest.raises(ValueError):
             HashedShiftTree.packed(13, ctx)  # 16 leaves
@@ -226,7 +258,7 @@ def random_word_pair(rng, backend, width, seed):
     models = []
     for tree in trees:
         s = [int(rng.random() < density) for _ in range(L)]
-        tree.init(s)
+        load(tree, s)
         k = random_shift(rng, width)
         tree.shift(k)
         models.append(rotate_right(s, k))
@@ -237,8 +269,8 @@ def random_word_pair(rng, backend, width, seed):
 def test_diff_is_diff_windows_expanded(backend):
     # on random unaligned [a, b]: diff_windows lists each window that
     # differs within [a, b] once, in ascending order, with both trees'
-    # bits masked to [a, b], and diff is exactly its set bits of
-    # own ^ theirs, window by window
+    # bits masked to [a, b], and the set bits of own ^ theirs, window by
+    # window, are exactly the list models' differences
     rng = Random(19)
     for trial in range(400):
         width = rng.choice([0, 3, 9, 10, 12])
@@ -260,16 +292,16 @@ def test_diff_is_diff_windows_expanded(backend):
                 assert theirs == sum(u[p] << (p - (c << q)) for p in span)
             expanded = [(c << q) + i for c, own, theirs in windows
                         for i in range(1 << q) if (own ^ theirs) >> i & 1]
-            assert expanded == t.diff(o, a, b) == want, (trial, a, b)
+            assert expanded == want, (trial, a, b)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_set_bits_matches_set_many(backend):
-    # a span write on one twin and the per-position write of the same
-    # positions on the other leave the same string, the same nodes and the
-    # same refresh count: one per distinct inner ancestor of the written
-    # windows.  Spans run across windows and past L (starts below 0 and
-    # above L, bits longer than a window or than L), and x is 0 or 1
+    # a span write on one twin and one-bit spans of the same positions on
+    # the other leave the same string, the same nodes and the same refresh
+    # count: one per distinct inner ancestor of the written windows.  Spans
+    # run across windows and past L (starts below 0 and above L, bits
+    # longer than a window or than L), and x is 0 or 1
     rng = Random(20)
     writes = 0
     for trial in range(150):
@@ -291,12 +323,12 @@ def test_set_bits_matches_set_many(backend):
                          for i in range(bits.bit_length()) if bits >> i & 1]
             before = a.update_calls, b.update_calls
             a.set_bits(iter(spans), x)
-            b.set_many(positions, x)
+            write(b, positions, x)
             assert a.update_calls - before[0] == b.update_calls - before[1] \
                 == len(inner_ancestors(a.topo, {p >> a.q for p in positions}))
             for p in positions:
                 model[p] = x
-            assert a.materialize() == b.materialize() == model, trial
+            assert word_string(a) == word_string(b) == model, trial
             assert a.nodes == b.nodes
             writes += bool(positions)
     assert writes > 300
@@ -313,10 +345,10 @@ def test_window_methods_validation(backend):
     for bad in (2, -1, 0.5, None):
         with pytest.raises(ValueError):
             tree.set_bits([(0, 1)], bad)
-    assert tree.materialize() == [0] * 1024 and tree.update_calls == 0
+    assert word_string(tree) == [0] * 1024 and tree.update_calls == 0
     tree.set_bits([], 1)
     tree.set_bits([(5, 0)], 1)  # no bits: no window written or refreshed
-    assert tree.materialize() == [0] * 1024 and tree.update_calls == 0
+    assert word_string(tree) == [0] * 1024 and tree.update_calls == 0
     for a, b in ((-1, 3), (3, 2), (0, 1024), (0.0, 3)):
         with pytest.raises(ValueError):
             tree.diff_windows(other, a, b)
