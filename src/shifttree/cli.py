@@ -11,14 +11,15 @@ import sys
 import time
 from random import Random
 
-from .subset_sum import BACKENDS, HashCollisionError, Instance, solve_with_stats
+from .subset_sum import (BACKENDS, HashCollisionError, Instance,
+                         _check_modulus, solve_with_stats)
 
 STATS_KEYS = ("updates", "diff_visits", "store_ops", "bellman_iterations")
 BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
 # Largest modulus (and --bench size) accepted.  A run holds under 0.6 kB
-# per residue (peak RSS growth on a dense instance, seed 1: 4-6 bytes for
+# per residue (peak RSS growth on a dense instance, seed 1: 4-5 bytes for
 # the solve on either backend at m = 2**16 and 2**20; across parse, solve
-# and list-mode output, about 130 at 2**16 and 85 at 2**20), so this
+# and list-mode output, about 140 at 2**16 and 65 at 2**20), so this
 # keeps one run under 1 GB; larger inputs are refused before any table is
 # allocated.
 MAX_MODULUS = 1 << 20
@@ -33,7 +34,8 @@ def parse_instance(text: str, modulus: int) -> Instance:
     and repeated residues accumulate.  Raises ValueError, with a line number
     on a malformed line, and also on a modulus below 1.
     """
-    pairs = []
+    _check_modulus(modulus)
+    mult = [0] * modulus
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -49,8 +51,8 @@ def parse_instance(text: str, modulus: int) -> Instance:
             raise ValueError(f"line {lineno}: non-integer token") from None
         if count < 0:
             raise ValueError(f"line {lineno}: negative multiplicity {count}")
-        pairs.append((value, count))
-    return Instance.from_pairs(modulus, pairs)
+        mult[value % modulus] += count
+    return Instance(modulus, mult)
 
 
 def dense_instance(m: int, seed: int) -> Instance:

@@ -29,12 +29,14 @@ sorts a class only when the loop reaches it; an empty class costs one C
 pass over its multiplicities.  A solve that saturates early never sorts
 the classes it does not reach.
 
-The modulus is rarely a power of two, so the trees hold padded strings of
-length L = the smallest power of two >= 2m: one tree holds s padded, the
-other two copies of s around a gap, so that for any rotation d <= m the
-first m characters of the rotated double string are exactly the rotation
-of s.  A present residue's letter is 1; the padding, the gap and the
-absent residues keep the 0 a fresh tree starts with.  Both trees are word
+A shift tree rotates its string mod its length L, a power of two.  When
+m is a power of two, L = m: each tree holds s itself, and the second
+tree's rotation by x is the rotation of s by x mod m.  Any other m pads
+to the smallest L >= 2m: one tree holds s padded, the other two copies
+of s around a gap, so that for any rotation d <= m the first m
+characters of the rotated double string are exactly the rotation of s.
+A present residue's letter is 1; the padding, the gap and the absent
+residues keep the 0 a fresh tree starts with.  Both trees are word
 trees (``ShiftTree.packed``): the 0/1 string sits in L/512 windows of 512
 bits (one window of L bits when L < 512), so the trees are nine levels
 shallower than trees of letters, and a fresh one already holds the zero
@@ -54,8 +56,8 @@ The solver works on windows end to end, never on single sums:
   pairs that land in one window merge, and S masks them.
 - A value's new sums gather per window, so each tree gets one
   ``set_bits`` call per productive value with O(windows) spans: window c
-  at 512c in the first tree, and at 512c + x and 512c + x - m in the
-  second.
+  at 512c in the first tree, and at 512c + x in the second, and also at
+  512c + x - m when L is padded.
 - ``SumSet`` is S as one m-bit int, joined from S's windows in C at the
   end; its residue list is built only when ``ascending()`` asks for it.
 
@@ -74,8 +76,13 @@ from .tagged_tree import TaggedShiftTree
 
 BACKENDS = ("hashed", "tagged", "naive")
 
-# _REV[b] is byte b with its eight bits in reverse order
-_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _REV[b] is byte b with its eight bits in reverse order, built a bit at a
+# time at import: the bytes below 2**(k+1) are those below 2**k, then the
+# same with bit k set, which reversed is bit 7 - k
+_REV = b"\0"
+for _k in range(8):
+    _REV += bytes(r | 128 >> _k for r in _REV)
+del _k
 
 # _ONE maps the digits "0" and "1" of bin() to the bytes 0 and 1
 _ONE = bytes.maketrans(b"01", b"\0\1")
@@ -84,7 +91,8 @@ _ONE = bytes.maketrans(b"01", b"\0\1")
 class HashCollisionError(RuntimeError):
     """The hashed backend reported an inconsistent difference set.
 
-    The trees hash their L/512 windows modulo p, a random prime in
+    The trees hash their L/512 windows (L = m for a power of two m, else
+    the smallest power of two >= 2m) modulo p, a random prime in
     [2**80, 2**81), at a random point r in [0, p): by the bound in
     ``HashedShiftTree``, one diff misses a difference with probability
     below (L/512) (log L + 2**8.5) / 2**80 < L / 2**80 (below 1e-16 at
@@ -169,7 +177,9 @@ class SumSet:
     0 is always attainable (the empty subset), so ``SumSet(m)`` is {0}.
     A membership test reads one bit and ``len`` counts the set bits; the
     residue list, in ascending order, is built only by ``ascending()`` and
-    iteration, from the int's 512-bit windows.
+    iteration: a dense S, more than m/8 residues, in one C pass over the
+    int's binary digits, and a sparse one from its nonempty 512-bit
+    windows.
     """
 
     def __init__(self, m: int, bits: int = 1):
@@ -187,6 +197,9 @@ class SumSet:
         return iter(self.ascending())
 
     def ascending(self) -> list[int]:
+        if self.bits.bit_count() > self.m >> 3:
+            # the whole int as one window of 2**q >= m bits
+            return bit_positions([(0, self.bits)], self.m.bit_length())
         raw = self.bits.to_bytes(-(-self.m // 512) * 64, "little")
         windows = [int.from_bytes(raw[i:i + 64], "little")
                    for i in range(0, len(raw), 64)]
@@ -272,8 +285,13 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         return SolveResult(sums=solve_naive(inst, stats), stats=stats)
 
     m = inst.m
-    width = (2 * m - 1).bit_length()  # smallest width with 2**width >= 2m
+    # a power-of-two m is its trees' length, so a rotation of the trees is
+    # one mod m; any other m pads to the smallest L = 2**width >= 2m
+    width = (m - 1 if m & (m - 1) == 0 else 2 * m - 1).bit_length()
     L = 1 << width
+    # offsets of S's copies in the second tree: one copy when L = m, else
+    # a second one past the gap, m before the first (mod L)
+    copies = (0,) if L == m else (0, -m)
 
     # both word trees share one hash context or one tag store
     if backend == "hashed":
@@ -282,7 +300,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree.packed(width, shared), tree.packed(width, shared)
     t1.set_bits([(0, 1)], 1)              # S = {0}, padded with the zeros
-    t2.set_bits([(0, 1), (L - m, 1)], 1)  # two copies around the gap
+    t2.set_bits([(d % L, 1) for d in copies], 1)  # and its copies
 
     q = t1.q
     step, full = 1 << q, (1 << (1 << q)) - 1
@@ -320,6 +338,10 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                         k = max(m - p, 0)
                         todo.append((p + k - m, bits >> k))
                         bits &= (1 << k) - 1
+                        if p >= L:
+                            # the whole piece wrapped, and p has no window:
+                            # with L = m, a piece can start past the last
+                            continue
                     c, bits = p >> q, bits << p % step
                     moved[c] = moved.get(c, 0) | bits & full
                     if bits > full:
@@ -335,8 +357,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         if added:
             count += sum(bits.bit_count() for bits in added.values())
             t1.set_bits([(c << q, bits) for c, bits in added.items()], 1)
-            t2.set_bits([((c << q) + r, bits) for c, bits in added.items()
-                         for r in (x, x - m)], 1)
+            t2.set_bits([((c << q) + x + d, bits) for c, bits in added.items()
+                         for d in copies], 1)
         if count == m:
             break                       # every residue attainable
 

@@ -74,12 +74,25 @@ def batch_write(rng: Random, size: int) -> list[int]:
     return positions + positions[:1]
 
 
+def solver_length(m: int) -> int:
+    """The length L of the solver's trees at modulus m: m itself when m is
+    a power of two, else the smallest power of two >= 2m, found by
+    doubling."""
+    if m & (m - 1) == 0:
+        return m
+    L = 1
+    while L < 2 * m:
+        L *= 2
+    return L
+
+
 def solver_visits(inst: Instance) -> list[int]:
     """Values the solver should visit, in order: the present residues in
-    [1, m) sorted by bit reversal over the padded width, cut after the first
-    one that leaves every residue attainable (big-int bitset model)."""
+    [1, m) sorted by bit reversal over the width of the trees' length,
+    cut after the first one that leaves every residue attainable (big-int
+    bitset model)."""
     m = inst.m
-    width = (2 * m - 1).bit_length()
+    width = solver_length(m).bit_length() - 1
     full = (1 << m) - 1
     bits = 1
     visits = []

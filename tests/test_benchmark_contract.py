@@ -56,6 +56,16 @@ def test_benchmark_imports_and_patches_the_library():
     assert done.stdout.strip().splitlines()[-1] == "ok"
 
 
+def test_benchmark_traces_an_unpadded_solve():
+    # m = 4096 is a power of two, so the trees have length m itself: eight
+    # windows under trees with inner levels, the layout of the sparse
+    # workload (m = 2**15).  A power of two up to 512 is one window, which
+    # the strict xfail below covers
+    done = traced_solves(4096)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "ok"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "perfbench/run.py layer_metrics reads the tag store off the tracer, "
     "which only a wrapped new_tag sets: a tagged solve that makes no tag "

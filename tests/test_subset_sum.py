@@ -25,8 +25,8 @@ from shifttree.cli import dense_instance
 from shifttree.subset_sum import bit_positions
 
 from helpers import (EDGE_MODULI, lying_diff_windows, naive_diff,
-                     random_instance, rotate_right, solver_visits,
-                     word_string)
+                     random_instance, rotate_right, solver_length,
+                     solver_visits, word_string)
 
 BACKENDS = ("hashed", "tagged", "naive")
 
@@ -155,6 +155,20 @@ def test_bit_positions_matches_naive_expansion():
         assert bit_positions([], q) == []
 
 
+def test_ascending_matches_naive_at_every_density():
+    # a dense S, more than m/8 residues, is listed in one pass over the
+    # whole int and a sparse one window by window: both must give the
+    # residues in ascending order, at and around the threshold
+    rng = Random(28)
+    for m in (1, 2, 6, 8, 9, 63, 511, 512, 513, 4096, 12289):
+        for count in {1, m >> 3, (m >> 3) + 1, m // 2, m}:
+            count = max(1, min(count, m))
+            residues = sorted(rng.sample(range(m), count))
+            s = SumSet(m, sum(1 << d for d in residues))
+            assert s.ascending() == list(s) == residues, (m, count)
+    assert SumSet(12289, (1 << 12289) - 1).ascending() == list(range(12289))
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         solve(Instance(3, [0, 1, 0]), backend="quantum")
@@ -222,23 +236,35 @@ def test_sums_only_grow_and_keep_zero():
         assert sums.bits >> inst.m == 0
 
 
+def second_string(s: list, L: int) -> list:
+    """The second tree's string, unrotated, for membership string s: two
+    copies of s around a zero gap in length L >= 2m, or s itself when
+    L = m."""
+    m = len(s)
+    return s if L == m else s + [0] * (L - 2 * m) + s
+
+
 def test_prefix_padding_identity():
-    # for any bitmap s and d <= m, rotating the doubled string keeps the
-    # rotation of s as its length-m prefix
+    # for any bitmap s and d <= m, rotating the second tree's string keeps
+    # the rotation of s as its length-m prefix: the doubled string of a
+    # padded L >= 2m, and s itself when m is a power of two (L = m), where
+    # the trees' rotation mod L is the rotation mod m
     rng = Random(9)
-    for _ in range(200):
-        m = rng.randint(1, 40)
-        L = 1 << (2 * m - 1).bit_length()
+    for m in [rng.randint(1, 40) for _ in range(200)] + [1, 2, 4, 32, 64]:
+        L = solver_length(m)
+        assert L == m or L >= 2 * m
         s = [rng.randrange(2) for _ in range(m)]
-        doubled = s + [0] * (L - 2 * m) + s
+        doubled = second_string(s, L)
+        assert len(doubled) == L
         for d in range(m + 1):
             assert rotate_right(doubled, d)[:m] == rotate_right(s, d)[:m]
 
 
 def is_word_tree(tree, m: int) -> bool:
-    """Whether ``tree`` is a word tree over the solver's padded length L:
-    min(512, L) positions per leaf, so L/512 leaves (one when L <= 512)."""
-    L = 1 << (2 * m - 1).bit_length()
+    """Whether ``tree`` is a word tree over the solver's length L (m for a
+    power of two m, else padded to at least 2m): min(512, L) positions per
+    leaf, so L/512 leaves (one when L <= 512)."""
+    L = solver_length(m)
     return (tree.length, tree.size, tree.q) == (L, max(L >> 9, 1),
                                                 min(L.bit_length() - 1, 9))
 
@@ -289,12 +315,13 @@ def observe_solve(monkeypatch, inst, backend):
 def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
     # after each visited value, the first tree holds S zero-padded and the
     # second, rotated back, two copies of S around the zero gap, where S is
-    # the oracle's answer over the values visited so far
+    # the oracle's answer over the values visited so far; at a power of two
+    # m (L = m) both trees hold S alone, with no padding and no gap
     rng = Random(10)
     audits = 0
-    for m in (2, 3, 5, 12, 12, 40):
+    for m in (2, 3, 5, 12, 12, 40, 8, 64):
         inst = random_instance(rng, m=m)
-        L = 1 << (2 * m - 1).bit_length()
+        L = solver_length(m)
         result, seen = observe_solve(monkeypatch, inst, backend)
         visited = [x for x, _, _ in seen]
         assert visited == solver_visits(inst), m
@@ -304,7 +331,7 @@ def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
                                for v, c in enumerate(inst.mult)])
             s = membership(solve_naive(sub))
             assert first == s + [0] * (L - m), (m, x)
-            assert second == s + [0] * (L - 2 * m) + s, (m, x)
+            assert second == second_string(s, L), (m, x)
         if seen:
             assert seen[-1][1][:m] == membership(result.sums)
         audits += len(seen)
@@ -497,6 +524,60 @@ def test_window_solver_matches_oracle_around_window_edges(backend):
             assert membership(sums) == [int(d in wanted) for d in range(m)]
 
 
+def layout_moduli() -> dict[int, int]:
+    """m -> the length of the solver's trees, for m = 2**k and 2**k +- 1,
+    k = 0..14: a power of two is its own length, 2**k - 1 pads to
+    2**(k+1) and 2**k + 1 to 2**(k+2)."""
+    lengths = {}
+    for k in range(15):
+        lengths[(1 << k) + 1] = 1 << (k + 2)
+        if k >= 2:
+            lengths[(1 << k) - 1] = 1 << (k + 1)
+    for k in range(15):
+        lengths[1 << k] = 1 << k
+    return dict(sorted(lengths.items()))
+
+
+def layout_instances(rng, m):
+    """A random instance, the chains of 1 and of m - 1 with m copies each,
+    the multiplicity-heavy ones, and values next to m, 511, 512 and 513
+    with few or many copies, all at modulus m."""
+    yield random_instance(rng, m)
+    yield Instance.from_pairs(m, [(1, m)])
+    yield Instance.from_pairs(m, [(m - 1, m)])
+    if m > 1:
+        yield from multiplicity_heavy(rng, m)
+    near = [m - 1, m + 1, m - 2, 511, 512, 513, m - 511, m - 512, m - 513]
+    yield Instance.from_pairs(m, [(v, rng.randint(1, 4)) for v in near])
+    yield Instance.from_pairs(m, [(v, rng.choice([2, 3, m // 3 + 1, m]))
+                                  for v in rng.sample(near, 3)])
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_power_of_two_moduli_solve_on_unpadded_trees(backend, monkeypatch):
+    # a power-of-two m solves on trees of length m: the first holds S, the
+    # second one copy of it, and the orbit of a value's later copies wraps
+    # pieces past the last window; any other m pads to L >= 2m.  Every
+    # solve must match the oracle, at m = 2**k and at its neighbours
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_set_bits = cls.set_bits
+    lengths = set()
+
+    def set_bits(self, spans, x):
+        lengths.add(self.length)
+        real_set_bits(self, spans, x)
+
+    monkeypatch.setattr(cls, "set_bits", set_bits)
+    rng = Random(27)
+    for m, L in layout_moduli().items():
+        for inst in layout_instances(rng, m):
+            lengths.clear()
+            sums = solve(inst, backend=backend, seed=m)
+            assert sums == solve_naive(inst), (m, [
+                (x, c) for x, c in enumerate(inst.mult) if c])
+            assert lengths == {L}, m
+
+
 def tree_calls(monkeypatch, inst, backend):
     """Solve ``inst`` and group the trees' diffs and window writes by
     visited value: for each value x in visit order, (x, the names of the
@@ -549,7 +630,7 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
     # adds none writes nothing
     rng = Random(22)
     checked = productive = 0
-    for m in (5, 40, 96, 333, 1000):
+    for m in (5, 40, 96, 333, 1000, 64, 1024):
         for inst in [*multiplicity_heavy(rng, m), random_instance(rng, m)]:
             calls = tree_calls(monkeypatch, inst, backend)
             visited = [x for x, _, _, _ in calls]
@@ -566,18 +647,21 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
                 if writes:
                     # the value's new sums, one span per window: in the
                     # first tree at the window's start, in the second
-                    # twice, moved by x and by x - m
+                    # moved by x, and also by x - m when L is padded
                     (bit1, first), (bit2, second) = spans
-                    step = 1 << min((2 * m - 1).bit_length(), 9)
+                    L = solver_length(m)
+                    step = min(L, 512)
                     starts = [start for start, _ in first]
                     assert bit1 == bit2 == 1
                     assert len(set(starts)) == len(starts)
                     assert all(start % step == 0 for start in starts)
                     assert sum(bits.bit_count() for _, bits in first) \
                         == after - before, (m, x)
+                    moves = (x,) if L == m else (x, x - m)
                     assert sorted(second) == sorted(
                         (start + r, bits) for start, bits in first
-                        for r in (x, x - m))
+                        for r in moves)
+                    assert len(second) == len(moves) * len(first)
                 productive += after > before
             checked += len(calls)
     assert 0 < productive < checked
@@ -587,7 +671,8 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
 def test_solve_never_calls_init(backend, monkeypatch):
     # a fresh word tree already holds the all-zero padding, with no init:
     # the first write a solve makes to each tree is S = {0} (the first
-    # tree) or its two copies (the second), as one-bit spans onto zeros
+    # tree) or its two copies (the second), as one-bit spans onto zeros;
+    # at a power of two m (L = m) the second tree's copy is one bit too
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real_set_bits = cls.set_bits
     first_writes = []
@@ -611,9 +696,9 @@ def test_solve_never_calls_init(backend, monkeypatch):
         inst = random_instance(rng, m=m)
         want = solve_naive(inst).ascending()
         assert solve(inst, backend=backend, seed=m).ascending() == want, m
-        L = 1 << (2 * m - 1).bit_length()
-        assert [w for _, w in first_writes] == [
-            ([(0, 1)], 1), ([(0, 1), (L - m, 1)], 1)]
+        L = solver_length(m)
+        second = [(0, 1)] if L == m else [(0, 1), (L - m, 1)]
+        assert [w for _, w in first_writes] == [([(0, 1)], 1), (second, 1)]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -628,22 +713,27 @@ def test_chain_counters(backend):
 
 
 def test_dense_diff_work_is_pinned():
-    # a seed-1 dense solve at m = 4096 over word trees (L = 8192, so 16
-    # windows of 512 bits under trees of depth 4): writes, diff work,
-    # reported differences and tag store calls are exact for both
-    # backends, so a change to how the tagged tree keeps its tags shows
-    # here.  Both walks stop at the leaves; the tagged one visits two node
-    # pairs more than the hashed one.
-    inst = dense_instance(4096, 1)
-    stats = {backend: solve_with_stats(inst, backend, seed=1).stats
-             for backend in ("hashed", "tagged")}
-    for backend, s in stats.items():
-        assert (s.updates, s.bellman_iterations, s.reported_differences) \
-            == (10349, 1048, 8188), backend
-    assert (stats["hashed"].diff_visits, stats["hashed"].store_ops) \
-        == (3299, 0)
-    assert (stats["tagged"].diff_visits, stats["tagged"].store_ops) \
-        == (3301, 125)
+    # seed-1 dense solves over word trees: writes, diff work, reported
+    # differences and tag store calls are exact for both backends, so a
+    # change to how the tagged tree keeps its tags shows here.  Both walks
+    # stop at the leaves.  m = 4095 pads to L = 8192, 16 windows of 512
+    # bits under trees of depth 4, and the second tree holds S twice
+    # around the gap; m = 4096 is its own length, 8 windows under trees
+    # of depth 3, and the second tree holds S once.  At m = 4096 the
+    # tagged walk visits two node pairs more than the hashed one.
+    pins = {4095: ((1363, 69, 6234), (713, 0), (713, 1489)),
+            4096: ((4678, 1048, 8188), (1205, 0), (1207, 71))}
+    for m, (work, hashed, tagged) in pins.items():
+        inst = dense_instance(m, 1)
+        stats = {backend: solve_with_stats(inst, backend, seed=1).stats
+                 for backend in ("hashed", "tagged")}
+        for backend, s in stats.items():
+            assert (s.updates, s.bellman_iterations,
+                    s.reported_differences) == work, (m, backend)
+        assert (stats["hashed"].diff_visits,
+                stats["hashed"].store_ops) == hashed, m
+        assert (stats["tagged"].diff_visits,
+                stats["tagged"].store_ops) == tagged, m
 
 
 def test_stats_are_reproducible():
@@ -659,13 +749,15 @@ def test_stats_are_reproducible():
 def test_collision_tripwire_raises_distinct_error(monkeypatch):
     # S = {0} and the first value x differ at 0, an old sum, and x, a new
     # one; the lie hides the first or, with ``last``, the second.  At
-    # m = 600 and x = 512 the two lie in different windows
+    # m = 600 and at the unpadded m = 1024, x = 512 puts the two in
+    # different windows
     real = HashedShiftTree.diff_windows
     for last in (False, True):
         monkeypatch.setattr(HashedShiftTree, "diff_windows",
                             lying_diff_windows(real, last))
         for inst in (Instance.from_pairs(6, [(2, 1), (3, 1)]),
-                     Instance.from_pairs(600, [(512, 1)])):
+                     Instance.from_pairs(600, [(512, 1)]),
+                     Instance.from_pairs(1024, [(512, 1)])):
             with pytest.raises(HashCollisionError):
                 solve(inst, backend="hashed", seed=0)
 
