@@ -30,13 +30,16 @@ _SLICE = 1 << 16
 def parse_instance(text: str, modulus: int) -> Instance:
     """Parse one entry per line: "value" or "value multiplicity".
 
-    Blank lines and '#' comments are ignored; values reduce mod ``modulus``
-    and repeated residues accumulate.  Raises ValueError, with a line number
-    on a malformed line, and also on a modulus below 1.
+    Blank lines and '#' comments are ignored, and so is one byte-order mark
+    at the start of the text; values reduce mod ``modulus`` and repeated
+    residues accumulate.  Raises ValueError, with a line number on a
+    malformed line, and also on a modulus below 1.
     """
     _check_modulus(modulus)
     mult = [0] * modulus
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # removeprefix returns the text itself, uncopied, when it has no mark
+    for lineno, raw in enumerate(
+            text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,21 +10,22 @@ The one diff walk lives here too.  A variant supplies what a summary is:
 ``_refresh``, its letter checks and ``_equality``, which says when two
 summaries prove their subtrees equal.
 
-A tree of letters holds one position per leaf.  A word tree (``packed``)
-holds a 0/1 string of length 2**width with min(512, 2**width) positions per
-leaf, packed as the bits of one int, its *window*: bit i of string block
-c's window is string position 512c + i, so the tree has nine levels fewer
-and a diff stops at its leaves.  Its rotation delta = 512*D + r moves the
-word tree by D, and the windows tile the unrotated bit string at offset r;
-a shift that changes r re-tiles every window, then refreshes the whole
-tree.  The variants see windows as letters.  A word tree is read and
-written by whole windows only: ``diff_windows`` reports each differing
-window with both trees' bits, and ``set_bits`` writes the set bits of
-``(start, bits)`` spans.  The letter methods ``init``, ``set``,
-``set_many``, ``diff`` and ``materialize`` refuse a word tree.
+A tree of letters holds one position per leaf; it is written by ``init``
+and ``set`` and read by ``diff`` and ``materialize``.  A word tree
+(``packed``) holds a 0/1 string of length 2**width with min(512, 2**width)
+positions per leaf, packed as the bits of one int, its *window*: bit i of
+string block c's window is string position 512c + i, so the tree has nine
+levels fewer and a diff stops at its leaves.  Its rotation delta =
+512*D + r moves the word tree by D, and the windows tile the unrotated bit
+string at offset r; a shift that changes r re-tiles every window, then
+refreshes the whole tree.  The variants see windows as letters.  A word
+tree is read and written by whole windows only: ``diff_windows`` reports
+each differing window with both trees' bits, and ``set_bits`` writes the
+set bits of ``(start, bits)`` spans.  The letter methods ``init``, ``set``,
+``diff`` and ``materialize`` refuse a word tree.
 """
 
-from itertools import compress, repeat
+from itertools import compress
 from operator import ne
 
 from .topology import Topology
@@ -66,13 +67,12 @@ class ShiftTree:
     Costs, for a string of length m: ``shift(k)`` O(m / 2**j) where 2**j
     is the largest power of two dividing k (in a word tree, O(m / 512)
     for j < 9).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
-    ``set_many`` O(b log m) for b positions; ``diff`` O((d+1) log m) for
-    d reported differences.  A word tree has ``diff_windows``
-    O((w+1) log m) for w reported windows, and ``set_bits``
-    O(s + b/512 + w log m) for s spans of b bits in all that write w
-    windows, in their place.  A fresh tree of letters holds ``size``
-    copies of ``letter``, which its inner nodes must already summarise; a
-    fresh word tree holds the all-zero string.
+    ``diff`` O((d+1) log m) for d reported differences.  A word tree has
+    ``diff_windows`` O((w+1) log m) for w reported windows, and
+    ``set_bits`` O(s + b/512 + w log m) for s spans of b bits in all that
+    write w windows, in their place.  A fresh tree of letters holds
+    ``size`` copies of ``letter``, which its inner nodes must already
+    summarise; a fresh word tree holds the all-zero string.
 
     Every operation is shared; a variant is a node refresh, a letter check
     and a node-equality hook for the one diff walk.
@@ -117,7 +117,9 @@ class ShiftTree:
         bottom-up from their children; count them in ``update_calls``.
         ``dirty`` is a one-element tuple (a point write's leaf, whose
         chain is walked directly), a whole-level ``range`` (refreshed a
-        level at a time) or any other collection of nodes."""
+        level at a time) or any other collection of nodes, such as the
+        windows one ``set_bits`` call wrote (refreshed level by level over
+        their distinct ancestors)."""
         raise NotImplementedError
 
     def _check(self, letters) -> None:
@@ -152,31 +154,6 @@ class ShiftTree:
         j = self.topo.leaf_of_position(pos)
         self.nodes[j] = x
         self._refresh(self.n, (j,))
-
-    def set_many(self, positions, x) -> None:
-        """Write letter ``x`` at each position of the iterable ``positions``
-        (an iterator or a generator will do); repeats are allowed."""
-        self._check_letter(x)
-        if iter(positions) is positions:
-            # a one-shot iterable is its own iterator: read it once, since
-            # the checks below read the positions three times
-            positions = list(positions)
-        if not positions:
-            return
-        if not all(map(isinstance, positions, repeat(int))):
-            raise ValueError("positions must be integers")
-        # checking the extremes checks the batch
-        for pos in (min(positions), max(positions)):
-            if not 0 <= pos < self.length:
-                raise ValueError(f"position {pos!r} is not an integer in "
-                                 f"[0, {self.length})")
-        delta = self.topo.delta
-        size = self.size
-        nodes = self.nodes
-        slots = {(pos - delta) % size + size for pos in positions}
-        for j in slots:
-            nodes[j] = x
-        self._refresh(self.n, slots)
 
     def set_bits(self, spans, x) -> None:
         """Write bit ``x`` of a word tree at position (start + i) mod

@@ -147,9 +147,6 @@ class Instance(SimpleNamespace):
             mult[value % m] += count
         return cls(m, mult)
 
-    def total_count(self) -> int:
-        return sum(self.mult)
-
 
 def bit_positions(windows, q: int) -> list[int]:
     """The positions c * 2**q + i of the set bits i of ``(c, bits)``

@@ -68,7 +68,9 @@ def mixed_blocks(s) -> int:
 
 
 def batch_write(rng: Random, size: int) -> list[int]:
-    """Positions for one ``set_many``: sometimes empty, else with a repeat."""
+    """Positions for one batch of writes of one letter, as a run of ``set``
+    calls or as one-bit ``set_bits`` spans: sometimes empty, else with a
+    repeat."""
     positions = [rng.randrange(size)
                  for _ in range(rng.choice([0, 1, 2, 3, size // 2, size]))]
     return positions + positions[:1]

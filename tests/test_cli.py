@@ -38,6 +38,10 @@ def test_parse_instance_errors_carry_line_numbers():
         parse_instance("3 -2\n", 5)
     with pytest.raises(ValueError, match="line 3"):
         parse_instance("1\n2\n3 4 5\n", 7)
+    # one byte-order mark is skipped, and only before the first line
+    for text, bad in (("\ufeff\ufeff3\n", 1), ("3\n\ufeff5\n", 2)):
+        with pytest.raises(ValueError, match=f"line {bad}: non-integer"):
+            parse_instance(text, 10)
     # a modulus below 1 is refused as bad input, not a crash in the loop
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus"):
@@ -234,6 +238,24 @@ def test_undecodable_input_is_exit_2(source, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_leading_byte_order_mark_is_skipped(source, tmp_path, monkeypatch,
+                                            capsys):
+    # a text saved with a UTF-8 byte-order mark parses, from --input and
+    # from stdin alike; it used to fail with "line 1: non-integer token"
+    raw = b"\xef\xbb\xbf3 1\n5 2\n"
+    argv = ["--modulus", "10"]
+    if source == "file":
+        path = tmp_path / "inst.txt"
+        path.write_bytes(raw)
+        argv += ["--input", str(path)]
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "0\n3\n5\n8\n", "")
 
 
 def modsum_process(*argv) -> subprocess.Popen:

@@ -7,8 +7,7 @@ from shifttree import (
     HashContext, HashedShiftTree, TaggedShiftTree, TagStore, make_context)
 
 from helpers import (
-    batch_write, bits, hash_string, inner_ancestors, naive_diff, node_string,
-    rotate_right)
+    batch_write, bits, hash_string, naive_diff, node_string, rotate_right)
 
 
 def fresh(n, seed=0):
@@ -54,7 +53,7 @@ def test_init_validation():
 
 
 @pytest.mark.parametrize("letter", [0.5, 1.0])
-@pytest.mark.parametrize("write", ["set", "set_many", "init"])
+@pytest.mark.parametrize("write", ["set", "init"])
 def test_letters_must_be_integers(write, letter):
     # a float letter hashes mod p like an integer: with 0.5 at position 5
     # a diff against the zero string found no difference.  Each write path
@@ -66,8 +65,6 @@ def test_letters_must_be_integers(write, letter):
     with pytest.raises(ValueError):
         if write == "set":
             tree.set(5, letter)
-        elif write == "set_many":
-            tree.set_many([5, 6], letter)
         else:
             tree.init(s)
     assert tree.materialize() == zeros.materialize()
@@ -228,13 +225,12 @@ def test_single_leaf_tree(backend):
     assert tree.diff(other, 0, 0) == [0]
 
 
-@pytest.mark.parametrize("call", ["set", "set_many", "shift", "diff"])
+@pytest.mark.parametrize("call", ["set", "shift", "diff"])
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_positions_and_shifts_must_be_integers(backend, call):
-    # a float position passed the range check: set_many wrote positions 3
-    # and 200, then failed before the refresh, so a diff missed both, and
-    # shift(1.0) moved the offset before failing.  Each call now raises
-    # ValueError before it changes anything; a bool is an integer and passes.
+    # a float position passed the range check, and shift(1.0) moved the
+    # offset before failing.  Each call now raises ValueError before it
+    # changes anything; a bool is an integer and passes.
     if backend == "hashed":
         ctx = make_context(1 << 8, 1)
         a, b = HashedShiftTree(8, ctx), HashedShiftTree(8, ctx)
@@ -248,49 +244,16 @@ def test_positions_and_shifts_must_be_integers(backend, call):
     with pytest.raises(ValueError):
         if call == "set":
             a.set(100.5, 1)
-        elif call == "set_many":
-            a.set_many([3, 100.5, 200], 1)
         elif call == "shift":
             a.shift(1.0)
         else:
             a.diff(b, 0, 10.0)
     assert (a.materialize(), a.topo.delta, a.diff(b, 0, 255)) == before
-    a.set_many([3, True], 1)
+    a.set(3, 1)
+    a.set(True, 1)
     a.shift(True)
     a.set(False, 1)
     assert a.diff(b, False, 255) == [0, 2, 4, 16]
-
-
-@pytest.mark.parametrize("kind", ["iterator", "generator", "range", "set"])
-@pytest.mark.parametrize("backend", ["hashed", "tagged"])
-def test_set_many_takes_any_iterable(backend, kind):
-    # the integer check consumed a one-shot iterable before min and max
-    # read it, so an iterator or a generator raised ValueError and wrote
-    # nothing.  A one-shot iterable is now read into a list first: every
-    # kind of iterable writes what a list would, the empty one included.
-    n, size = 7, 128
-    if backend == "hashed":
-        tree = HashedShiftTree(n, make_context(size, 1))
-    else:
-        tree = TaggedShiftTree(n, TagStore())
-    model = tree.materialize()
-    rng = Random(17)
-    for x in range(1, 9):
-        start = rng.randrange(size)
-        row = range(start, rng.randrange(start, size + 1), rng.randint(1, 9))
-        positions = list(row) if kind == "range" \
-            else [rng.randrange(size) for _ in range(rng.randint(0, 12))]
-        batch = {"iterator": iter(positions),
-                 "generator": (pos for pos in positions),
-                 "range": row, "set": set(positions)}[kind]
-        tree.set_many(batch, x)
-        for pos in positions:
-            model[pos] = x
-        assert tree.materialize() == model, (kind, x)
-        k = rng.randrange(1, size)
-        tree.shift(k)
-        model = rotate_right(model, k)
-        assert tree.materialize() == model, (kind, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,9 +280,10 @@ def test_model_equivalence_property(n, data):
 def test_randomized_model_stress_with_audits():
     # >= 10^3 random op sequences; materialize tracks the model after every
     # op, stored hashes are audited periodically, and paired diffs match the
-    # naive position-wise comparison within the visit budget.  A batched
-    # write, made after a shift of a random valuation, must leave the same
-    # nodes as point sets and update each distinct inner ancestor once.
+    # naive position-wise comparison within the visit budget.  A run of
+    # point writes, made after a shift of a random valuation, updates
+    # exactly n inner nodes per write and leaves the nodes of a twin that
+    # loads the same leaves at offset 0, then shifts to the tree's offset.
     # The last 200 trials write four letters drawn from [2**61, 2**80).
     rng = Random(2024)
     for trial in range(1200):
@@ -352,16 +316,14 @@ def test_randomized_model_stress_with_audits():
                 trees[w].shift(k)
                 models[w] = rotate_right(models[w], k)
                 positions, x = batch_write(rng, size), rng.choice(alphabet)
-                twin = HashedShiftTree(n, ctx)
-                twin.nodes = list(trees[w].nodes)
-                twin.topo.delta = trees[w].topo.delta
                 for pos in positions:
-                    twin.set(pos, x)
+                    before = trees[w].update_calls
+                    trees[w].set(pos, x)
+                    assert trees[w].update_calls - before == n
                     models[w][pos] = x
-                want = len(inner_ancestors(trees[w].topo, positions))
-                before = trees[w].update_calls
-                trees[w].set_many(positions, x)
-                assert trees[w].update_calls - before == want
+                twin = HashedShiftTree(n, ctx)
+                twin.init(trees[w].nodes[size:])
+                twin.shift(trees[w].topo.delta)
                 assert trees[w].nodes == twin.nodes
             assert trees[w].materialize() == models[w]
         a = rng.randrange(size)

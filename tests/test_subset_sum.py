@@ -109,7 +109,7 @@ def test_import_loads_no_dataclasses():
 def test_from_pairs_reduces_and_accumulates():
     inst = Instance.from_pairs(5, [(7, 3), (2, 1), (-3, 2)])
     assert inst.mult == [0, 0, 6, 0, 0]
-    assert inst.total_count() == 6
+    assert sum(inst.mult) == 6
 
 
 def test_sumset_basics():

@@ -147,7 +147,7 @@ def test_shift_update_counts_exact():
 
 
 def test_model_equivalence():
-    # twin gets the same ops, but each batched write as point sets
+    # twin gets the same ops, but each run of point writes in reverse order
     rng = Random(44)
     for trial in range(300):
         n = rng.choice([0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8])
@@ -173,28 +173,23 @@ def test_model_equivalence():
                 twin.shift(k)
                 model = rotate_right(model, k)
             else:
-                # a shift of a random valuation, then the batch
+                # a shift of a random valuation, then a run of point writes
+                # of one letter, which leaves one string in either order
                 k = (2 * rng.randrange(size) + 1) << rng.randrange(max(n, 1))
                 tree.shift(k)
                 twin.shift(k)
                 model = rotate_right(model, k)
                 positions, x = batch_write(rng, size), rng.randrange(3)
-                want = len(inner_ancestors(tree.topo, positions))
-                before = tree.update_calls
-                for bad in ([-1] + positions, positions + [size]):
-                    # an out-of-range position raises and writes no letter
-                    with pytest.raises(ValueError):
-                        tree.set_many(bad, x)
-                    assert tree.materialize() == model
-                tree.set_many(positions, x)
-                assert tree.update_calls - before == want
-                before = twin.update_calls
+                for t, run in ((tree, positions), (twin, positions[::-1])):
+                    before = t.update_calls
+                    for pos in run:
+                        t.set(pos, x)
+                    # a point write refreshes its leaf's n ancestors
+                    assert t.update_calls - before == n * len(positions)
                 for pos in positions:
-                    twin.set(pos, x)
                     model[pos] = x
-                # a point write refreshes its leaf's n ancestors
-                assert twin.update_calls - before == n * len(positions)
             assert tree.materialize() == twin.materialize() == model
+            assert tree.nodes == twin.nodes
             assert store.live == 2 * mixed_blocks(model)
 
 
@@ -643,7 +638,10 @@ def test_fill_is_exact_on_every_write_path(letter):
             if roll < 0.3:
                 tree.set(rng.randrange(size), letter(rng.randrange(2)))
             elif roll < 0.6:
-                tree.set_many(batch_write(rng, size), letter(rng.randrange(2)))
+                # a run of point writes of one letter, audited at its end
+                positions, x = batch_write(rng, size), letter(rng.randrange(2))
+                for pos in positions:
+                    tree.set(pos, x)
             elif roll < 0.9:
                 tree.shift(rng.randint(-size, size))
             else:
@@ -652,11 +650,11 @@ def test_fill_is_exact_on_every_write_path(letter):
 
 
 def test_tags_stay_exact_under_random_ops():
-    # three trees share a store and take random init, set, set_many, shift
-    # and diff calls, a diff of a tree with itself included; the audit runs
-    # after every call.  Strings are eight runs, rotated mostly by whole
-    # runs and at times copied from another tree, so that diffs find equal
-    # mixed nodes to join.
+    # three trees share a store and take random init, set, shift and diff
+    # calls, a diff of a tree with itself included, and runs of sets of one
+    # letter; the audit runs after every call or run.  Strings are eight
+    # runs, rotated mostly by whole runs and at times copied from another
+    # tree, so that diffs find equal mixed nodes to join.
     rng = Random(303)
     for trial in range(300):
         n = rng.choice([0, 1, 2, 3, 4, 6, 7, 8])
@@ -682,7 +680,9 @@ def test_tags_stay_exact_under_random_ops():
             elif roll < 0.3:
                 t.set(rng.randrange(size), rng.randrange(2))
             elif roll < 0.4:
-                t.set_many(batch_write(rng, size), rng.randrange(2))
+                positions, x = batch_write(rng, size), rng.randrange(2)
+                for pos in positions:
+                    t.set(pos, x)
             elif roll < 0.55:
                 k = rng.randint(-8, 8) * run
                 t.shift(k if rng.random() < 0.8 else k + rng.randrange(size))

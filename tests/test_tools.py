@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -229,3 +230,31 @@ def test_no_bare_assert_under_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def api_doc_gaps(readme: str) -> tuple[set[str], set[str]]:
+    """``(methods, rows)``: the public methods of the two tree variants
+    that no code span of ``readme`` names, and the ``name(`` rows of its
+    operation tables that name no such method."""
+    from shifttree import HashedShiftTree, TaggedShiftTree
+
+    methods = {name for cls in (HashedShiftTree, TaggedShiftTree)
+               for name in dir(cls)
+               if not name.startswith("_") and callable(getattr(cls, name))}
+    named = {word for span in re.findall(r"`([^`\n]+)`", readme)
+             for word in re.findall(r"\w+", span)}
+    rows = set(re.findall(r"^\| `(\w+)\(", readme, re.MULTILINE))
+    return methods - named, rows - methods
+
+
+def test_readme_names_the_tree_api():
+    # every public tree method is named in the README, and every row of
+    # its two operation tables is a public tree method; a row left behind
+    # for a deleted method fails
+    readme = (ROOT / "README.md").read_text()
+    assert len(re.findall(r"^\| `\w+\(", readme, re.MULTILINE)) >= 6
+    assert api_doc_gaps(readme) == (set(), set())
+    row = "| `set(i, x)` "
+    assert readme.count(row) == 1
+    stale = readme.replace(row, "| `set_many(P, x)` | O(b log m) |\n" + row)
+    assert api_doc_gaps(stale) == (set(), {"set_many"})

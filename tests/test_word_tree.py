@@ -214,8 +214,6 @@ def test_word_tree_validation(backend):
             ("init", ([0] * 1023 + [2],)), ("init", ([0] * 64,)),
             ("set", (3, 1)), ("set", (3, 0)), ("set", (3, 2)),
             ("set", (-1, 1)), ("set", (3, None)),
-            ("set_many", ([3], 1)), ("set_many", (iter([3, 5]), 0)),
-            ("set_many", ([], 1)), ("set_many", ([3], 0.5)),
             ("diff", (other, 0, 1023)), ("diff", (other, 0, 1024)),
             ("diff", (cls(tree.n, shared), 0, 1)), ("materialize", ())):
         with pytest.raises(ValueError):
@@ -296,7 +294,7 @@ def test_diff_is_diff_windows_expanded(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_set_bits_matches_set_many(backend):
+def test_span_writes_match_one_bit_spans(backend):
     # a span write on one twin and one-bit spans of the same positions on
     # the other leave the same string, the same nodes and the same refresh
     # count: one per distinct inner ancestor of the written windows.  Spans
