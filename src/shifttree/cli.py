@@ -1,8 +1,9 @@
 """Command-line front end: solve instances from text, or run benchmark sweeps.
 
 Exit codes: 0 success, 1 standard output closed before the result was
-written (``modsum ... | head -1``), 2 usage or input errors (including a
-modulus or bench size above MAX_MODULUS), 3 hash-collision tripwire.
+written (``modsum ... | head -1``, or ``>&-``), 2 usage or input errors
+(including a modulus or bench size above MAX_MODULUS, and a closed
+stdin), 3 hash-collision tripwire.
 """
 
 import argparse
@@ -147,6 +148,8 @@ def main(argv=None) -> int:
 
     try:
         if args.input is None:
+            if sys.stdin is None:   # started with its descriptor closed
+                return fail("cannot read stdin: it is closed")
             text = sys.stdin.read()
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
         print(f"error: hash collision tripwire: {exc}", file=sys.stderr)
         return 3
 
+    if sys.stdout is None:
+        # started with its descriptor closed: as when the reader is gone
+        return 1
     try:
         if args.mode == "count":
             print(len(result.sums))

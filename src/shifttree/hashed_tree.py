@@ -4,7 +4,8 @@ Every inner node holds the polynomial hash of the substring its subtree
 covers, so two subtrees compare in O(1) with high probability: the diff
 walk settles a node pair when the two hashes are equal.  It compares the
 letters of an unequal block pair exactly.  Any context serves a word tree
-too: its windows are its letters, exact at the leaves, and may exceed p.
+too: its windows are its letters, compared exactly in a block, and may
+exceed p.
 The node array, the writes and the diff walk come from ``ShiftTree``.
 """
 
@@ -21,11 +22,13 @@ class HashedShiftTree(ShiftTree):
     one.  A fresh tree represents the all-zero string (every subtree hash
     of a zero string is 0, so the zeroed node array is already
     consistent).  ``diff`` is correct unless a hash collision hides a
-    genuine difference.  It compares hashes on fewer than log m levels of
-    a tree of m leaves, whose node pairs cover at most m leaves per level,
-    so by the bound in ``hashing`` it fails with probability below
-    m log m / 2**80 per call; for a word tree's ``diff_windows``, whose
-    windows may exceed p, add m * 2**-71.5.
+    genuine difference.  It compares hashes only at or above block level,
+    on levels 0..max(n - 6, 0) of a tree of m = 2**n leaves: at most
+    log m levels with hashes (a tree of one leaf has none), whose node
+    pairs cover at most m leaves per level, so by the bound in ``hashing``
+    it fails with probability below m log m / 2**80 per call.  For a word
+    tree's ``diff_windows``, whose windows may exceed p, add 2**-71.5 per
+    node pair at or above block level: max(1, m/32) * 2**-71.5 at most.
     """
 
     def __init__(self, n: int, ctx: HashContext):

@@ -15,14 +15,15 @@ and ``set`` and read by ``diff`` and ``materialize``.  A word tree
 (``packed``) holds a 0/1 string of length 2**width with min(512, 2**width)
 positions per leaf, packed as the bits of one int, its *window*: bit i of
 string block c's window is string position 512c + i, so the tree has nine
-levels fewer and a diff stops at its leaves.  Its rotation delta =
-512*D + r moves the word tree by D, and the windows tile the unrotated bit
-string at offset r; a shift that changes r re-tiles every window, then
-refreshes the whole tree.  The variants see windows as letters.  A word
-tree is read and written by whole windows only: ``diff_windows`` reports
-each differing window with both trees' bits, and ``set_bits`` writes the
-set bits of ``(start, bits)`` spans.  The letter methods ``init``, ``set``,
-``diff`` and ``materialize`` refuse a word tree.
+levels fewer.  Its rotation delta = 512*D + r moves the word tree by D,
+and the windows tile the unrotated bit string at offset r; a shift that
+changes r re-tiles every window, then refreshes the whole tree.  The
+variants see windows as letters, and so does the diff walk: in every tree
+it stops at blocks of 64 leaves, which in a word tree are 64 windows.  A
+word tree is read and written by whole windows only: ``diff_windows``
+reports each differing window with both trees' bits, and ``set_bits``
+writes the set bits of ``(start, bits)`` spans.  The letter methods
+``init``, ``set``, ``diff`` and ``materialize`` refuse a word tree.
 """
 
 from itertools import compress
@@ -30,12 +31,12 @@ from operator import ne
 
 from .topology import Topology
 
-# Width of a leaf block in a tree of letters: a diff stops descending at a
-# node covering at most this many positions and compares the block's
-# letters in one C-level pass.
+# Leaves in a block, in every tree: a diff stops descending at a node
+# covering at most this many leaves and compares the block's letters (a
+# word tree's windows) in one C-level pass.
 _BLOCK = 64
 
-# Positions a word tree packs per leaf window; its leaves are its blocks.
+# Positions a word tree packs per leaf window.
 _WORD = 512
 
 # Fewest parents for which a refresh takes a whole level in one slice
@@ -45,7 +46,7 @@ _WORD = 512
 # were even, and from 128 nodes on the slice pass won.
 _WHOLE_LEVEL = 32
 
-# Node entry of a mixed inner node in a tree of letters.  It is never ``==``
+# Node entry of a mixed inner node in a tagged tree.  It is never ``==``
 # to a letter: a refresh relies on this to tell a uniform pair of children,
 # and the diff walk to settle a uniform node only against a uniform one.
 _MIXED = object()
@@ -70,7 +71,9 @@ class ShiftTree:
     ``diff`` O((d+1) log m) for d reported differences.  A word tree has
     ``diff_windows`` O((w+1) log m) for w reported windows, and
     ``set_bits`` O(s + b/512 + w log m) for s spans of b bits in all that
-    write w windows, in their place.  A fresh tree of letters holds
+    write w windows, in their place.  A diff's bound counts node pairs;
+    each block it reaches adds one C-level compare of at most 64 letters
+    (windows, in a word tree).  A fresh tree of letters holds
     ``size`` copies of ``letter``, which its inner nodes must already
     summarise; a fresh word tree holds the all-zero string.
 
@@ -100,17 +103,14 @@ class ShiftTree:
         ``shared`` is what the variant's constructor takes."""
         q = min(width, _WORD.bit_length() - 1)
         tree = cls(width - q, shared)
-        tree._pack(q)
-        return tree
-
-    def _pack(self, q: int) -> None:
-        """Turn this fresh tree into a word tree with 2**q positions per
-        leaf; a variant extends it with what its summaries need."""
-        self.q, self.word = q, True
-        self.length = self.size << q
-        self.nodes = [0] * (2 * self.size)  # zero windows, zero summaries
+        tree.q, tree.word = q, True
+        tree.length = tree.size << q
+        # zero windows, zero summaries: a fresh tree's uniform string, so a
+        # variant's other state stays as its constructor left it
+        tree.nodes = [0] * (2 * tree.size)
         # the letter writes refuse a word tree at their letter check
-        self._check = self._check_letter = _refuse_letters
+        tree._check = tree._check_letter = _refuse_letters
+        return tree
 
     def _refresh(self, level: int, dirty) -> None:
         """Recompute the distinct ancestors of ``dirty`` (all on ``level``)
@@ -233,11 +233,8 @@ class ShiftTree:
     def diff(self, other: "ShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ,
         in ascending order.  ``other`` must be a tree of letters of the
-        same variant and depth that ``_equality`` accepts.  The walk
-        descends through unsettled node pairs down to blocks of 64
-        positions (the whole string, if shorter), whose letters it compares
-        in one pass."""
-        if self.word:
+        same variant and depth that ``_equality`` accepts."""
+        if self.word or other.word:
             raise ValueError("a word tree is read by diff_windows only")
         return self._walk(other, a, b)
 
@@ -247,32 +244,44 @@ class ShiftTree:
         ``(c, own, theirs)`` for each window c (string positions c * 2**q
         on, with 2**q = min(512, length)) that differs within [a, b], in
         ascending order, with both trees' bits of that window masked to
-        [a, b].  The walk stops at the leaves.  O((w+1) log m) for w
-        windows reported."""
-        if not self.word:
+        [a, b].  The walk reports every window under [a, b] that differs
+        at all; an end window whose masked bits agree is dropped here.
+        O((w+1) log m) for w windows reported."""
+        if not (self.word and other.word):
             raise ValueError("diff_windows needs word trees")
-        return self._walk(other, a, b)
+        q, size = self.q, self.size
+        out = []
+        for c in self._walk(other, a, b):
+            # the window's bits within [a, b]: an end window loses some
+            lo = max(a - (c << q), 0)
+            mask = ((2 << (min(b - (c << q), (1 << q) - 1) - lo)) - 1) << lo
+            own = self.nodes[(c - self.topo.delta) % size + size] & mask
+            theirs = other.nodes[(c - other.topo.delta) % size + size] & mask
+            if own != theirs:
+                out.append((c, own, theirs))
+        return out
 
-    def _walk(self, other: "ShiftTree", a: int, b: int) -> list:
-        """The one diff walk: differing positions of a tree of letters, or
-        differing windows of a word tree, in [a, b]."""
-        if (other.n, other.q, other.word) != (self.n, self.q, self.word):
+    def _walk(self, other: "ShiftTree", a: int, b: int) -> list[int]:
+        """The one diff walk: the leaves under [a, b] whose letters (a
+        word tree's windows) differ, in ascending order.  It descends
+        through unsettled node pairs down to blocks of 64 leaves (all of
+        them, if fewer), whose letters it compares in one pass."""
+        if (other.size, other.length) != (self.size, self.length):
             raise ValueError("trees must have equal depth and leaf width")
         if not (isinstance(a, int) and isinstance(b, int)
                 and 0 <= a <= b < self.length):
             raise ValueError(f"bad interval [{a}, {b}] for length "
                              f"{self.length}")
+        a, b = a >> self.q, b >> self.q  # the leaves under [a, b]
         t_keys, q_keys, find, union = self._equality(other)
-        out: list = []
+        out: list[int] = []
         n = self.n
-        q, word = self.q, self.word
         t_nodes = self.nodes
         q_nodes = other.nodes
         t_delta = self.topo.delta
         q_delta = other.topo.delta
         t_letters = self.topo.letters
         q_letters = other.topo.letters
-        block = 1 << q if word else _BLOCK
         visits = 0
 
         def walk(i: int, j: int, x: int, y: int) -> None:
@@ -286,17 +295,10 @@ class ShiftTree:
                     return
                 # two mixed nodes of unequal classes: a union may join them
                 before = len(out)
-            if y - x < block:
+            if y - x < _BLOCK:
+                # a leaf block: compare its letters within [a, b] at C level
                 lo = a if x < a else x
                 hi = b if b < y else y
-                if word:
-                    # two leaf windows, masked to [a, b]; a window is never
-                    # mixed
-                    mask = ((2 << (hi - lo)) - 1) << (lo - x)
-                    if e & mask != q_nodes[j] & mask:
-                        out.append((x >> q, e & mask, q_nodes[j] & mask))
-                    return
-                # a leaf block: compare its letters within [a, b] at C level
                 out.extend(compress(range(lo, hi + 1), map(
                     ne, t_letters(t_nodes, lo, hi),
                     q_letters(q_nodes, lo, hi))))
@@ -315,7 +317,7 @@ class ShiftTree:
                 # all of [x, y] matched: the pair's keys name equal strings
                 union(t_keys[i], q_keys[j])
 
-        walk(1, 1, 0, self.length - 1)
+        walk(1, 1, 0, self.size - 1)
         self.diff_visits += visits
         return out
 

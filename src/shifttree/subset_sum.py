@@ -40,7 +40,7 @@ residues keep the 0 a fresh tree starts with.  Both trees are word
 trees (``ShiftTree.packed``): the 0/1 string sits in L/512 windows of 512
 bits (one window of L bits when L < 512), so the trees are nine levels
 shallower than trees of letters, and a fresh one already holds the zero
-string.  Their diff stops at the leaves.  The hashed backend hashes the
+string.  Their diff stops at blocks of 64 windows.  The hashed backend hashes the
 windows modulo a random 81-bit prime at a random point, both drawn from
 ``seed``.
 
@@ -95,8 +95,9 @@ class HashCollisionError(RuntimeError):
     the smallest power of two >= 2m) modulo p, a random prime in
     [2**80, 2**81), at a random point r in [0, p): by the bound in
     ``HashedShiftTree``, one diff misses a difference with probability
-    below (L/512) (log L + 2**8.5) / 2**80 < L / 2**80 (below 1e-16 at
-    every modulus the CLI accepts).  The check runs once per visited
+    below (L/512) log L / 2**80 + max(1, L/2**14) * 2**-71.5 < L / 2**80
+    (below 1e-16 at every modulus the CLI accepts), and never when
+    L <= 512, whose one window compares exactly.  The check runs once per visited
     value, on its one diff: the popcount of each reported window's
     ``own ^ theirs``, summed, must be twice that of its new sums
     ``theirs & ~own``, since every new sum pairs with the old sum it

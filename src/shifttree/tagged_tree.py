@@ -3,11 +3,11 @@
 A node whose positions all hold one letter is *uniform*: its node entry is
 that letter and it has no tag, as a leaf is a uniform block of one letter.
 Every other inner node is *mixed*: its entry is ``_MIXED``.  The diff walk
-stops at blocks (64 positions, or the whole string if shorter; a word
-tree's leaves), so it reads tags only at or above block level, and only
-mixed nodes there hold one: an opaque id standing for the string the
-node's subtree covered when it was last updated.  Tags are not unique per
-string; equality of the underlying strings is learned lazily.  When a diff
+stops at blocks of 64 leaves (all of them, if fewer), so it reads tags
+only at or above block level, and only mixed nodes there hold one: an
+opaque id standing for the string the node's subtree covered when it was
+last updated.  Tags are not unique per string; equality of the
+underlying strings is learned lazily.  When a diff
 descends through two tags it cannot tell apart and finds no difference
 below, it records their equivalence in the shared TagStore, so the same
 comparison short-circuits next time.
@@ -15,10 +15,9 @@ A refresh computes a level's entries (a whole level in one pass), then
 updates the tags of that level if it is at or above block level; a point
 write's refresh walks its leaf's ancestor chain and settles each
 ancestor's entry and tag in one step.  Letters only need ``==``: no
-hashing, no order.  In a word tree the leaves are the blocks and their
-windows are exact letters, so every mixed inner node holds a tag and no
-leaf does.  The node array, the writes, the diff walk
-and ``_MIXED`` come from ``ShiftTree``.
+hashing, no order, so a word tree's windows serve as exact letters under
+the same tag layout.  The node array, the writes, the diff walk and
+``_MIXED`` come from ``ShiftTree``.
 """
 
 from .shift_tree import _BLOCK, _MIXED, _WHOLE_LEVEL, ShiftTree
@@ -38,27 +37,17 @@ class TaggedShiftTree(ShiftTree):
     string of ``None`` letters until ``init`` loads one; a fresh word tree
     holds zero windows.  Only mixed nodes at or above block level hold a
     tag: levels 0..max(n - 6, 0), whose nodes cover at least
-    min(64, 2**n) positions, or every inner level of a word tree, whose
-    leaves are its blocks.
+    min(64, 2**n) leaves.
     """
 
     def __init__(self, n: int, store: TagStore):
         super().__init__(n, None)
         self.store = store
-        self._make_tags()
-
-    def _pack(self, q: int) -> None:
-        super()._pack(q)
-        self._make_tags()
-
-    def _make_tags(self) -> None:
-        # deepest level whose nodes cover a whole block or more: in a tree
-        # of letters a node on level k covers 2**(n - k) positions; in a
-        # word tree it is the leaf level, and no leaf is ever mixed
-        self._block_level = self.n if self.q else max(
-            self.n - _BLOCK.bit_length() + 1, 0)
-        # one slot per node at or above block level (index 0 unused)
-        self.tags: list[int | None] = [None] * (2 << self._block_level)
+        # one slot per node at or above block level (index 0 unused): on
+        # levels 0..max(n - 6, 0), whose nodes cover 2**(n - k) >= 64
+        # leaves, or the root of a smaller tree
+        self.tags: list[int | None] = [None] * (
+            2 << max(n - _BLOCK.bit_length() + 1, 0))
 
     def _refresh(self, level: int, dirty) -> None:
         # Every node gets its letter or _MIXED.  At or above block level a
@@ -69,16 +58,15 @@ class TaggedShiftTree(ShiftTree):
         delete_tag = self.store.delete_tag
         new_tag = self.store.new_tag
         renew = self.store.renew
-        block_level = self._block_level
+        # the nodes at or above block level are those below len(tags)
+        slots = len(tags)
         mixed = _MIXED
         if type(dirty) is tuple:
             # one node, as a point write's leaf: walk its ancestor chain,
             # settling each ancestor's entry, then its tag if it has a slot
-            # (the nodes at or above block level are those below len(tags))
             i, = dirty
             bits = self.topo.delta >> (self.n - level)
             width = 1 << level  # first node of i's level
-            slots = len(tags)
             for _ in range(level):
                 s = bits & 1
                 bits >>= 1
@@ -113,7 +101,7 @@ class TaggedShiftTree(ShiftTree):
                     x = nodes[(2 * i - s) | width]
                     y = nodes[2 * i + 1 - s]
                     nodes[i] = x if x is not mixed and x == y else mixed
-            if k <= block_level:
+            if width <= slots:  # level k is at or above block level
                 for i in parents:
                     old = tags[i]
                     if nodes[i] is mixed:

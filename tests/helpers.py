@@ -56,8 +56,9 @@ def inner_ancestors(topo, positions) -> set[int]:
 def mixed_blocks(s) -> int:
     """Aligned blocks of ``s`` of length min(64, len(s)), ..., len(s)
     holding two different letters: the mixed nodes at or above block
-    level of a tagged tree over ``s``, which are the nodes that hold a tag,
-    whatever its rotation."""
+    level of a tagged tree whose leaves hold ``s`` (letters, or a word
+    tree's windows), which are the nodes that hold a tag, whatever its
+    rotation."""
     count = 0
     b = min(64, len(s))
     while b <= len(s):

@@ -37,6 +37,7 @@ metrics = run.layer_metrics(tracer, run.Samples(), run.Samples())
 tracer.uninstall()
 assert metrics["tag_store.ops"]["value"] > 0, metrics["tag_store.ops"]
 assert metrics["tag_store.peak_live"]["value"] > 0
+print(metrics["tag_store.peak_live"]["value"])
 print("ok")
 """
 
@@ -50,7 +51,8 @@ def traced_solves(m: int) -> subprocess.CompletedProcess:
 
 def test_benchmark_imports_and_patches_the_library():
     # m = 2000: L = 4096, so eight windows under trees with inner levels,
-    # which is where a tagged solve makes tags
+    # which is where a tagged solve makes tags (at the root alone, the
+    # trees' one block)
     done = traced_solves(2000)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "ok"
@@ -64,6 +66,17 @@ def test_benchmark_traces_an_unpadded_solve():
     done = traced_solves(4096)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "ok"
+
+
+def test_benchmark_traces_tags_below_the_root():
+    # m = 2**16 + 1 pads to L = 2**18: 512 windows under trees of depth 9,
+    # whose walk descends from the root to blocks of 64 windows and whose
+    # tags sit on levels 0..3, below the root, unlike the two solves above
+    done = traced_solves((1 << 16) + 1)
+    assert done.returncode == 0, done.stderr
+    *_, peak_live, ok = done.stdout.split()
+    assert ok == "ok"
+    assert int(peak_live) > 2  # more live tags than the two trees' roots
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -258,15 +258,17 @@ def test_leading_byte_order_mark_is_skipped(source, tmp_path, monkeypatch,
     assert (code, captured.out, captured.err) == (0, "0\n3\n5\n8\n", "")
 
 
-def modsum_process(*argv) -> subprocess.Popen:
-    """``modsum`` in a child interpreter, with pipes on all three
-    streams."""
+def modsum_process(*argv, closed=None) -> subprocess.Popen:
+    """``modsum`` in a child interpreter, with pipes on all three streams,
+    but for the descriptor ``closed``, if given, which the child starts
+    without (as after ``<&-`` or ``>&-`` in a shell)."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "shifttree.cli", *argv], env=env,
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        preexec_fn=None if closed is None else lambda: os.close(closed))
 
 
 @pytest.mark.parametrize("mode", ["list", "count"])
@@ -290,5 +292,28 @@ def test_reader_that_stops_early_sees_no_traceback():
         proc.stdin.close()
         assert proc.stdout.readline() == b"0\n"
         proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("mode", ["list", "count"])
+def test_closed_stdin_is_exit_2(mode):
+    # a child started with no standard input has sys.stdin None: a usage
+    # error, not an AttributeError traceback
+    with modsum_process("--modulus", "5", "--mode", mode, closed=0) as proc:
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stdout.read() == b""
+        assert proc.stderr.read().decode().splitlines() == [
+            "error: cannot read stdin: it is closed"]
+
+
+@pytest.mark.parametrize("mode", ["list", "count"])
+def test_started_without_stdout_is_exit_1_without_traceback(mode):
+    # a child started with no standard output has sys.stdout None: exit 1
+    # and nothing on stderr, as when the reader of its pipe has gone
+    with modsum_process("--modulus", "5", "--mode", mode, closed=1) as proc:
+        proc.stdin.write(b"2\n3\n")
+        proc.stdin.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""

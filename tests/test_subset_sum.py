@@ -715,14 +715,18 @@ def test_chain_counters(backend):
 def test_dense_diff_work_is_pinned():
     # seed-1 dense solves over word trees: writes, diff work, reported
     # differences and tag store calls are exact for both backends, so a
-    # change to how the tagged tree keeps its tags shows here.  Both walks
-    # stop at the leaves.  m = 4095 pads to L = 8192, 16 windows of 512
-    # bits under trees of depth 4, and the second tree holds S twice
+    # change to how the tagged tree keeps its tags shows here.  Every walk
+    # stops at blocks of 64 windows.  m = 4095 pads to L = 8192, 16
+    # windows under trees of depth 4, and the second tree holds S twice
     # around the gap; m = 4096 is its own length, 8 windows under trees
-    # of depth 3, and the second tree holds S once.  At m = 4096 the
-    # tagged walk visits two node pairs more than the hashed one.
-    pins = {4095: ((1363, 69, 6234), (713, 0), (713, 1489)),
-            4096: ((4678, 1048, 8188), (1205, 0), (1207, 71))}
+    # of depth 3, and the second tree holds S once.  There each root is
+    # the only block, so a diff visits one node pair and only the roots
+    # hold tags.  m = 2**16 + 1 pads to L = 2**18, 512 windows under trees
+    # of depth 9: a walk descends from the root to blocks on level 3, and
+    # tags sit on levels 0..3.
+    pins = {4095: ((1363, 69, 6234), (45, 0), (45, 227)),
+            4096: ((4678, 1048, 8188), (1047, 0), (1047, 17)),
+            65537: ((51400, 238, 111606), (1447, 0), (1447, 5948))}
     for m, (work, hashed, tagged) in pins.items():
         inst = dense_instance(m, 1)
         stats = {backend: solve_with_stats(inst, backend, seed=1).stats

@@ -547,15 +547,15 @@ def test_shared_nan_letter_is_still_reported():
 def audit_tag_equivalences(store, trees):
     """At every level, a node's entry is its letter if its string is
     uniform and ``_MIXED`` if not; tag slots exist only for the nodes at or
-    above block level (levels 0..max(n - 6, 0) in a tree of letters; every
-    level of a word tree, whose leaves are the blocks), and
+    above block level, whose nodes cover at least min(64, 2**n) leaves
+    (levels 0..max(n - 6, 0) in every tree, a word tree included), and
     such a node holds a tag iff it is mixed; no two nodes hold one tag;
     equivalent live tags cover equal strings; every live tag sits on a node
     (quadratic audit)."""
     by_class = {}
     held = []
     for tree in trees:
-        slots = 2 << (tree.n if tree.q else max(tree.n - 6, 0))
+        slots = 2 << max(tree.n - 6, 0)
         assert len(tree.tags) == slots
         assert tree.tags[tree.size:] == [None] * (slots - tree.size)
         for i in range(1, tree.size):

@@ -73,6 +73,11 @@ def audit(trees, shared) -> bool:
     return big
 
 
+def random_bits(rng, L: int) -> list[int]:
+    """A uniformly random 0/1 list of length L, from one draw."""
+    return list(map(int, format(rng.getrandbits(L), f"0{L}b")))
+
+
 def shift_updates(width: int, k: int) -> int:
     """Inner nodes a word tree refreshes on ``shift(k)``: with j the
     valuation of k mod L, a word-tree shift by k >> 9 for j >= 9, which is
@@ -103,26 +108,38 @@ def random_shift(rng, width: int) -> int:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_trees_match_list_models(backend):
-    # every width from 0 to 13 (L = 1 .. 8192, so L < 512 included) under
-    # random whole-string loads, one-bit and batched writes with repeats,
-    # shifts of every valuation class and diffs on random intervals, each
-    # trial on its own hash prime; each shift refreshes exactly
-    # ``shift_updates`` inner nodes, and the audit runs after every call
+    # every width from 0 to 13 (L = 1 .. 8192, so L < 512 included), each
+    # tree one block, then fewer trials at widths 16 to 18, whose trees of
+    # depth 7 to 9 have levels and tags above their blocks of 64 windows
+    # and start out holding one random string, so that diffs find equal
+    # mixed blocks to join.  Random whole-string loads, one-bit and
+    # batched writes with repeats, shifts of every valuation class and
+    # diffs on random intervals, each trial on its own hash prime; each
+    # shift refreshes exactly ``shift_updates`` inner nodes, and the audit
+    # runs after every call
     rng = Random(16)
     valuations = set()
     big_windows = 0
-    for trial in range(1120):
-        width = trial % 14
+    deep_unions = []
+    for trial, width in enumerate(list(range(14)) * 80 + [16, 17, 18] * 4):
         L = 1 << width
         trees, shared = word_trees(backend, width, seed=trial)
+        if backend == "tagged" and width > 13:
+            union = shared.union
+            shared.union = lambda x, y: deep_unions.append(x) or union(x, y)
         models = [[0] * L, [0] * L]  # a fresh word tree holds zeros
         assert [word_string(t) for t in trees] == models
+        if width > 13:
+            s = random_bits(rng, L)
+            for tree in trees:
+                load(tree, s)
+            models = [s, list(s)]
         for _ in range(rng.randint(1, 14)):
             w = rng.randrange(2)
             tree, model = trees[w], models[w]
             roll = rng.random()
             if roll < 0.08:
-                s = [rng.randrange(2) for _ in range(L)]
+                s = random_bits(rng, L)
                 load(tree, s)
                 models[w] = s
             elif roll < 0.25:
@@ -157,6 +174,8 @@ def test_word_trees_match_list_models(backend):
     assert valuations == set(range(11))
     # hashed windows reached the prime: a window need not be below it
     assert (big_windows > 0) == (backend == "hashed")
+    # tagged diffs joined mixed pairs at or above the blocks of deep trees
+    assert bool(deep_unions) == (backend == "tagged")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -291,6 +310,43 @@ def test_diff_is_diff_windows_expanded(backend):
             expanded = [(c << q) + i for c, own, theirs in windows
                         for i in range(1 << q) if (own ^ theirs) >> i & 1]
             assert expanded == want, (trial, a, b)
+
+
+def test_window_equal_only_within_the_interval_is_not_joined():
+    # two tagged word trees of width 16 or 17 (two or four blocks of 64
+    # windows) hold one string but for one bit of window c, the first or
+    # the last window of a block.  [a, b] covers that whole block save
+    # the part of c that holds the bit: diff_windows(a, b) reports nothing,
+    # yet the walk saw c differ, so it joins no tags over c, and a diff
+    # over the whole string still reports c
+    rng = Random(23)
+    for trial in range(16):
+        width = rng.choice([16, 17])
+        L = 1 << width
+        (t, o), store = word_trees("tagged", width)
+        s = random_bits(rng, L)
+        k = random_shift(rng, width)
+        for tree in (t, o):
+            load(tree, s)
+            tree.shift(k)
+        s = rotate_right(s, k)
+        first = 64 * rng.randrange(L >> 15)  # a block's first window
+        if trial % 2:   # the bit lies before a, in the block's first window
+            c = first
+            cut = (c << 9) + rng.randint(1, 511)
+            p = rng.randrange(c << 9, cut)
+            a, b = cut, rng.randrange(((first + 64) << 9) - 1, L)
+        else:           # ... or after b, in the block's last window
+            c = first + 63
+            cut = (c << 9) + rng.randrange(511)
+            p = rng.randint(cut + 1, ((c + 1) << 9) - 1)
+            a, b = rng.randint(0, first << 9), cut
+        write(o, [p], 1 - s[p])
+        assert t.diff_windows(o, a, b) == [], trial
+        audit_tag_equivalences(store, [t, o])
+        for x, y in ((t, o), (o, t)):
+            (got, own, theirs), = x.diff_windows(y, 0, L - 1)
+            assert (got, own ^ theirs) == (c, 1 << (p - (c << 9))), trial
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
