@@ -1,9 +1,10 @@
 """Command-line front end: solve instances from text, or run benchmark sweeps.
 
-Exit codes: 0 success, 1 standard output closed before the result was
-written (``modsum ... | head -1``, or ``>&-``), 2 usage or input errors
-(including a modulus or bench size above MAX_MODULUS, and a closed
-stdin), 3 hash-collision tripwire.
+Exit codes: 0 success, 1 an output stream closed before the result was
+written (``modsum ... | head -1``, ``>&-``, or ``2>&-`` in stats mode,
+whose counters go to stderr), 2 usage or input errors (including a
+modulus or bench size above MAX_MODULUS, and a closed stdin), 3
+hash-collision tripwire.
 """
 
 import argparse
@@ -112,6 +113,27 @@ def write_residues(residues: list[int]) -> None:
             raise BrokenPipeError("standard output took a short write")
 
 
+def reader_gone(stream) -> int:
+    """Point ``stream``'s descriptor at devnull once a write to it has
+    failed, as the Python docs advise for a closed pipe, so that the
+    interpreter's final flush fails no more; returns exit code 1."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+    return 1
+
+
+def emit(stream, lines) -> int:
+    """Write ``lines``, one a line, to ``stream`` and flush it: exit code
+    0, or 1 when the reader is gone or the descriptor takes no writes."""
+    try:
+        stream.write("".join(f"{line}\n" for line in lines))
+        stream.flush()
+    except OSError:
+        return reader_gone(stream)
+    return 0
+
+
 def fail(message: str) -> int:
     """Report a usage or input error on stderr; returns exit code 2."""
     print(f"error: {message}", file=sys.stderr)
@@ -131,11 +153,12 @@ def main(argv=None) -> int:
         if max(sizes) > MAX_MODULUS:
             return fail(f"--bench sizes must be <= {MAX_MODULUS}, "
                         f"got {max(sizes)}")
-        seed = args.seed if args.seed is not None else 0
-        print(BENCH_COLUMNS)
-        for row in bench_rows(sizes, args.backend, seed):
-            print(",".join(str(v) for v in row))
-        return 0
+        if sys.stdout is None:
+            return 1                # started with its descriptor closed
+        rows = bench_rows(sizes, args.backend,
+                          args.seed if args.seed is not None else 0)
+        return emit(sys.stdout, [BENCH_COLUMNS, *(
+            ",".join(map(str, row)) for row in rows)])
 
     if args.seed is not None and args.backend != "hashed":
         print(f"warning: --seed is ignored for backend '{args.backend}'",
@@ -168,8 +191,9 @@ def main(argv=None) -> int:
         print(f"error: hash collision tripwire: {exc}", file=sys.stderr)
         return 3
 
-    if sys.stdout is None:
-        # started with its descriptor closed: as when the reader is gone
+    if sys.stdout is None or args.mode == "stats" and sys.stderr is None:
+        # started with a descriptor closed that the output needs: as when
+        # the reader is gone
         return 1
     try:
         if args.mode == "count":
@@ -178,15 +202,10 @@ def main(argv=None) -> int:
             write_residues(result.sums.ascending())
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader is gone: point stdout at devnull, as the Python docs
-        # advise, so that the interpreter's final flush fails no more
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        return reader_gone(sys.stdout)
     if args.mode == "stats":
-        for key in STATS_KEYS:
-            print(f"{key}={getattr(result.stats, key)}", file=sys.stderr)
+        return emit(sys.stderr, [f"{key}={getattr(result.stats, key)}"
+                                 for key in STATS_KEYS])
     return 0
 
 

@@ -27,8 +27,9 @@ class HashedShiftTree(ShiftTree):
     log m levels with hashes (a tree of one leaf has none), whose node
     pairs cover at most m leaves per level, so by the bound in ``hashing``
     it fails with probability below m log m / 2**80 per call.  For a word
-    tree's ``diff_windows``, whose windows may exceed p, add 2**-71.5 per
-    node pair at or above block level: max(1, m/32) * 2**-71.5 at most.
+    tree's ``diff_windows``, whose windows of 4096 bits may exceed p, add
+    2**-68.5 per node pair at or above block level: max(1, m/32) * 2**-68.5
+    at most.
     """
 
     def __init__(self, n: int, ctx: HashContext):

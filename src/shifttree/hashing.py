@@ -6,14 +6,16 @@ which is what lets a tree node derive its hash from its children.
 
 A context draws p uniformly from the primes in [2**80, 2**81) and r
 uniformly from [0, p).  A letter may be any non-negative integer below
-2**512: a word tree's 512-bit window may exceed p.  Two unequal strings
-u != u' of l letters collide only through one of two events:
+2**4096: a word tree's window of ``shift_tree._WORD`` = 4096 bits may
+exceed p.  Two unequal strings u != u' of l letters collide only through
+one of two events:
 
 - p divides w - w', the nonzero difference of the letters at the first
-  position where u and u' differ.  It is below 2**512 in size, so it has
-  at most 6 prime factors >= 2**80, and there are more than 2**80 / 57
-  primes to choose from (Dusart's bounds on pi(x)): probability below
-  2**-71.5.  Letters below p never differ by a multiple of p.
+  position where u and u' differ.  It is below 2**4096 in size, so it
+  has at most 51 prime factors >= 2**80, and there are more than
+  2**80 / 57 primes to choose from (Dusart's bounds on pi(x)):
+  probability below 51 * 57 / 2**80 < 2**-68.5.  Letters below p never
+  differ by a multiple of p.
 - Otherwise the difference polynomial is nonzero over F_p, of degree
   below l, and vanishes at r with probability below l / 2**80.
 """

@@ -12,10 +12,11 @@ summaries prove their subtrees equal.
 
 A tree of letters holds one position per leaf; it is written by ``init``
 and ``set`` and read by ``diff`` and ``materialize``.  A word tree
-(``packed``) holds a 0/1 string of length 2**width with min(512, 2**width)
-positions per leaf, packed as the bits of one int, its *window*: bit i of
-string block c's window is string position 512c + i, so the tree has nine
-levels fewer.  Its rotation delta = 512*D + r moves the word tree by D,
+(``packed``) holds a 0/1 string of length 2**width with min(W, 2**width)
+positions per leaf, W = ``_WORD``, packed as the bits of one int, its
+*window*: bit i of string block c's window is string position Wc + i, so
+the tree has log2 W levels fewer.  Its rotation delta = W*D + r moves the
+word tree by D,
 and the windows tile the unrotated bit string at offset r; a shift that
 changes r re-tiles every window, then refreshes the whole tree.  The
 variants see windows as letters, and so does the diff walk: in every tree
@@ -36,8 +37,12 @@ from .topology import Topology
 # word tree's windows) in one C-level pass.
 _BLOCK = 64
 
-# Positions a word tree packs per leaf window.
-_WORD = 512
+# Positions a word tree packs per leaf window, W.  Most of the solver's
+# shifts re-tile every window and refresh all L/W - 1 inner nodes, so a
+# wider window means fewer nodes to refresh; but a later copy of a value
+# steps W-bit windows, so a wider one slows solves of high multiplicity.
+# Chosen against 512, 2048 and 8192 in BENCH_window.json.
+_WORD = 4096
 
 # Fewest parents for which a refresh takes a whole level in one slice
 # pass.  That pass has a fixed cost of about 1.5 us, so a narrower level
@@ -66,11 +71,11 @@ class ShiftTree:
     listing against another tree of the same variant.
 
     Costs, for a string of length m: ``shift(k)`` O(m / 2**j) where 2**j
-    is the largest power of two dividing k (in a word tree, O(m / 512)
-    for j < 9).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
+    is the largest power of two dividing k (in a word tree, O(m / W) for
+    2**j < W).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
     ``diff`` O((d+1) log m) for d reported differences.  A word tree has
     ``diff_windows`` O((w+1) log m) for w reported windows, and
-    ``set_bits`` O(s + b/512 + w log m) for s spans of b bits in all that
+    ``set_bits`` O(s + b/W + w log m) for s spans of b bits in all that
     write w windows, in their place.  A diff's bound counts node pairs;
     each block it reaches adds one C-level compare of at most 64 letters
     (windows, in a word tree).  A fresh tree of letters holds
@@ -99,7 +104,7 @@ class ShiftTree:
     @classmethod
     def packed(cls, width: int, shared) -> "ShiftTree":
         """A word tree over the all-zero 0/1 string of length 2**width, its
-        min(512, 2**width) positions per leaf packed into one window;
+        min(W, 2**width) positions per leaf packed into one window;
         ``shared`` is what the variant's constructor takes."""
         q = min(width, _WORD.bit_length() - 1)
         tree = cls(width - q, shared)
@@ -161,7 +166,7 @@ class ShiftTree:
         start and bits >= 0 are integers; the spans may be any iterable.
         Each window is written once, then the ancestors of the distinct
         dirty leaves are refreshed once: O(w log m) for w windows written,
-        plus a step per span and per 512 bits of it."""
+        plus a step per span and per W bits of it."""
         if not self.word:
             raise ValueError("set_bits needs a word tree")
         _check_bit(x)
@@ -214,8 +219,8 @@ class ShiftTree:
     def _retile(self, r: int) -> None:
         """Move a word tree's windows from offset ``self.r`` to ``r``: a
         window at offset r holds the bits of the unrotated string from
-        512*slot - r on, so each new window joins the ends of two
-        neighbouring old ones, shifted by e = (r - self.r) mod 512."""
+        W*slot - r on, so each new window joins the ends of two
+        neighbouring old ones, shifted by e = (r - self.r) mod W."""
         nodes = self.nodes
         size = self.size
         bits = 1 << self.q
@@ -242,7 +247,7 @@ class ShiftTree:
                      b: int) -> list[tuple[int, int, int]]:
         """The differences of two word trees in [a, b], by window:
         ``(c, own, theirs)`` for each window c (string positions c * 2**q
-        on, with 2**q = min(512, length)) that differs within [a, b], in
+        on, with 2**q = min(W, length)) that differs within [a, b], in
         ascending order, with both trees' bits of that window masked to
         [a, b].  The walk reports every window under [a, b] that differs
         at all; an end window whose masked bits agree is dropped here.

@@ -23,6 +23,16 @@ the full bit-reversal schedule between them, so the rotations cost no more
 than that schedule (linearithmic) and far less when few values are
 present.  The solve stops as soon as every residue is attainable.
 
+A value that S is already closed under, S + x = S, is skipped: no shift
+and no diff.  The stabilizer {g : S + g = S} is a subgroup of the
+residues mod m, and it only grows as S does: S + g = S gives
+(S ∪ (S + y)) + g = S ∪ (S + y).  The solver sees S + x = S for free in
+two cases: a value's diff finds no new sum, or its orbit stops with
+copies left, since an empty New_i means S_(i-1) + x ⊆ S_(i-1) by the
+recurrence above, and a translate of a finite set inside it is the set.
+So it keeps ``closed``, the gcd of m and every such x, whose multiples
+form a subgroup of the stabilizer, and skips every later multiple of it.
+
 That order sorts first by the low k bits of x, reversed, so the solver
 takes the classes x = r (mod 2**k) in the k-bit reversed order of r and
 sorts a class only when the loop reaches it; an empty class costs one C
@@ -37,16 +47,16 @@ of s around a gap, so that for any rotation d <= m the first m
 characters of the rotated double string are exactly the rotation of s.
 A present residue's letter is 1; the padding, the gap and the absent
 residues keep the 0 a fresh tree starts with.  Both trees are word
-trees (``ShiftTree.packed``): the 0/1 string sits in L/512 windows of 512
-bits (one window of L bits when L < 512), so the trees are nine levels
-shallower than trees of letters, and a fresh one already holds the zero
-string.  Their diff stops at blocks of 64 windows.  The hashed backend hashes the
-windows modulo a random 81-bit prime at a random point, both drawn from
-``seed``.
+trees (``ShiftTree.packed``): the 0/1 string sits in L/W windows of
+W = 4096 bits (``_WORD``; one window of L bits when L < W), so the trees
+are twelve levels shallower than trees of letters, and a fresh one
+already holds the zero string.  Their diff stops at blocks of 64
+windows.  The hashed backend hashes the windows modulo a random 81-bit
+prime at a random point, both drawn from ``seed``.
 
 The solver works on windows end to end, never on single sums:
 
-- S is a list of L/512 windows (ints of 512 bits) that mirrors the first
+- S is a list of L/W windows (ints of W bits) that mirrors the first
   tree's string.
 - A value's one diff, ``diff_windows``, reports each window c in which the
   two strings differ as ``(c, own, theirs)``.  The new sums there are
@@ -56,8 +66,8 @@ The solver works on windows end to end, never on single sums:
   pairs that land in one window merge, and S masks them.
 - A value's new sums gather per window, so each tree gets one
   ``set_bits`` call per productive value with O(windows) spans: window c
-  at 512c in the first tree, and at 512c + x in the second, and also at
-  512c + x - m when L is padded.
+  at Wc in the first tree, and at Wc + x in the second, and also at
+  Wc + x - m when L is padded.
 - ``SumSet`` is S as one m-bit int, joined from S's windows in C at the
   end; its residue list is built only when ``ascending()`` asks for it.
 
@@ -67,6 +77,7 @@ windows it writes, and never O(m).
 """
 
 from itertools import chain, compress, repeat
+from math import gcd
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
@@ -91,20 +102,23 @@ _ONE = bytes.maketrans(b"01", b"\0\1")
 class HashCollisionError(RuntimeError):
     """The hashed backend reported an inconsistent difference set.
 
-    The trees hash their L/512 windows (L = m for a power of two m, else
-    the smallest power of two >= 2m) modulo p, a random prime in
-    [2**80, 2**81), at a random point r in [0, p): by the bound in
-    ``HashedShiftTree``, one diff misses a difference with probability
-    below (L/512) log L / 2**80 + max(1, L/2**14) * 2**-71.5 < L / 2**80
+    The trees hash their L/W windows of W = 4096 bits (L = m for a power
+    of two m, else the smallest power of two >= 2m) modulo p, a random
+    prime in [2**80, 2**81), at a random point r in [0, p): by the bound
+    in ``HashedShiftTree``, one diff misses a difference with probability
+    below (L/W) log L / 2**80 + max(1, L/2**17) * 2**-68.5 < L / 2**80
     (below 1e-16 at every modulus the CLI accepts), and never when
-    L <= 512, whose one window compares exactly.  The check runs once per visited
-    value, on its one diff: the popcount of each reported window's
-    ``own ^ theirs``, summed, must be twice that of its new sums
+    L <= W, whose one window compares exactly.  The check runs once per
+    visited value, on its one diff: the popcount of each reported
+    window's ``own ^ theirs``, summed, must be twice that of its new sums
     ``theirs & ~own``, since every new sum pairs with the old sum it
-    rotated in from.  A collision that
-    hides a balanced set of differences, as many new sums as old ones,
-    passes unseen and leaves those sums (and their orbit under the value's
-    later copies) out of the result.
+    rotated in from.  A collision that hides a balanced set of
+    differences, as many new sums as old ones, passes unseen and leaves
+    those sums (and their orbit under the value's later copies) out of
+    the result.  One that hides every difference of a diff also makes S
+    look closed under x: the solver then skips every later multiple of
+    gcd(closed, x), a whole coset class of values, and loses their sums
+    too.
     """
 
 
@@ -305,7 +319,10 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     s = [0] * (L >> q)                  # S's windows, as t1 holds them
     s[0] = count = 1
     at = 0                              # t2 holds the double string rotated by at
+    closed = m                          # S + g = S for every multiple g of it
     for x in chain.from_iterable(_bitrev_classes(inst.mult, width)):
+        if x % closed == 0:
+            continue                    # S + x = S: no shift, no diff
         t2.shift(x - at)
         at = x
         stats.bellman_iterations += 1
@@ -313,6 +330,8 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
         reported = sum((own ^ theirs).bit_count() for _, own, theirs in found)
         # (window, its new sums): set in the rotated copy, not yet in S
         new = [(c, b) for c, own, theirs in found if (b := theirs & ~own)]
+        if not new:
+            closed = gcd(closed, x)     # S + x = S
         fresh = sum(bits.bit_count() for _, bits in new)
         stats.reported_differences += reported
         if reported != 2 * fresh:
@@ -347,6 +366,7 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
                 new = [(c, b) for c, bits in moved.items()
                        if (b := bits & ~s[c])]
                 if not new:
+                    closed = gcd(closed, x)
                     break               # S is stable under +x
                 stats.bellman_iterations += 1
             for c, bits in new:

@@ -1,5 +1,6 @@
 """Reference models and generators shared across the test suite."""
 
+from math import gcd
 from random import Random
 
 from shifttree import Instance, bitrev
@@ -68,12 +69,13 @@ def mixed_blocks(s) -> int:
     return count
 
 
-def batch_write(rng: Random, size: int) -> list[int]:
-    """Positions for one batch of writes of one letter, as a run of ``set``
-    calls or as one-bit ``set_bits`` spans: sometimes empty, else with a
-    repeat."""
+def batch_write(rng: Random, size: int, most: int | None = None) -> list[int]:
+    """Positions in [0, size) for one batch of writes of one letter, as a
+    run of ``set`` calls or as one-bit ``set_bits`` spans: sometimes empty,
+    else with a repeat; at most ``most`` (default ``size``) before it."""
+    most = size if most is None else min(most, size)
     positions = [rng.randrange(size)
-                 for _ in range(rng.choice([0, 1, 2, 3, size // 2, size]))]
+                 for _ in range(rng.choice([0, 1, 2, 3, most // 2, most]))]
     return positions + positions[:1]
 
 
@@ -91,19 +93,28 @@ def solver_length(m: int) -> int:
 
 def solver_visits(inst: Instance) -> list[int]:
     """Values the solver should visit, in order: the present residues in
-    [1, m) sorted by bit reversal over the width of the trees' length,
-    cut after the first one that leaves every residue attainable (big-int
-    bitset model)."""
+    [1, m) sorted by bit reversal over the width of the trees' length, but
+    for the multiples of ``closed``, the gcd of m and every value seen to
+    leave S as it was, which the solver skips; cut after the first one
+    that leaves every residue attainable (big-int bitset model)."""
     m = inst.m
     width = solver_length(m).bit_length() - 1
     full = (1 << m) - 1
     bits = 1
+    closed = m
     visits = []
     for x in sorted((x for x in range(1, m) if inst.mult[x]),
                     key=lambda x: bitrev(width, x)):
+        if x % closed == 0:
+            continue
         visits.append(x)
         for _ in range(min(inst.mult[x], m)):
-            bits |= (bits << x | bits >> (m - x)) & full
+            grown = bits | ((bits << x | bits >> (m - x)) & full)
+            if grown == bits:
+                # S + x = S: from here on, so is every multiple of closed
+                closed = gcd(closed, x)
+                break
+            bits = grown
         if bits == full:
             break
     return visits
@@ -115,6 +126,25 @@ def word_string(tree) -> list[int]:
     step = range(1 << tree.q)
     return [w >> i & 1 for w in tree.topo.letters(tree.nodes, 0, tree.size - 1)
             for i in step]
+
+
+def bit_mask(positions) -> int:
+    """The int whose set bits are ``positions``, in O(1) a position."""
+    positions = list(positions)
+    mask = bytearray((max(positions, default=0) >> 3) + 1)
+    for p in positions:
+        mask[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(mask, "little")
+
+
+def word_bits(tree) -> int:
+    """A word tree's 0/1 string as one int, bit i its position i."""
+    windows = tree.topo.letters(tree.nodes, 0, tree.size - 1)
+    if tree.size == 1:
+        return windows[0]
+    # a tree of two or more windows has full ones, of whole bytes each
+    return int.from_bytes(b"".join(
+        w.to_bytes((1 << tree.q) >> 3, "little") for w in windows), "little")
 
 
 def node_string(tree, i: int) -> list:

@@ -15,7 +15,7 @@ from shifttree import (
     solve,
     solve_with_stats,
 )
-from shifttree.cli import bench_rows, dense_instance, main
+from shifttree.cli import dense_instance, main
 
 from helpers import EDGE_MODULI, naive_diff, random_instance, rotate_right
 
@@ -158,28 +158,41 @@ def test_criterion_6_solver_work_budget():
 
 
 def test_criterion_7_empirical_scaling():
-    # Bench sweep m = 2^12 .. 2^17, both backends: wall time per doubling
-    # within a 2.5x linearithmic envelope.
+    # Bench sweep m = 2^12 .. 2^17, both backends: time per doubling
+    # within a 2.5x linearithmic envelope.  A size's time is the median of
+    # 7 solves of its dense instance in process time, one solve a round
+    # and each round over every size, so that neither one slow solve, nor
+    # time spent descheduled, nor a burst of load on the machine during
+    # one size's solves moves a ratio.
     import gc
+    import time
+    from statistics import median
 
-    def sweep(backend, sizes):
+    def solve_time(inst, backend):
         gc.collect()
-        rows = bench_rows(sizes, backend, seed=1)
-        walls = [row[2] for row in rows]
-        return rows, [b / a for a, b in zip(walls, walls[1:])]
+        start = time.process_time()
+        solve_with_stats(inst, backend=backend, seed=1)
+        return time.process_time() - start
+
+    def sweep(backend, insts):
+        rounds = [[solve_time(inst, backend) for inst in insts]
+                  for _ in range(7)]
+        walls = [median(size) for size in zip(*rounds)]
+        return [b / a for a, b in zip(walls, walls[1:])]
 
     sizes = [1 << k for k in range(12, 18)]
+    insts = [dense_instance(m, 1) for m in sizes]
     worst = {}
     for backend in ("hashed", "tagged"):
-        rows, ratios = sweep(backend, sizes)
+        ratios = sweep(backend, insts)
         if max(ratios) > 2.5:
             # timing noise guard: a genuine superlinear regression fails
             # the re-measurement too
-            rows, ratios = sweep(backend, sizes)
+            ratios = sweep(backend, insts)
         worst[backend] = max(ratios)
         assert all(r <= 2.5 for r in ratios), (backend, ratios)
-        updates = [row[3] for row in rows]
-        for m, u in zip(sizes, updates):
+        for m, inst in zip(sizes, insts):
+            u = solve_with_stats(inst, backend=backend, seed=1).stats.updates
             assert u <= 10 * m * math.log2(m), (backend, m, u)
     report(7, "worst doubling ratio: "
               + ", ".join(f"{b}={r:.2f}" for b, r in worst.items()))

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from shifttree.shift_tree import _WORD as W
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
@@ -50,29 +52,29 @@ def traced_solves(m: int) -> subprocess.CompletedProcess:
 
 
 def test_benchmark_imports_and_patches_the_library():
-    # m = 2000: L = 4096, so eight windows under trees with inner levels,
-    # which is where a tagged solve makes tags (at the root alone, the
-    # trees' one block)
-    done = traced_solves(2000)
+    # m = 4W - 48 (W = _WORD): L = 8W, so eight windows under trees with
+    # inner levels, which is where a tagged solve makes tags (at the root
+    # alone, the trees' one block)
+    done = traced_solves(4 * W - 48)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "ok"
 
 
 def test_benchmark_traces_an_unpadded_solve():
-    # m = 4096 is a power of two, so the trees have length m itself: eight
+    # m = 8W is a power of two, so the trees have length m itself: eight
     # windows under trees with inner levels, the layout of the sparse
-    # workload (m = 2**15).  A power of two up to 512 is one window, which
-    # the strict xfail below covers
-    done = traced_solves(4096)
+    # workload (m = 2**15 = 8W).  A power of two up to W is one window,
+    # which the strict xfail below covers
+    done = traced_solves(8 * W)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "ok"
 
 
 def test_benchmark_traces_tags_below_the_root():
-    # m = 2**16 + 1 pads to L = 2**18: 512 windows under trees of depth 9,
+    # m = 32W + 1 pads to L = 128W: 128 windows under trees of depth 7,
     # whose walk descends from the root to blocks of 64 windows and whose
-    # tags sit on levels 0..3, below the root, unlike the two solves above
-    done = traced_solves((1 << 16) + 1)
+    # tags sit on levels 0..1, below the root, unlike the two solves above
+    done = traced_solves(32 * W + 1)
     assert done.returncode == 0, done.stderr
     *_, peak_live, ok = done.stdout.split()
     assert ok == "ok"

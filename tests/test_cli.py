@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from shifttree import HashedShiftTree
+from shifttree.shift_tree import _WORD
 from shifttree.cli import (MAX_MODULUS, bench_rows, dense_instance, main,
                            parse_instance)
 
@@ -80,9 +81,10 @@ def test_stats_mode_prints_counters_to_stderr(monkeypatch, capsys):
     # and each of the two diffs visits the root pair alone
     assert stats == {"updates": "0", "diff_visits": "2", "store_ops": "0",
                      "bellman_iterations": "2"}
-    # at m = 1000 (L = 2048, four windows) the writes refresh inner nodes
-    code, out, err = run_cli(["--modulus", "1000", "--mode", "stats"],
-                             monkeypatch, capsys, "2\n3\n")
+    # at m = 2W - 48 (L = 4W, four windows of W = _WORD bits) the writes
+    # refresh inner nodes
+    code, out, err = run_cli(["--modulus", str(2 * _WORD - 48), "--mode",
+                              "stats"], monkeypatch, capsys, "2\n3\n")
     assert code == 0
     assert out == "0\n2\n3\n5\n"
     stats = dict(line.split("=") for line in err.strip().splitlines())
@@ -212,11 +214,12 @@ def test_list_output_matches_oracle_on_random_instances(monkeypatch, capsys):
 
 
 def test_bench_rows_function():
-    rows = bench_rows([16, 1024], "hashed", seed=1)
-    assert [r[0] for r in rows] == [16, 1024]
+    rows = bench_rows([16, 2 * _WORD], "hashed", seed=1)
+    assert [r[0] for r in rows] == [16, 2 * _WORD]
     assert all(r[1] == "hashed" and r[2] > 0 for r in rows)
     # m = 16 packs its L = 32 positions into one window: no inner node to
-    # update; m = 1024 has four windows under three inner nodes
+    # update; m = 2W, a power of two, is two windows of W = _WORD bits
+    # under one inner node
     assert rows[0][3] == 0 and rows[1][3] > 0
     # dense instances are seeded: same seed, same instance
     assert dense_instance(64, 1).mult == dense_instance(64, 1).mult
@@ -317,3 +320,34 @@ def test_started_without_stdout_is_exit_1_without_traceback(mode):
         proc.stdin.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("started_without", [True, False])
+def test_bench_without_stdout_is_exit_1_without_traceback(started_without):
+    # modsum --bench 100 >&-, or with its reader gone: the CSV has nowhere
+    # to go, so exit 1 and nothing on stderr, as in list mode
+    with modsum_process("--bench", "100",
+                        closed=1 if started_without else None) as proc:
+        if not started_without:
+            proc.stdout.close()
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("started_without", [True, False])
+def test_stats_without_stderr_is_exit_1(started_without):
+    # modsum --mode stats 2>&-, or with the reader of stderr gone: the
+    # counters have nowhere to go, so exit 1.  A child started without
+    # stderr writes no residues either, as list mode without stdout
+    with modsum_process("--modulus", "5", "--mode", "stats",
+                        closed=2 if started_without else None) as proc:
+        if not started_without:
+            proc.stderr.close()
+        proc.stdin.write(b"2\n3\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        out = proc.stdout.read()
+        assert out == (b"" if started_without else b"0\n2\n3\n")
+        if started_without:
+            assert proc.stderr.read() == b""

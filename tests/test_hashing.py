@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from shifttree import HashContext, make_context
 from shifttree.hashing import _is_prime
+from shifttree.shift_tree import _WORD
 
 from helpers import hash_string
 
@@ -124,15 +125,15 @@ def test_no_collisions_among_random_distinct_pairs():
         if s1 == s2:
             s2[rng.randrange(length)] ^= 1
         assert hash_string(ctx, s1) != hash_string(ctx, s2)
-    # strings of 512-bit windows, as a word tree holds them, most of them
-    # p or more: below 2^-71.5 + 16 / 2^80 per pair
+    # strings of W-bit windows, W = _WORD, as a word tree holds them, most
+    # of them p or more: below 2^-68.5 + 16 / 2^80 per pair
     big = 0
     for _ in range(2_000):
         length = 1 << rng.randrange(5)
-        s1 = [rng.getrandbits(512) for _ in range(length)]
+        s1 = [rng.getrandbits(_WORD) for _ in range(length)]
         s2 = list(s1)
         for i in rng.sample(range(length), rng.randint(1, length)):
-            s2[i] = rng.choice([rng.getrandbits(512), s1[i] ^ 1])
+            s2[i] = rng.choice([rng.getrandbits(_WORD), s1[i] ^ 1])
         big += max(s1 + s2) >= ctx.p
         assert tree_hash(ctx, s1) != tree_hash(ctx, s2)
     assert big > 1_000
@@ -190,10 +191,10 @@ def test_fingerprint_context():
         assert (same.p, same.r) == (ctx.p, ctx.r)
         primes.add(ctx.p)
     assert len(primes) == 20
-    # a string of 512-bit letters, most of them above p, hashes under the
+    # a string of W-bit letters, all of them above p, hashes under the
     # tree's rule as its letters reduced mod p do
     rng = Random(3)
     ctx = make_context(8, 4)
-    windows = [rng.getrandbits(512) | 1 << 511 for _ in range(8)]
+    windows = [rng.getrandbits(_WORD) | 1 << (_WORD - 1) for _ in range(8)]
     assert tree_hash(ctx, windows) == hash_string(
         ctx, [w % ctx.p for w in windows])

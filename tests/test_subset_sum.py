@@ -21,6 +21,7 @@ from shifttree import (
     solve_with_stats,
 )
 from shifttree import shift_tree
+from shifttree.shift_tree import _WORD as W
 from shifttree.cli import dense_instance
 from shifttree.subset_sum import bit_positions
 
@@ -262,11 +263,11 @@ def test_prefix_padding_identity():
 
 def is_word_tree(tree, m: int) -> bool:
     """Whether ``tree`` is a word tree over the solver's length L (m for a
-    power of two m, else padded to at least 2m): min(512, L) positions per
-    leaf, so L/512 leaves (one when L <= 512)."""
+    power of two m, else padded to at least 2m): min(W, L) positions per
+    leaf, W = ``_WORD``, so L/W leaves (one when L <= W)."""
     L = solver_length(m)
-    return (tree.length, tree.size, tree.q) == (L, max(L >> 9, 1),
-                                                min(L.bit_length() - 1, 9))
+    q = min(L, W).bit_length() - 1
+    return (tree.length, tree.size, tree.q) == (L, L >> q, q)
 
 
 def membership(sums) -> list[int]:
@@ -315,8 +316,9 @@ def observe_solve(monkeypatch, inst, backend):
 def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
     # after each visited value, the first tree holds S zero-padded and the
     # second, rotated back, two copies of S around the zero gap, where S is
-    # the oracle's answer over the values visited so far; at a power of two
-    # m (L = m) both trees hold S alone, with no padding and no gap
+    # the oracle's answer over the values visited so far (a skipped value
+    # adds nothing); at a power of two m (L = m) both trees hold S alone,
+    # with no padding and no gap
     rng = Random(10)
     audits = 0
     for m in (2, 3, 5, 12, 12, 40, 8, 64):
@@ -344,22 +346,70 @@ def visit_trace(monkeypatch, inst, backend):
     return [(x, sum(first)) for x, first, _ in seen]
 
 
+def visited_values(monkeypatch, inst, backend):
+    """The result of one solve and the values it visited, in visit order:
+    each visited value moves the second tree by the net delta."""
+    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
+    real_shift = cls.shift
+    visited = []
+
+    def shift(self, k):
+        visited.append((visited[-1] if visited else 0) + k)
+        real_shift(self, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cls, "shift", shift)
+        result = solve_with_stats(inst, backend=backend, seed=inst.m)
+    return result, visited
+
+
+def replay_skips(inst, visited) -> tuple[int, int]:
+    """Replay the present values in bit-reversed order with a bitset S,
+    checking that ``visited`` is a subsequence of that order and that
+    every value left out of it, skipped or past saturation, has S + x = S
+    at its turn: the visited values grow S, the others must not.  Returns
+    how many were left out, and S as an int."""
+    m = inst.m
+    width = solver_length(m).bit_length() - 1
+    full = (1 << m) - 1
+    bits = 1
+    left_out = 0
+    ahead = iter(visited)
+    want = next(ahead, None)
+    for x in sorted((x for x in range(1, m) if inst.mult[x]),
+                    key=lambda x: bitrev(width, x)):
+        if x == want:
+            for _ in range(min(inst.mult[x], m)):
+                grown = bits | ((bits << x | bits >> (m - x)) & full)
+                if grown == bits:
+                    break
+                bits = grown
+            want = next(ahead, None)
+        else:
+            assert (bits << x | bits >> (m - x)) & full == bits, (m, x)
+            left_out += 1
+    assert want is None, (m, "visited a value out of order")
+    return left_out, bits
+
+
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_solver_visits_present_values_in_bitrev_order(backend, monkeypatch):
-    # only even residues are attainable, so the solve never saturates and
-    # must visit every present nonzero value exactly once
+    # only even residues are attainable, so the solve never saturates: it
+    # visits the present nonzero values in bit-reversed order, each at
+    # most once, but for those S is already closed under, which it skips
     rng = Random(12)
     m = 96
     inst = Instance.from_pairs(
         m, [(rng.randrange(0, m, 2), rng.choice([1, 2, m])) for _ in range(30)])
     width = (2 * m - 1).bit_length()
-    present = [x for x in range(1, m) if inst.mult[x]]
     seen = visit_trace(monkeypatch, inst, backend)
     shifts = [x for x, _ in seen]
-    assert sorted(shifts) == present
+    assert shifts == solver_visits(inst)
     keys = [bitrev(width, x) for x in shifts]
-    assert keys == sorted(keys)
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(n < m for _, n in seen)
+    left_out, bits = replay_skips(inst, shifts)
+    assert 0 < left_out and bits.bit_count() == seen[-1][1]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -382,10 +432,10 @@ def test_solver_stops_at_saturation(backend, monkeypatch):
 def class_order_instances(rng):
     """Instances whose sums stay in a proper subgroup (every value a
     multiple of g, with g | m) or below 2**8 < m (at most eight values, one
-    copy each), so that a solve never saturates and visits every present
-    nonzero value.  The solver takes the classes x = r (mod K) one by one;
-    K = 64 at m = 4096 and m = 3072, 256 at m = 2**15, 2 at m = 100 and
-    127, and 1 at m <= 64."""
+    copy each), so that a solve never saturates and reaches every present
+    nonzero value, to visit it or to skip it.  The solver takes the
+    classes x = r (mod K) one by one; K = 64 at m = 4096 and m = 3072, 256
+    at m = 2**15, 2 at m = 100 and 127, and 1 at m <= 64."""
     for m, g in ((4096, 2), (3072, 3)):
         K = 64
 
@@ -419,24 +469,94 @@ def class_order_instances(rng):
 def test_class_order_matches_global_bitrev_sort(backend, monkeypatch):
     # the solver sorts one residue class at a time, only when it reaches
     # it; its visits must be the one global sort of the present values by
-    # bit reversal, which ``solver_visits`` makes
-    cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
-    real_shift = cls.shift
-    visited = []
-
-    def shift(self, k):
-        # each visited value moves the second tree by the net delta
-        visited.append((visited[-1] if visited else 0) + k)
-        real_shift(self, k)
-
-    monkeypatch.setattr(cls, "shift", shift)
+    # bit reversal, which ``solver_visits`` makes, less the values it
+    # skips, each of which leaves S as it was
+    whole = 0
     for inst in class_order_instances(Random(25)):
-        visited.clear()
-        sums = solve(inst, backend=backend, seed=inst.m)
-        present = [x for x in range(1, inst.m) if inst.mult[x]]
-        assert sorted(visited) == present, inst.m
+        result, visited = visited_values(monkeypatch, inst, backend)
         assert visited == solver_visits(inst), inst.m
+        left_out, bits = replay_skips(inst, visited)
+        whole += left_out == 0
+        sums = result.sums
         assert sums == solve_naive(inst) and len(sums) < inst.m
+        assert sums.bits == bits
+    # some solves visit every present value, all classes included
+    assert whole >= 3
+
+
+def skip_instances(rng):
+    """Instances on which the skip fires: dense ones at powers of two,
+    multiples of 2**j at a multiple of 2**j, a value with m copies ahead
+    of others, and sums confined to a subgroup of index 2 or 3."""
+    for k in (6, 10, 12):
+        yield dense_instance(1 << k, rng.randrange(100))
+    for j, m in ((3, 1 << 12), (6, 3 << 10), (2, 5 << 9)):
+        yield Instance.from_pairs(m, [(rng.randrange(1, m >> j) << j,
+                                       rng.choice([1, 2, m]))
+                                      for _ in range(rng.randint(4, 60))])
+    for m in (96, 1000, 4096):
+        g = rng.choice([2, 4])
+        yield Instance.from_pairs(m, [(g, m)] + [
+            (rng.randrange(m), rng.randint(1, 3)) for _ in range(20)])
+    for m, g in ((3 * W, 3), (W + 2, 2)):
+        yield Instance.from_pairs(m, [(g * rng.randrange(1, m // g),
+                                       rng.choice([1, 2, 5]))
+                                      for _ in range(100)])
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_skipped_values_leave_the_sums_unchanged(backend, monkeypatch):
+    # replay each solve's visits with a bitset: every present value it
+    # skipped had S + x = S at that moment, so the skip lost no sum
+    skipped = 0
+    for inst in skip_instances(Random(28)):
+        result, visited = visited_values(monkeypatch, inst, backend)
+        assert visited == solver_visits(inst), inst.m
+        left_out, bits = replay_skips(inst, visited)
+        assert result.sums.bits == bits == solve_naive(inst).bits, inst.m
+        if len(result.sums) < inst.m:
+            skipped += left_out     # no saturation: every one a skip
+    assert skipped > 100
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_skip_matches_oracle_on_random_moduli(backend):
+    # random instances with m from 1 to 20000, and values multiples of a
+    # random 2**j: m a power of two, a multiple of 8, 64, W/8 or W, or any
+    # integer; multiplicities up to m
+    rng = Random(29)
+    for trial in range(90):
+        if trial % 3 == 0:
+            m = 1 << rng.randrange(15)
+        elif trial % 3 == 1:
+            step = rng.choice([8, 64, W // 8, W])
+            m = step * rng.randint(1, 20000 // step)
+        else:
+            m = rng.randint(1, 20000)
+        j = rng.randrange(13)
+        inst = Instance.from_pairs(m, [
+            (rng.randrange(1, 20000) << j, rng.choice([1, 1, 2, 3, m]))
+            for _ in range(rng.choice([1, 3, 8, 40, 300]))])
+        assert solve(inst, backend=backend, seed=trial) \
+            == solve_naive(inst), (m, j)
+
+
+def test_mult8_visits_fewer_values_than_it_holds(monkeypatch):
+    # the multiples of 8 at m = 2**16, each present with probability 1/2:
+    # S fills the subgroup of multiples of 8 long before the last of them,
+    # and from then on every one is skipped
+    rng = Random(8)
+    m = 1 << 16
+    inst = Instance(m, [int(x % 8 == 0 and rng.random() < 0.5)
+                        for x in range(m)])
+    present = sum(map(bool, inst.mult[1:]))
+    want = solve_naive(inst)
+    assert len(want) == m // 8
+    for backend in ("hashed", "tagged"):
+        result, visited = visited_values(monkeypatch, inst, backend)
+        assert result.sums == want
+        assert len(visited) <= result.stats.bellman_iterations
+        assert 0 < len(visited) < present
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -482,10 +602,10 @@ def test_orbit_copies_match_oracle(backend):
 
 
 def near_modulus(rng, m):
-    """Values at or close to m - 1, m - 511, m - 513 and 511, with many
-    copies, among others: the orbit of a copy then moves windows of new
-    sums across both m, where they wrap to 0, and a window edge."""
-    near = [m - 1, m - 2, m - 511, m - 513, 511, 513, m // 2 + 1]
+    """Values at or close to m - 1, m - W + 1, m - W - 1 and W - 1, with
+    many copies, among others: the orbit of a copy then moves windows of
+    new sums across both m, where they wrap to 0, and a window edge."""
+    near = [m - 1, m - 2, m - W + 1, m - W - 1, W - 1, W + 1, m // 2 + 1]
     yield Instance.from_pairs(m, [(m - 1, m)])
     yield Instance.from_pairs(m, [(rng.choice(near) % m, rng.choice(
         [2, 3, 9, m // 5 + 1])) for _ in range(3)])
@@ -511,10 +631,10 @@ def test_solver_follows_the_trees_window_width(word, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_window_solver_matches_oracle_around_window_edges(backend):
-    # moduli one below, at and above a window of 512 and its multiples;
-    # the sums come back in ascending order
+    # moduli one below, at and above a window of W bits and its
+    # multiples; the sums come back in ascending order
     rng = Random(24)
-    for m in (511, 512, 513, 1000, 1025, 1537, 4097):
+    for m in (W - 1, W, W + 1, 2 * W - 48, 2 * W + 1, 3 * W + 1, 8 * W + 1):
         for inst in [*multiplicity_heavy(rng, m), *near_modulus(rng, m)]:
             want = solve_naive(inst).ascending()
             sums = solve(inst, backend=backend, seed=m)
@@ -540,14 +660,15 @@ def layout_moduli() -> dict[int, int]:
 
 def layout_instances(rng, m):
     """A random instance, the chains of 1 and of m - 1 with m copies each,
-    the multiplicity-heavy ones, and values next to m, 511, 512 and 513
+    the multiplicity-heavy ones, and values next to m, W - 1, W and W + 1
     with few or many copies, all at modulus m."""
     yield random_instance(rng, m)
     yield Instance.from_pairs(m, [(1, m)])
     yield Instance.from_pairs(m, [(m - 1, m)])
     if m > 1:
         yield from multiplicity_heavy(rng, m)
-    near = [m - 1, m + 1, m - 2, 511, 512, 513, m - 511, m - 512, m - 513]
+    near = [m - 1, m + 1, m - 2, W - 1, W, W + 1, m - W + 1, m - W,
+            m - W - 1]
     yield Instance.from_pairs(m, [(v, rng.randint(1, 4)) for v in near])
     yield Instance.from_pairs(m, [(v, rng.choice([2, 3, m // 3 + 1, m]))
                                   for v in rng.sample(near, 3)])
@@ -627,10 +748,11 @@ def tree_calls(monkeypatch, inst, backend):
 def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
     # a visited value makes one window diff, however many copies it has,
     # and a value that adds sums makes one span write per tree; one that
-    # adds none writes nothing
+    # adds none writes nothing.  Beside one-window moduli, m = W + 333
+    # pads to four windows and m = 2W is two, unpadded
     rng = Random(22)
     checked = productive = 0
-    for m in (5, 40, 96, 333, 1000, 64, 1024):
+    for m in (5, 40, 96, 333, 1000, 64, 1024, W + 333, 2 * W):
         for inst in [*multiplicity_heavy(rng, m), random_instance(rng, m)]:
             calls = tree_calls(monkeypatch, inst, backend)
             visited = [x for x, _, _, _ in calls]
@@ -650,7 +772,7 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
                     # moved by x, and also by x - m when L is padded
                     (bit1, first), (bit2, second) = spans
                     L = solver_length(m)
-                    step = min(L, 512)
+                    step = min(L, W)
                     starts = [start for start, _ in first]
                     assert bit1 == bit2 == 1
                     assert len(set(starts)) == len(starts)
@@ -716,17 +838,19 @@ def test_dense_diff_work_is_pinned():
     # seed-1 dense solves over word trees: writes, diff work, reported
     # differences and tag store calls are exact for both backends, so a
     # change to how the tagged tree keeps its tags shows here.  Every walk
-    # stops at blocks of 64 windows.  m = 4095 pads to L = 8192, 16
+    # stops at blocks of 64 windows.  m = 8W - 1 pads to L = 16W, 16
     # windows under trees of depth 4, and the second tree holds S twice
-    # around the gap; m = 4096 is its own length, 8 windows under trees
-    # of depth 3, and the second tree holds S once.  There each root is
-    # the only block, so a diff visits one node pair and only the roots
-    # hold tags.  m = 2**16 + 1 pads to L = 2**18, 512 windows under trees
-    # of depth 9: a walk descends from the root to blocks on level 3, and
-    # tags sit on levels 0..3.
-    pins = {4095: ((1363, 69, 6234), (45, 0), (45, 227)),
-            4096: ((4678, 1048, 8188), (1047, 0), (1047, 17)),
-            65537: ((51400, 238, 111606), (1447, 0), (1447, 5948))}
+    # around the gap; m = 8W is its own length, 8 windows under trees of
+    # depth 3, and the second tree holds S once.  There each root is the
+    # only block, so a diff visits one node pair and only the roots hold
+    # tags.  m = 32W + 1 pads to L = 128W, 128 windows under trees of
+    # depth 7: a walk descends from the root to blocks on level 1, and
+    # tags sit on levels 0..1.  Only the power of two m = 8W stalls before
+    # it saturates, so only there does the solver skip values.
+    assert W == 4096  # the pins hold for this window width
+    pins = {8 * W - 1: ((4157, 199, 54004), (135, 0), (135, 677)),
+            8 * W: ((320, 22, 65532), (21, 0), (21, 27)),
+            32 * W + 1: ((29536, 346, 223036), (705, 0), (705, 2824))}
     for m, (work, hashed, tagged) in pins.items():
         inst = dense_instance(m, 1)
         stats = {backend: solve_with_stats(inst, backend, seed=1).stats
@@ -753,15 +877,15 @@ def test_stats_are_reproducible():
 def test_collision_tripwire_raises_distinct_error(monkeypatch):
     # S = {0} and the first value x differ at 0, an old sum, and x, a new
     # one; the lie hides the first or, with ``last``, the second.  At
-    # m = 600 and at the unpadded m = 1024, x = 512 puts the two in
+    # m = W + 88 and at the unpadded m = 2W, x = W puts the two in
     # different windows
     real = HashedShiftTree.diff_windows
     for last in (False, True):
         monkeypatch.setattr(HashedShiftTree, "diff_windows",
                             lying_diff_windows(real, last))
         for inst in (Instance.from_pairs(6, [(2, 1), (3, 1)]),
-                     Instance.from_pairs(600, [(512, 1)]),
-                     Instance.from_pairs(1024, [(512, 1)])):
+                     Instance.from_pairs(W + 88, [(W, 1)]),
+                     Instance.from_pairs(2 * W, [(W, 1)])):
             with pytest.raises(HashCollisionError):
                 solve(inst, backend="hashed", seed=0)
 

@@ -1,5 +1,7 @@
 import ast
 import importlib.util
+import json
+import platform
 import re
 import shutil
 import subprocess
@@ -55,6 +57,64 @@ def test_ab_time_against_itself():
         for side in ("parent", "change"):
             assert f"{backend} {side} median ratio from size to size: [" \
                 in done.stdout
+
+
+def test_ab_time_json_records_what_it_prints(tmp_path):
+    # --json appends each run to the file's runs list: per backend and
+    # size, each side's median and quartiles, pairs won and counters, as
+    # printed, with the Python version and each checkout's revision
+    from shifttree.shift_tree import _WORD
+
+    path = tmp_path / "bench.json"
+    for runs in (1, 2):
+        done = ab_time(ROOT, ROOT, "--json", str(path))
+        assert done.returncode == 0, done.stderr
+        record = json.loads(path.read_text())
+        assert record["tool"] == "tools/ab_time.py"
+        assert len(record["runs"]) == runs
+    run = record["runs"][-1]
+    assert run["python"] == platform.python_version()
+    assert run["agree"] == done.stdout.splitlines()[0]
+    assert run["options"] == {
+        "sizes": [256, 512], "workload": None,
+        "backends": ["hashed", "tagged"], "rounds": 2, "seed": 1,
+        "counters_may_differ": False}
+    for side in ("parent", "change"):
+        where = run["checkouts"][side]
+        assert set(where) == {"revision", "src_modified", "package_sha256",
+                              "word"}
+        assert where["revision"] is None or re.fullmatch(
+            "[0-9a-f]{40}", where["revision"])
+        assert where["word"] == _WORD
+    assert run["checkouts"]["parent"] == run["checkouts"]["change"]
+    assert [(row["backend"], row["instance"]) for row in run["rows"]] == [
+        (backend, f"m={m}") for backend in ("hashed", "tagged")
+        for m in (256, 512)]
+    for row in run["rows"]:
+        cells = [row[side] for side in ("parent", "change")]
+        for side, cell in zip(("parent", "change"), cells):
+            assert cell["q1_ms"] <= cell["median_ms"] <= cell["q3_ms"]
+            assert set(cell["counters"]) == {
+                "bellman_iterations", "reported_differences", "updates",
+                "diff_visits", "store_ops"}
+            line = (f"{row['backend']} {row['instance']} {side}: "
+                    f"{cell['median_ms']:9.1f} ms [{cell['q1_ms']:.1f}, "
+                    f"{cell['q3_ms']:.1f}]  won {cell['won']}/2  "
+                    f"ascending() {cell['ascending_ms']:.2f} ms")
+            assert line in done.stdout.splitlines()
+        assert cells[0]["pairs"] == cells[1]["pairs"] == 2
+        assert cells[0]["won"] + cells[1]["won"] <= 2
+        assert cells[0]["counters"] == cells[1]["counters"]
+    for backend in ("hashed", "tagged"):
+        for side in ("parent", "change"):
+            ratios = run["ratios"][backend][side]
+            assert len(ratios) == 1 and ratios[0] > 0
+    # a file that holds no such record is refused before anything is timed
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    done = ab_time(ROOT, ROOT, "--json", str(bad))
+    assert done.returncode == 2 and "no JSON object" in done.stderr
+    assert done.stdout == "" and bad.read_text() == "[]"
 
 
 def test_ab_time_stops_when_counters_differ(tmp_path):

@@ -1,7 +1,10 @@
-"""Word trees: 0/1 strings of length L = 2**width packed min(512, L)
-positions per leaf, written by ``set_bits`` and read by ``diff_windows``,
-checked against list models on both variants."""
+"""Word trees: 0/1 strings of length L = 2**width packed min(W, L)
+positions per leaf, W = ``_WORD``, written by ``set_bits`` and read by
+``diff_windows``, checked against models on both variants: a string of L
+bits is modelled as one L-bit int, bit i its position i."""
 
+from itertools import accumulate
+from operator import and_, or_
 from random import Random
 
 import pytest
@@ -12,14 +15,16 @@ from shifttree import (
     TagStore,
     make_context,
 )
+from shifttree.shift_tree import _WORD as W
 
 from helpers import (
-    batch_write, hash_string, inner_ancestors, naive_diff, node_string,
-    rotate_right, word_string)
+    batch_write, bit_mask, hash_string, inner_ancestors, node_string,
+    rotate_right, word_bits, word_string)
 
 from test_tagged_tree import audit_tag_equivalences
 
 BACKENDS = ("hashed", "tagged")
+Q = W.bit_length() - 1  # log2 of a full window's width
 
 
 def word_trees(backend, width, seed=0):
@@ -36,24 +41,38 @@ def write(tree, positions, x):
     tree.set_bits([(pos, 1) for pos in positions], x)
 
 
-def load(tree, s):
-    """Make a word tree hold the 0/1 list ``s``, whatever it held: its ones
-    as one span of set bits, then its zeros as another."""
-    ones = int("".join(map(str, reversed(s))), 2)
-    tree.set_bits([(0, ones)], 1)
-    tree.set_bits([(0, ones ^ ((1 << len(s)) - 1))], 0)
+def load(tree, s: int, L: int):
+    """Make a word tree of length L hold the string of the L-bit int ``s``,
+    whatever it held: its ones as one span of set bits, then its zeros as
+    another."""
+    tree.set_bits([(0, s)], 1)
+    tree.set_bits([(0, s ^ ((1 << L) - 1))], 0)
 
 
-def diff_positions(tree, other, a, b):
+def rotate_bits(s: int, k: int, L: int) -> int:
+    """The L-bit string ``s`` rotated right by ``k``: bit j of the result
+    is bit (j - k) mod L of ``s``."""
+    k %= L
+    return (s << k | s >> (L - k)) & ((1 << L) - 1)
+
+
+def interval(a: int, b: int) -> int:
+    """The mask of the positions in [a, b]."""
+    return ((1 << (b - a + 1)) - 1) << a
+
+
+def diff_bits(tree, other, a, b) -> int:
     """The set bits of ``own ^ theirs`` over the windows ``diff_windows``
-    reports, as string positions in ascending order."""
-    q = tree.q
-    return [(c << q) + i for c, own, theirs in tree.diff_windows(other, a, b)
-            for i in range(1 << q) if (own ^ theirs) >> i & 1]
+    reports, at their string positions, as one int; the windows must come
+    in ascending order, each once."""
+    windows = tree.diff_windows(other, a, b)
+    starts = [c for c, _, _ in windows]
+    assert starts == sorted(set(starts))
+    return sum((own ^ theirs) << (c << tree.q) for c, own, theirs in windows)
 
 
 def audit(trees, shared) -> bool:
-    """Every window holds exactly min(512, L) bits; every hashed summary is
+    """Every window holds exactly min(W, L) bits; every hashed summary is
     the hash of the windows under it, each reduced mod p; every tag is
     exact.  Returns whether some window is p or more."""
     big = False
@@ -73,31 +92,26 @@ def audit(trees, shared) -> bool:
     return big
 
 
-def random_bits(rng, L: int) -> list[int]:
-    """A uniformly random 0/1 list of length L, from one draw."""
-    return list(map(int, format(rng.getrandbits(L), f"0{L}b")))
-
-
 def shift_updates(width: int, k: int) -> int:
     """Inner nodes a word tree refreshes on ``shift(k)``: with j the
-    valuation of k mod L, a word-tree shift by k >> 9 for j >= 9, which is
-    (L/512 >> (j - 9)) - 1, and a re-tile then a whole-tree refresh for
-    j < 9, which is L/512 - 1 (0 when L <= 512: one window, no inner
+    valuation of k mod L, a word-tree shift by k >> Q for j >= Q, which is
+    (L/W >> (j - Q)) - 1, and a re-tile then a whole-tree refresh for
+    j < Q, which is L/W - 1 (0 when L <= W: one window, no inner
     node)."""
     L = 1 << width
     k %= L
     if k == 0:
         return 0
-    q = min(width, 9)
+    q = min(width, Q)
     j = (k & -k).bit_length() - 1
     return ((L >> q) >> max(j - q, 0)) - 1
 
 
 def random_shift(rng, width: int) -> int:
-    """A shift of valuation below 9, equal to 9 or above 9 (at times a
+    """A shift of valuation below Q, equal to Q or above Q (at times a
     multiple of L), at times negative or larger than L."""
     L = 1 << width
-    j = rng.choice([rng.randrange(9), 9, rng.randint(10, 15)])
+    j = rng.choice([rng.randrange(Q), Q, rng.randint(Q + 1, Q + 6)])
     k = (2 * rng.randrange(L) + 1) << j
     if rng.random() < 0.3:
         k = -k
@@ -108,11 +122,11 @@ def random_shift(rng, width: int) -> int:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_trees_match_list_models(backend):
-    # every width from 0 to 13 (L = 1 .. 8192, so L < 512 included), each
-    # tree one block, then fewer trials at widths 16 to 18, whose trees of
-    # depth 7 to 9 have levels and tags above their blocks of 64 windows
-    # and start out holding one random string, so that diffs find equal
-    # mixed blocks to join.  Random whole-string loads, one-bit and
+    # every width from 0 to Q + 4 (L = 1 .. 16 W, so L < W included), each
+    # tree one block, then fewer trials at widths Q + 7 to Q + 9, whose
+    # trees of depth 7 to 9 have levels and tags above their blocks of 64
+    # windows and start out holding one random string, so that diffs find
+    # equal mixed blocks to join.  Random whole-string loads, one-bit and
     # batched writes with repeats, shifts of every valuation class and
     # diffs on random intervals, each trial on its own hash prime; each
     # shift refreshes exactly ``shift_updates`` inner nodes, and the audit
@@ -121,57 +135,56 @@ def test_word_trees_match_list_models(backend):
     valuations = set()
     big_windows = 0
     deep_unions = []
-    for trial, width in enumerate(list(range(14)) * 80 + [16, 17, 18] * 4):
+    for trial, width in enumerate(list(range(Q + 5)) * 80
+                                  + [Q + 7, Q + 8, Q + 9] * 4):
         L = 1 << width
         trees, shared = word_trees(backend, width, seed=trial)
-        if backend == "tagged" and width > 13:
+        if backend == "tagged" and width > Q + 4:
             union = shared.union
             shared.union = lambda x, y: deep_unions.append(x) or union(x, y)
-        models = [[0] * L, [0] * L]  # a fresh word tree holds zeros
-        assert [word_string(t) for t in trees] == models
-        if width > 13:
-            s = random_bits(rng, L)
+        models = [0, 0]  # a fresh word tree holds zeros
+        assert [word_bits(t) for t in trees] == models
+        if width > Q + 4:
+            s = rng.getrandbits(L)
             for tree in trees:
-                load(tree, s)
-            models = [s, list(s)]
+                load(tree, s, L)
+            models = [s, s]
         for _ in range(rng.randint(1, 14)):
             w = rng.randrange(2)
-            tree, model = trees[w], models[w]
+            tree = trees[w]
             roll = rng.random()
             if roll < 0.08:
-                s = random_bits(rng, L)
-                load(tree, s)
-                models[w] = s
-            elif roll < 0.25:
-                pos, bit = rng.randrange(L), rng.randrange(2)
-                write(tree, [pos], bit)
-                model[pos] = bit
+                models[w] = rng.getrandbits(L)
+                load(tree, models[w], L)
             elif roll < 0.45:
-                positions, bit = batch_write(rng, L), rng.randrange(2)
+                # one bit, or a batch of positions with repeats
+                positions = [rng.randrange(L)] if roll < 0.25 \
+                    else batch_write(rng, L, most=2 * W)
+                bit = rng.randrange(2)
                 write(tree, positions, bit)
-                for pos in positions:
-                    model[pos] = bit
+                mask = bit_mask(positions)
+                models[w] = models[w] | mask if bit else models[w] & ~mask
             elif roll < 0.75:
                 k = random_shift(rng, width)
                 before = tree.update_calls
                 tree.shift(k)
                 assert tree.update_calls - before == shift_updates(width, k)
-                models[w] = rotate_right(model, k)
+                models[w] = rotate_bits(models[w], k, L)
                 kv = k % L
                 if kv:
-                    valuations.add(min((kv & -kv).bit_length() - 1, 10))
+                    valuations.add(min((kv & -kv).bit_length() - 1, Q + 1))
             else:
                 a = rng.randrange(L)
                 b = rng.randrange(a, L)
-                want = naive_diff(models[w], models[1 - w], a, b)
-                assert diff_positions(tree, trees[1 - w], a, b) == want, \
+                want = (models[w] ^ models[1 - w]) & interval(a, b)
+                assert diff_bits(tree, trees[1 - w], a, b) == want, \
                     (trial, a, b)
             big_windows += audit(trees, shared)
-        assert [word_string(t) for t in trees] == models, trial
-        want = naive_diff(models[0], models[1], 0, L - 1)
-        assert diff_positions(trees[0], trees[1], 0, L - 1) == want, trial
-    # re-tiles at every valuation below 9, word shifts at 9 and above
-    assert valuations == set(range(11))
+        assert [word_bits(t) for t in trees] == models, trial
+        assert diff_bits(trees[0], trees[1], 0, L - 1) \
+            == models[0] ^ models[1], trial
+    # re-tiles at every valuation below Q, word shifts at Q and above
+    assert valuations == set(range(Q + 2))
     # hashed windows reached the prime: a window need not be below it
     assert (big_windows > 0) == (backend == "hashed")
     # tagged diffs joined mixed pairs at or above the blocks of deep trees
@@ -180,8 +193,9 @@ def test_word_trees_match_list_models(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_shift_costs_are_exact(backend):
-    # exhaustive over every k in [0, L) for L = 2 .. 2**12
-    for width in range(1, 13):
+    # exhaustive over every k in [0, L) for L = 2 .. 8 W: one window up
+    # to L = W, then trees of depth 1 to 3
+    for width in range(1, Q + 4):
         (tree, _), _ = word_trees(backend, width, seed=width)
         write(tree, range(0, 1 << width, 3), 1)
         for k in range(1 << width):
@@ -193,21 +207,22 @@ def test_word_tree_shift_costs_are_exact(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_layout(backend):
-    # L = 2**13: 16 windows of 512 bits under a tree of depth 4; bit i of
-    # string block c's window is position 512c + i, whatever the rotation
-    (tree, other), _ = word_trees(backend, 13)
-    assert (tree.n, tree.q, tree.size, tree.length) == (4, 9, 16, 8192)
-    ones = [3, 512 * 5 + 7, 8191]
+    # L = 16 W: 16 windows of W bits under a tree of depth 4; bit i of
+    # string block c's window is position Wc + i, whatever the rotation
+    L = 16 * W
+    (tree, other), _ = word_trees(backend, Q + 4)
+    assert (tree.n, tree.q, tree.size, tree.length) == (4, Q, 16, L)
+    ones = [3, W * 5 + 7, L - 1]
     write(tree, ones, 1)
-    s = [int(p in ones) for p in range(8192)]
-    for k in (1, 512, 700, -37):
+    s = [int(p in ones) for p in range(L)]
+    for k in (1, W, W + 188, -37):
         tree.shift(k)
         s = rotate_right(s, k)
     assert word_string(tree) == s
     for c in range(16):
         window = tree.nodes[tree.topo.leaf_of_position(c)]
         assert window == sum(bit << i for i, bit in enumerate(
-            s[512 * c:512 * c + 512]))
+            s[W * c:W * c + W]))
     # L = 8: one window of 8 bits, the tree's only node
     (small, _), _ = word_trees(backend, 3)
     assert (small.n, small.q, small.size, small.length) == (0, 3, 1, 8)
@@ -215,8 +230,6 @@ def test_word_tree_layout(backend):
     small.shift(3)
     assert small.nodes[1] == 1 << 1 and word_string(small)[1] == 1
     assert small.update_calls == 0
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_word_tree_validation(backend):
     # the letter methods refuse a word tree, valid arguments or not, before
@@ -246,39 +259,38 @@ def test_word_tree_validation(backend):
 
 
 def test_one_context_serves_every_window_width():
-    # one context serves word trees of one 8-bit window, one 512-bit
-    # window and eight 512-bit windows, and their diffs and hashes stay
-    # exact; a context
-    # with too few squares for the leaf count is still refused
+    # one context serves word trees of one 8-bit window, one W-bit window
+    # and eight W-bit windows, and their diffs and hashes stay exact; a
+    # context with too few squares for the leaf count is still refused
     for seed in range(5):
         ctx = make_context(8, seed)
-        for width in (3, 9, 12):
+        for width in (3, Q, Q + 3):
+            L = 1 << width
             a, b = (HashedShiftTree.packed(width, ctx) for _ in range(2))
-            assert a.q == min(width, 9)
-            write(a, range(0, 1 << width, 5), 1)
-            write(b, range(0, 1 << width, 7), 1)
+            assert a.q == min(width, Q)
+            write(a, range(0, L, 5), 1)
+            write(b, range(0, L, 7), 1)
             b.shift(3)
-            want = naive_diff(word_string(a), word_string(b),
-                              0, (1 << width) - 1)
-            assert diff_positions(a, b, 0, (1 << width) - 1) == want
+            assert diff_bits(a, b, 0, L - 1) == word_bits(a) ^ word_bits(b)
             audit([a, b], ctx)
         with pytest.raises(ValueError):
-            HashedShiftTree.packed(13, ctx)  # 16 leaves
+            HashedShiftTree.packed(Q + 4, ctx)  # 16 leaves
 
 
 def random_word_pair(rng, backend, width, seed):
-    """Two word trees holding random strings of one random density, each
-    rotated by a random shift, and their list models."""
+    """Two word trees holding random strings of one random density (about
+    1/128, 1/4, 1/2 or 31/32: the AND or the OR of a few uniform draws),
+    each rotated by a random shift, and their models."""
     trees, shared = word_trees(backend, width, seed)
     L = 1 << width
-    density = rng.choice([0.01, 0.3, 0.5, 0.97])
+    join, draws = rng.choice([(and_, 7), (and_, 2), (or_, 1), (or_, 5)])
     models = []
     for tree in trees:
-        s = [int(rng.random() < density) for _ in range(L)]
-        load(tree, s)
+        *_, s = accumulate((rng.getrandbits(L) for _ in range(draws)), join)
+        load(tree, s, L)
         k = random_shift(rng, width)
         tree.shift(k)
-        models.append(rotate_right(s, k))
+        models.append(rotate_bits(s, k, L))
     return trees, models
 
 
@@ -287,66 +299,89 @@ def test_diff_is_diff_windows_expanded(backend):
     # on random unaligned [a, b]: diff_windows lists each window that
     # differs within [a, b] once, in ascending order, with both trees'
     # bits masked to [a, b], and the set bits of own ^ theirs, window by
-    # window, are exactly the list models' differences
+    # window, are exactly the models' differences
     rng = Random(19)
     for trial in range(400):
-        width = rng.choice([0, 3, 9, 10, 12])
+        width = rng.choice([0, 3, Q, Q + 1, Q + 3])
         L = 1 << width
         (t, o), (s, u) = random_word_pair(rng, backend, width, trial)
         q = t.q
+        full = (1 << (1 << q)) - 1
         for _ in range(4):
             a = rng.randrange(L)
             b = rng.choice([a, rng.randrange(a, L), L - 1])
-            want = naive_diff(s, u, a, b)
+            want = (s ^ u) & interval(a, b)
             visits = t.diff_visits
             windows = t.diff_windows(o, a, b)
             assert t.diff_visits > visits
-            assert [c for c, _, _ in windows] == sorted(
-                {d >> q for d in want}), (trial, a, b)
+            assert [c for c, _, _ in windows] == [
+                c for c in range(L >> q) if want >> (c << q) & full], \
+                (trial, a, b)
             for c, own, theirs in windows:
-                span = range(max(a, c << q), min(b, ((c + 1) << q) - 1) + 1)
-                assert own == sum(s[p] << (p - (c << q)) for p in span)
-                assert theirs == sum(u[p] << (p - (c << q)) for p in span)
-            expanded = [(c << q) + i for c, own, theirs in windows
-                        for i in range(1 << q) if (own ^ theirs) >> i & 1]
+                span = interval(a, b) >> (c << q) & full
+                assert own == s >> (c << q) & span
+                assert theirs == u >> (c << q) & span
+            expanded = sum((own ^ theirs) << (c << q)
+                           for c, own, theirs in windows)
             assert expanded == want, (trial, a, b)
 
 
 def test_window_equal_only_within_the_interval_is_not_joined():
-    # two tagged word trees of width 16 or 17 (two or four blocks of 64
-    # windows) hold one string but for one bit of window c, the first or
-    # the last window of a block.  [a, b] covers that whole block save
+    # two tagged word trees of width Q + 7 or Q + 8 (two or four blocks of
+    # 64 windows) hold one string but for one bit of window c, the first
+    # or the last window of a block.  [a, b] covers that whole block save
     # the part of c that holds the bit: diff_windows(a, b) reports nothing,
     # yet the walk saw c differ, so it joins no tags over c, and a diff
     # over the whole string still reports c
     rng = Random(23)
     for trial in range(16):
-        width = rng.choice([16, 17])
+        width = rng.choice([Q + 7, Q + 8])
         L = 1 << width
         (t, o), store = word_trees("tagged", width)
-        s = random_bits(rng, L)
+        s = rng.getrandbits(L)
         k = random_shift(rng, width)
         for tree in (t, o):
-            load(tree, s)
+            load(tree, s, L)
             tree.shift(k)
-        s = rotate_right(s, k)
-        first = 64 * rng.randrange(L >> 15)  # a block's first window
+        s = rotate_bits(s, k, L)
+        first = 64 * rng.randrange(L >> (Q + 6))  # a block's first window
         if trial % 2:   # the bit lies before a, in the block's first window
             c = first
-            cut = (c << 9) + rng.randint(1, 511)
-            p = rng.randrange(c << 9, cut)
-            a, b = cut, rng.randrange(((first + 64) << 9) - 1, L)
+            cut = (c << Q) + rng.randint(1, W - 1)
+            p = rng.randrange(c << Q, cut)
+            a, b = cut, rng.randrange(((first + 64) << Q) - 1, L)
         else:           # ... or after b, in the block's last window
             c = first + 63
-            cut = (c << 9) + rng.randrange(511)
-            p = rng.randint(cut + 1, ((c + 1) << 9) - 1)
-            a, b = rng.randint(0, first << 9), cut
-        write(o, [p], 1 - s[p])
+            cut = (c << Q) + rng.randrange(W - 1)
+            p = rng.randint(cut + 1, ((c + 1) << Q) - 1)
+            a, b = rng.randint(0, first << Q), cut
+        write(o, [p], 1 - (s >> p & 1))
         assert t.diff_windows(o, a, b) == [], trial
         audit_tag_equivalences(store, [t, o])
         for x, y in ((t, o), (o, t)):
             (got, own, theirs), = x.diff_windows(y, 0, L - 1)
-            assert (got, own ^ theirs) == (c, 1 << (p - (c << 9))), trial
+            assert (got, own ^ theirs) == (c, 1 << (p - (c << Q))), trial
+
+
+def sparse_bits(rng, n: int) -> int:
+    """n random bits: uniform up to 64 bits, and about one in sixteen set
+    in a longer span, which keeps its ones few."""
+    bits = rng.getrandbits(n)
+    for _ in range(3 if n > 64 else 0):
+        bits &= rng.getrandbits(n)
+    return bits
+
+
+def set_bit_indices(bits: int) -> list[int]:
+    """The indices of the set bits of ``bits``, lowest first, a C-level
+    search each."""
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -359,30 +394,31 @@ def test_span_writes_match_one_bit_spans(backend):
     rng = Random(20)
     writes = 0
     for trial in range(150):
-        width = rng.choice([0, 2, 9, 10, 12])
+        width = rng.choice([0, 2, Q, Q + 1, Q + 3])
         L = 1 << width
         (a, b), _ = word_trees(backend, width, seed=trial)
-        model = [0] * L
+        model = 0
         for _ in range(6):
             k = random_shift(rng, width)
             a.shift(k)
             b.shift(k)
-            model = rotate_right(model, k)
+            model = rotate_bits(model, k, L)
             x = rng.randrange(2)
             # bits shifted up leave whole windows of a span empty
-            spans = [(rng.randrange(-2 * L, 2 * L), rng.getrandbits(
-                rng.choice([1, 9, 512, 700, 1500])) << rng.choice(
-                [0, 0, 511, 1100])) for _ in range(rng.choice([0, 1, 3, 8]))]
+            spans = [(rng.randrange(-2 * L, 2 * L), sparse_bits(
+                rng, rng.choice([1, 9, W, W + 188, 3 * W - 36])) << rng.choice(
+                [0, 0, W - 1, 2 * W + 76])) for _ in range(rng.choice(
+                    [0, 1, 3, 8]))]
             positions = [(start + i) % L for start, bits in spans
-                         for i in range(bits.bit_length()) if bits >> i & 1]
+                         for i in set_bit_indices(bits)]
             before = a.update_calls, b.update_calls
             a.set_bits(iter(spans), x)
             write(b, positions, x)
             assert a.update_calls - before[0] == b.update_calls - before[1] \
                 == len(inner_ancestors(a.topo, {p >> a.q for p in positions}))
-            for p in positions:
-                model[p] = x
-            assert word_string(a) == word_string(b) == model, trial
+            mask = bit_mask(positions)
+            model = model | mask if x else model & ~mask
+            assert word_bits(a) == word_bits(b) == model, trial
             assert a.nodes == b.nodes
             writes += bool(positions)
     assert writes > 300

@@ -4,7 +4,7 @@ one process.
     python tools/ab_time.py PARENT CHANGE
         [--sizes 4096 8192 ... | --workload dense|sparse|tree_ops]
         [--backends hashed tagged] [--rounds 5] [--seed 1]
-        [--counters-may-differ]
+        [--counters-may-differ] [--json PATH]
 
 PARENT and CHANGE are checkout roots.  Each one's ``src/shifttree`` is
 loaded under its own package name, so both sides share one interpreter and
@@ -36,12 +36,25 @@ stream's ``expected``, its final strings ``final_first`` and
 agree on ``updates``, ``diff_visits`` and ``store_ops``.  Then every
 round replays each batch once per side on fresh trees, each batch timed
 alone, and the report lists the batches under ``tree_ops``.
+
+``--json PATH`` also records what the script prints as one run, appended
+to the ``runs`` list of the JSON file PATH (created if missing): the
+Python version, the options, each side's checkout (its git revision,
+whether its ``src/`` differs from that revision, a digest of its package
+and the window width ``_WORD`` its word trees use), then per backend and
+instance each side's median and quartiles in milliseconds, the paired
+timings it won (``won`` of ``pairs``), its median ``ascending()`` time
+and its exact counters, and the ratios of medians from size to size.
 """
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
+import json
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -83,11 +96,12 @@ def solve(cli, inst, backend: str, seed: int):
             {key: getattr(result.stats, key) for key in COUNTERS})
 
 
-def check(sides, backends, sizes, make, seed: int,
-          same_counters: bool) -> bool:
+def check(sides, backends, sizes, make, seed: int, same_counters: bool,
+          counters: dict) -> bool:
     """Whether both sides agree on every instance, sum set and, if
     ``same_counters``, counter; otherwise print both sides' counters.
-    ``make(cli, m)`` builds a side's instance of size m."""
+    ``make(cli, m)`` builds a side's instance of size m.  Both sides'
+    counters go to ``counters[backend, m]``."""
     ok = True
     for backend in backends:
         for m in sizes:
@@ -99,6 +113,7 @@ def check(sides, backends, sizes, make, seed: int,
             (sums_a, stats_a), (sums_b, stats_b) = (
                 solve(cli, inst, backend, seed)
                 for cli, inst in zip(sides, insts))
+            counters[backend, m] = (stats_a, stats_b)
             if sums_a != sums_b:
                 print(f"{backend} m={m}: the sums differ")
                 ok = False
@@ -171,13 +186,14 @@ def replay(bench, trees, ops) -> list:
 
 
 def check_tree_ops(pkgs, backends, bench, stream, seed: int,
-                   same_counters: bool) -> bool:
+                   same_counters: bool, counters: dict) -> bool:
     """Whether each side replays the stream to its expected outputs and
     final strings and, if ``same_counters``, both sides agree on every
-    counter; otherwise print both sides' counters."""
+    counter; otherwise print both sides' counters.  Both sides' counters
+    go to ``counters[backend, "tree_ops"]``."""
     ok = True
     for backend in backends:
-        counters = []
+        per_side = []
         for side, pkg in zip(SIDES, pkgs):
             trees, store = fresh_trees(pkg, backend, stream, seed)
             for index, (ops, want) in enumerate(
@@ -191,16 +207,17 @@ def check_tree_ops(pkgs, backends, bench, stream, seed: int,
                 print(f"{backend} {side}: the final strings differ from "
                       f"the stream's")
                 ok = False
-            counters.append({
+            per_side.append({
                 "updates": sum(t.update_calls for t in trees),
                 "diff_visits": sum(t.diff_visits for t in trees),
                 "store_ops": store.ops if store else 0})
+        counters[backend, "tree_ops"] = tuple(per_side)
         if not same_counters:
-            for side, stats in zip(SIDES, counters):
+            for side, stats in zip(SIDES, per_side):
                 print(f"{backend} tree_ops {side} counters: {stats}")
-        elif counters[0] != counters[1]:
-            print(f"{backend} tree_ops: counters {counters[0]} != "
-                  f"{counters[1]}")
+        elif per_side[0] != per_side[1]:
+            print(f"{backend} tree_ops: counters {per_side[0]} != "
+                  f"{per_side[1]}")
             ok = False
     return ok
 
@@ -219,35 +236,93 @@ def time_tree_ops(pkgs, backend: str, bench, stream, seed: int, rounds: int):
     return walls
 
 
-def spread(values) -> str:
-    """``median [q1, q3]`` of ``values`` in milliseconds."""
-    q1, mid, q3 = quantiles(values, n=4, method="inclusive") \
+def quartiles(values) -> list[float]:
+    """``[q1, median, q3]`` of ``values``, in milliseconds."""
+    values = [1e3 * v for v in values]
+    return quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
-    return f"{1e3 * mid:9.1f} ms [{1e3 * q1:.1f}, {1e3 * q3:.1f}]"
 
 
-def report(backend: str, labels, walls, lists=None) -> None:
-    """Each side's spread and wins per column, and its median
+def report(backend: str, labels, walls, counters, lists=None) -> dict:
+    """Print each side's spread and wins per column, and its median
     ``ascending()`` time if ``lists`` holds them; with several columns,
-    the ratios of medians from one to the next."""
+    the ratios of medians from one to the next.  Returns what it printed,
+    with both sides' ``counters`` of each column: ``{"rows": [one dict
+    per column], "ratios": {side: [...]}}``."""
+    rows = []
     for col, label in enumerate(labels):
         a, b = walls[0][col], walls[1][col]
         wins = [sum(map(float.__lt__, a, b)), sum(map(float.__lt__, b, a))]
+        row = {"backend": backend, "instance": label}
         for side in (0, 1):
+            q1, mid, q3 = quartiles(walls[side][col])
             line = (f"{backend} {label} {SIDES[side]}: "
-                    f"{spread(walls[side][col])}  "
+                    f"{mid:9.1f} ms [{q1:.1f}, {q3:.1f}]  "
                     f"won {wins[side]}/{len(a)}")
+            cell = {"median_ms": mid, "q1_ms": q1, "q3_ms": q3,
+                    "won": wins[side], "pairs": len(a),
+                    "counters": counters[col][side]}
             if lists is not None:
-                line += (f"  ascending() "
-                         f"{1e3 * median(lists[side][col]):.2f} ms")
+                listed = 1e3 * median(lists[side][col])
+                line += f"  ascending() {listed:.2f} ms"
+                cell["ascending_ms"] = listed
             print(line)
-    if len(labels) < 2:
-        return
-    for side in (0, 1):
+            row[SIDES[side]] = cell
+        rows.append(row)
+    ratios = {}
+    for side in (0, 1) if len(labels) > 1 else ():
         mids = [median(w) for w in walls[side]]
-        ratios = ", ".join(f"{y / x:.2f}" for x, y in zip(mids, mids[1:]))
+        ratios[SIDES[side]] = [y / x for x, y in zip(mids, mids[1:])]
         print(f"{backend} {SIDES[side]} median ratio from size to size: "
-              f"[{ratios}]")
+              f"[{', '.join(f'{r:.2f}' for r in ratios[SIDES[side]])}]")
+    return {"rows": rows, "ratios": ratios}
+
+
+def checkout(root: str, name: str) -> dict:
+    """What identifies the code of the checkout at ``root``, loaded as
+    package ``name``: its git revision (``None`` unless ``root`` is the
+    top of a git work tree), whether its ``src/`` differs from that
+    revision, a digest of its package's sources and the window width
+    ``_WORD`` of its word trees."""
+    root = Path(root).resolve()
+
+    def git(*args):
+        try:
+            done = subprocess.run(["git", "-C", str(root), *args],
+                                  capture_output=True, text=True, timeout=60)
+        except OSError:
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    revision = git("rev-parse", "HEAD") \
+        if top and Path(top).resolve() == root else None
+    status = git("status", "--porcelain", "--", "src") if revision else None
+    pkg = root / "src" / "shifttree"
+    digest = hashlib.sha256()
+    for path in sorted(pkg.rglob("*.py")):
+        digest.update(path.relative_to(pkg).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return {"revision": revision,
+            "src_modified": None if status is None else bool(status),
+            "package_sha256": digest.hexdigest()[:16],
+            "word": getattr(sys.modules[f"{name}.shift_tree"], "_WORD", None)}
+
+
+def read_record(path: Path) -> dict:
+    """The JSON record at ``path`` that runs are appended to, or a fresh
+    one if there is no file; exit 2 if the file holds no ``runs`` list."""
+    if not path.exists():
+        return {"tool": "tools/ab_time.py", "runs": []}
+    try:
+        record = json.loads(path.read_text())
+    except ValueError:
+        record = None
+    if not (isinstance(record, dict) and isinstance(record.get("runs"), list)):
+        print(f"error: {path} holds no JSON object with a runs list",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return record
 
 
 def main(argv=None) -> int:
@@ -267,25 +342,57 @@ def main(argv=None) -> int:
                     help="time a change that moves the exact counters: "
                          "print both sides' counters, compare sums or "
                          "outputs only")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also append this run's report to the runs list "
+                         "of the JSON file PATH")
     args = ap.parse_args(argv)
     sys.dont_write_bytecode = True  # leave no caches in either checkout
+    record = read_record(Path(args.json)) if args.json else None
     names = ("shifttree_parent", "shifttree_change")
     sides = (load(args.parent, names[0]), load(args.change, names[1]))
     same_counters = not args.counters_may_differ
     what = "outputs" if args.workload == "tree_ops" else "sums"
     agree = f"{what} and counters agree" if same_counters else f"{what} agree"
+    counters: dict = {}
+    reports = []
     if args.workload == "tree_ops":
         bench = bench_workloads()
         stream = bench.TreeOpsStream(args.seed)
         pkgs = [sys.modules[name] for name in names]
         if not check_tree_ops(pkgs, args.backends, bench, stream, args.seed,
-                              same_counters):
+                              same_counters, counters):
             return 1
         print(agree)
         for backend in args.backends:
-            report(backend, ["tree_ops"], time_tree_ops(
-                pkgs, backend, bench, stream, args.seed, args.rounds))
-        return 0
+            reports.append(report(backend, ["tree_ops"], time_tree_ops(
+                pkgs, backend, bench, stream, args.seed, args.rounds),
+                [counters[backend, "tree_ops"]]))
+    elif not time_solves(args, sides, same_counters, agree, counters,
+                         reports):
+        return 1
+    if record is not None:
+        options = {key: value for key, value in vars(args).items()
+                   if key not in ("parent", "change", "json")}
+        if args.workload:
+            options["sizes"] = None     # the workload's instance instead
+        run = {"python": platform.python_version(), "options": options,
+               "checkouts": {side: checkout(root, name) for side, root, name
+                             in zip(SIDES, (args.parent, args.change), names)},
+               "agree": agree, "rows": [], "ratios": {}}
+        for backend, printed in zip(args.backends, reports):
+            run["rows"] += printed["rows"]
+            if printed["ratios"]:
+                run["ratios"][backend] = printed["ratios"]
+        record["runs"].append(run)
+        Path(args.json).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+def time_solves(args, sides, same_counters: bool, agree: str,
+                counters: dict, reports: list) -> bool:
+    """Check and time the solves of ``args.sizes`` or ``args.workload``;
+    fill ``counters`` and append each backend's ``report`` to
+    ``reports``.  Returns whether the check passed."""
     sizes = args.sizes
     if args.workload:
         m, mult = bench_workloads().solver_instance(args.workload, args.seed)
@@ -297,14 +404,15 @@ def main(argv=None) -> int:
         def make(cli, m):
             return cli.dense_instance(m, args.seed)
     if not check(sides, args.backends, sizes, make, args.seed,
-                 same_counters):
-        return 1
+                 same_counters, counters):
+        return False
     print(agree)
     for backend in args.backends:
         walls, lists = time_rounds(sides, backend, sizes, make, args.seed,
                                    args.rounds)
-        report(backend, [f"m={m}" for m in sizes], walls, lists)
-    return 0
+        reports.append(report(backend, [f"m={m}" for m in sizes], walls,
+                              [counters[backend, m] for m in sizes], lists))
+    return True
 
 
 if __name__ == "__main__":
