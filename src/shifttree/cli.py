@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 an output stream closed before the result was
 written (``modsum ... | head -1``, ``>&-``, or ``2>&-`` in stats mode,
 whose counters go to stderr), 2 usage or input errors (including a
 modulus or bench size above MAX_MODULUS, and a closed stdin), 3
-hash-collision tripwire.
+hash-collision tripwire on every retry of a hashed solve.  With stderr
+closed, errors and warnings go nowhere.
 """
 
 import argparse
@@ -134,9 +135,16 @@ def emit(stream, lines) -> int:
     return 0
 
 
+def say(line: str) -> None:
+    """Print ``line`` on stderr; with stderr closed, nothing.  (Printing to
+    a ``None`` file would write to stdout instead.)"""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 def fail(message: str) -> int:
     """Report a usage or input error on stderr; returns exit code 2."""
-    print(f"error: {message}", file=sys.stderr)
+    say(f"error: {message}")
     return 2
 
 
@@ -161,8 +169,7 @@ def main(argv=None) -> int:
             ",".join(map(str, row)) for row in rows)])
 
     if args.seed is not None and args.backend != "hashed":
-        print(f"warning: --seed is ignored for backend '{args.backend}'",
-              file=sys.stderr)
+        say(f"warning: --seed is ignored for backend '{args.backend}'")
     if args.modulus is None:
         return fail("--modulus is required")
     if not 1 <= args.modulus <= MAX_MODULUS:
@@ -188,7 +195,7 @@ def main(argv=None) -> int:
     try:
         result = solve_with_stats(inst, backend=args.backend, seed=args.seed)
     except HashCollisionError as exc:
-        print(f"error: hash collision tripwire: {exc}", file=sys.stderr)
+        say(f"error: hash collision tripwire: {exc}")
         return 3
 
     if sys.stdout is None or args.mode == "stats" and sys.stderr is None:

@@ -1,8 +1,10 @@
 """Hash-backed shift tree.
 
-Every inner node holds the polynomial hash of the substring its subtree
-covers, so two subtrees compare in O(1) with high probability: the diff
-walk settles a node pair when the two hashes are equal.  It compares the
+Every inner node holds the exact polynomial sum of the substring its
+subtree covers, never reduced mod p: its residue mod p is the substring's
+hash (see ``hashing``), and equal substrings hold equal sums.  So two
+subtrees compare in one integer compare with high probability: the diff
+walk settles a node pair when the two sums are equal.  It compares the
 letters of an unequal block pair exactly.  Any context serves a word tree
 too: its windows are its letters, compared exactly in a block, and may
 exceed p.
@@ -19,10 +21,18 @@ class HashedShiftTree(ShiftTree):
     """A string of length 2**n with hashed subtree summaries.
 
     Letters are integers in [0, ctx.p), so every integer below 2**80 is
-    one.  A fresh tree represents the all-zero string (every subtree hash
-    of a zero string is 0, so the zeroed node array is already
-    consistent).  ``diff`` is correct unless a hash collision hides a
-    genuine difference.  It compares hashes only at or above block level,
+    one.  A node's summary is left + right * r**(2**(h-1)) over its two
+    children, h its height, with the square reduced mod p and the sum
+    not: for letters of at most b bits (81 in a tree of letters, 4096 in
+    a word tree) a node holds fewer than b + 81h bits, so a point write
+    is O(log m) updates, each one multiplication by an 81-bit square and
+    one addition on integers of at most b + 81 log m bits, and no
+    division.  A fresh
+    tree represents the all-zero string (every subtree sum of a zero
+    string is 0, so the zeroed node array is already consistent).
+    ``diff`` is correct unless a hash collision hides a genuine
+    difference; equal sums have equal hashes, so the bound on hashes
+    bounds sums too.  It compares sums only at or above block level,
     on levels 0..max(n - 6, 0) of a tree of m = 2**n leaves: at most
     log m levels with hashes (a tree of one leaf has none), whose node
     pairs cover at most m leaves per level, so by the bound in ``hashing``
@@ -51,9 +61,8 @@ class HashedShiftTree(ShiftTree):
                              f"[0, {self.ctx.p})")
 
     def _refresh(self, level: int, dirty) -> None:
-        hashes = self.nodes
+        sums = self.nodes
         squares = self.ctx.squares
-        p = self.ctx.p
         n = self.n
         if type(dirty) is tuple:
             # one node, as a point write's leaf: walk its ancestor chain
@@ -66,8 +75,7 @@ class HashedShiftTree(ShiftTree):
                 i = (i + s) >> 1
                 if i == width:  # the wrap: the last node's parent
                     i >>= 1
-                hashes[i] = (hashes[(2 * i - s) | width]
-                             + hashes[2 * i + 1 - s] * pw) % p
+                sums[i] = sums[(2 * i - s) | width] + sums[2 * i + 1 - s] * pw
                 width >>= 1
             self.update_calls += level
             return
@@ -77,13 +85,13 @@ class HashedShiftTree(ShiftTree):
             pw = squares[n - k - 1]  # r**(leaves under a left child)
             if type(parents) is range and len(parents) >= _WHOLE_LEVEL:
                 # a whole level: one pass over its children's two rows
-                left, right = self.topo.children(hashes, k)
-                hashes[width >> 1:width] = [
-                    (x + y * pw) % p for x, y in zip(left, right)]
+                left, right = self.topo.children(sums, k)
+                sums[width >> 1:width] = [
+                    x + y * pw for x, y in zip(left, right)]
             else:
                 for i in parents:
-                    hashes[i] = (hashes[(2 * i - s) | width]
-                                 + hashes[2 * i + 1 - s] * pw) % p
+                    sums[i] = (sums[(2 * i - s) | width]
+                               + sums[2 * i + 1 - s] * pw)
             calls += len(parents)
         self.update_calls += calls
 

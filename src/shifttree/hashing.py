@@ -4,6 +4,18 @@ A string of integer letters maps to sum(s[i] * r**i) mod p.  Hashes of
 adjacent substrings combine in O(1), h(u + v) = h(u) + h(v) * r**len(u),
 which is what lets a tree node derive its hash from its children.
 
+A tree keeps that combination exact, with r**len(u) taken from the
+context's squares (reduced mod p) and the sum never reduced: a node holds
+sum(s[i] * c_i), where c_i is the product of the squares r**(2**j) mod p
+over the set bits j of i, the letter's offset in the node.  So c_i and
+r**i agree mod p, and the exact sum reduced mod p is the hash: two nodes
+whose sums are equal have equal hashes, so a compare of sums is never
+weaker than a compare of hashes and the bounds below hold for it.  And
+c_i depends only on i and the context, so equal substrings give equal
+sums, in any tree and at any rotation.  A sum grows by at most 81 bits
+a level: x + y * w < 2**(b + 81) for children x, y < 2**b and a square
+w < p < 2**81.
+
 A context draws p uniformly from the primes in [2**80, 2**81) and r
 uniformly from [0, p).  A letter may be any non-negative integer below
 2**4096: a word tree's window of ``shift_tree._WORD`` = 4096 bits may

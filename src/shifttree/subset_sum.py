@@ -51,8 +51,9 @@ trees (``ShiftTree.packed``): the 0/1 string sits in L/W windows of
 W = 4096 bits (``_WORD``; one window of L bits when L < W), so the trees
 are twelve levels shallower than trees of letters, and a fresh one
 already holds the zero string.  Their diff stops at blocks of 64
-windows.  The hashed backend hashes the windows modulo a random 81-bit
-prime at a random point, both drawn from ``seed``.
+windows.  The hashed backend keeps exact polynomial sums of the windows
+at a random point, which reduce to their hashes modulo a random 81-bit
+prime; both are drawn from ``seed``.
 
 The solver works on windows end to end, never on single sums:
 
@@ -78,6 +79,7 @@ windows it writes, and never O(m).
 
 from itertools import chain, compress, repeat
 from math import gcd
+from random import Random
 from types import SimpleNamespace
 
 from .hashed_tree import HashedShiftTree
@@ -86,6 +88,9 @@ from .tag_store import TagStore
 from .tagged_tree import TaggedShiftTree
 
 BACKENDS = ("hashed", "tagged", "naive")
+
+# Hashed solves, each on its own context, before a collision is raised
+_ATTEMPTS = 3
 
 # _REV[b] is byte b with its eight bits in reverse order, built a bit at a
 # time at import: the bytes below 2**(k+1) are those below 2**k, then the
@@ -100,11 +105,13 @@ _ONE = bytes.maketrans(b"01", b"\0\1")
 
 
 class HashCollisionError(RuntimeError):
-    """The hashed backend reported an inconsistent difference set.
+    """The hashed backend reported an inconsistent difference set on
+    each of its ``_ATTEMPTS`` solves.
 
-    The trees hash their L/W windows of W = 4096 bits (L = m for a power
-    of two m, else the smallest power of two >= 2m) modulo p, a random
-    prime in [2**80, 2**81), at a random point r in [0, p): by the bound
+    The trees keep exact polynomial sums of their L/W windows of W = 4096
+    bits (L = m for a power of two m, else the smallest power of two
+    >= 2m) at a random point r in [0, p), whose residues modulo p, a
+    random prime in [2**80, 2**81), are the windows' hashes: by the bound
     in ``HashedShiftTree``, one diff misses a difference with probability
     below (L/W) log L / 2**80 + max(1, L/2**17) * 2**-68.5 < L / 2**80
     (below 1e-16 at every modulus the CLI accepts), and never when
@@ -118,7 +125,8 @@ class HashCollisionError(RuntimeError):
     the result.  One that hides every difference of a diff also makes S
     look closed under x: the solver then skips every later multiple of
     gcd(closed, x), a whole coset class of values, and loses their sums
-    too.
+    too.  A solve that trips the check starts over on a new context; this
+    is raised only when the last one trips it too.
     """
 
 
@@ -288,14 +296,31 @@ def solve_with_stats(inst: Instance, backend: str = "tagged",
     """Solve and report operation counters.
 
     ``seed`` draws the hashed backend's hash prime and point and is ignored
-    otherwise.
+    otherwise.  A hashed solve that trips ``HashCollisionError`` starts
+    over on a new context, up to ``_ATTEMPTS`` solves in all, and the
+    error is raised only by the last.  Each retry's seed derives from the
+    one before, so a seeded solve stays deterministic; with no seed, each
+    draws afresh.  The counters are those of the solve that returned.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
-    stats = SolverStats(backend=backend)
     if backend == "naive":
+        stats = SolverStats(backend=backend)
         return SolveResult(sums=solve_naive(inst, stats), stats=stats)
+    for attempt in range(1, _ATTEMPTS + 1):
+        try:
+            return _solve_trees(inst, backend, seed)
+        except HashCollisionError:
+            if attempt == _ATTEMPTS:
+                raise
+            if seed is not None:
+                seed = Random(seed).getrandbits(64)
 
+
+def _solve_trees(inst: Instance, backend: str,
+                 seed: int | None) -> SolveResult:
+    """One solve on two word trees of the ``hashed`` or ``tagged`` variant."""
+    stats = SolverStats(backend=backend)
     m = inst.m
     # a power-of-two m is its trees' length, so a rotation of the trees is
     # one mod m; any other m pads to the smallest L = 2**width >= 2m

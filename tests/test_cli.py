@@ -164,6 +164,31 @@ def test_collision_tripwire_is_exit_3(monkeypatch, capsys):
     assert "collision" in err
 
 
+def test_error_with_stderr_closed_writes_nothing(monkeypatch, capsys):
+    # print(..., file=sys.stderr) with sys.stderr None writes to stdout:
+    # with stderr closed, an error goes nowhere and the exit code stays 2
+    monkeypatch.setattr("sys.stderr", None)
+    code, out, _ = run_cli(["--modulus", "0"], monkeypatch, capsys, "1\n")
+    assert (code, out) == (2, "")
+
+
+def test_seed_warning_with_stderr_closed_writes_nothing(monkeypatch, capsys):
+    # the warning used to land in front of the residues
+    monkeypatch.setattr("sys.stderr", None)
+    code, out, _ = run_cli(["--modulus", "5", "--seed", "3"], monkeypatch,
+                           capsys, "2\n")
+    assert (code, out) == (0, "0\n2\n")
+
+
+def test_collision_with_stderr_closed_writes_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(HashedShiftTree, "diff_windows", lying_diff_windows(
+        HashedShiftTree.diff_windows))
+    monkeypatch.setattr("sys.stderr", None)
+    code, out, _ = run_cli(["--modulus", "6", "--backend", "hashed"],
+                           monkeypatch, capsys, "2\n3\n")
+    assert (code, out) == (3, "")
+
+
 def test_bench_csv_shape(monkeypatch, capsys):
     code, out, _ = run_cli(["--bench", "8,16,32", "--backend", "tagged"],
                            monkeypatch, capsys)

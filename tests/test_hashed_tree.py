@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 from shifttree import (
     HashContext, HashedShiftTree, TaggedShiftTree, TagStore, make_context)
 
+from shifttree.shift_tree import _WORD as W
+
 from helpers import (
     batch_write, bits, hash_string, naive_diff, node_string, rotate_right)
+
+Q = W.bit_length() - 1  # log2 of a word tree's full window
 
 
 def fresh(n, seed=0):
@@ -17,9 +21,11 @@ def fresh(n, seed=0):
 
 
 def audit_invariant(tree):
-    """Every stored hash equals the hash of the node's covered letters."""
+    """Every stored sum, reduced mod p, is the hash of the node's covered
+    letters."""
     for i in range(1, 2 * tree.size):
-        assert tree.nodes[i] == hash_string(tree.ctx, node_string(tree, i)), i
+        assert tree.nodes[i] % tree.ctx.p == hash_string(
+            tree.ctx, node_string(tree, i)), i
 
 
 def test_init_uniform_string():
@@ -33,7 +39,7 @@ def test_init_uniform_string():
 def test_init_matches_oracle_and_is_deterministic():
     tree, ctx = fresh(2)
     tree.init(bits("0001"))
-    assert tree.nodes[1] == hash_string(ctx, bits("0001"))
+    assert tree.nodes[1] % ctx.p == hash_string(ctx, bits("0001"))
     audit_invariant(tree)
     other = HashedShiftTree(2, ctx)
     other.init(bits("0001"))
@@ -337,3 +343,104 @@ def test_randomized_model_stress_with_audits():
         if trial % 97 == 0:
             audit_invariant(trees[0])
             audit_invariant(trees[1])
+
+
+def covered(tree) -> dict:
+    """Node -> the tuple of letters (a word tree's windows) it covers,
+    built bottom-up from the leaves in O(m log m)."""
+    size = tree.size
+    out = {size + j: (x,) for j, x in enumerate(tree.nodes[size:])}
+    for i in range(size - 1, 0, -1):
+        out[i] = out[tree.topo.left_child(i)] + out[tree.topo.right_child(i)]
+    return out
+
+
+def assert_sums_name_substrings(trees) -> int:
+    """Level by level, across ``trees`` of one depth: two inner nodes hold
+    equal exact sums iff they cover equal substrings.  Returns how many
+    substrings of some level both the first and the last tree cover."""
+    strings = [covered(tree) for tree in trees]
+    shared = 0
+    for level in range(trees[0].n):
+        nodes = range(1 << level, 2 << level)
+        sums: dict = {}     # substring -> the sums of the nodes over it
+        for tree, cover in zip(trees, strings):
+            for i in nodes:
+                sums.setdefault(cover[i], set()).add(tree.nodes[i])
+        assert all(len(found) == 1 for found in sums.values()), level
+        assert len(set().union(*sums.values())) == len(sums), level
+        shared += len({strings[0][i] for i in nodes}
+                      & {strings[-1][i] for i in nodes})
+    return shared
+
+
+def test_equal_substrings_hold_equal_exact_sums():
+    # an inner node keeps its exact sum, never reduced mod p: a letter's
+    # coefficient depends only on its offset in the node, so two trees at
+    # different rotations hold equal sums over equal substrings and, with
+    # high probability, unequal sums over unequal ones.  Trees of letters
+    # of depths 0-14, then word trees of one to 32 windows (re-tiled by
+    # shifts below W), over periodic strings with a few letters changed
+    rng = Random(31)
+    for n in range(15):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        shared = 0
+        for _ in range(3):
+            alphabet = rng.choice([range(2), range(4), [
+                rng.randrange(1 << 79, ctx.p) for _ in range(3)]])
+            period = 1 << rng.randrange(n + 1)
+            block = [rng.choice(alphabet) for _ in range(period)]
+            trees = [HashedShiftTree(n, ctx) for _ in range(2)]
+            for tree in trees:
+                tree.init(block * (size // period))
+                tree.shift(rng.randrange(size))
+                for _ in range(rng.randrange(3)):
+                    tree.set(rng.randrange(size), rng.choice(alphabet))
+            shared += assert_sums_name_substrings(trees)
+        assert shared or n == 0, n
+    for width in (Q - 3, Q, Q + 1, Q + 3, Q + 5):
+        L = 1 << width
+        ctx = make_context(max(L >> Q, 1), seed=width)
+        shared = 0
+        for _ in range(3):
+            period = min(L, W << rng.randrange(3))
+            block = rng.getrandbits(period)
+            s = sum(block << i for i in range(0, L, period))
+            k = rng.randrange(L)
+            trees = [HashedShiftTree.packed(width, ctx) for _ in range(2)]
+            for tree, shift in zip(trees, (k, k + period * rng.randrange(8))):
+                tree.set_bits([(0, s)], 1)
+                tree.shift(shift)
+                tree.set_bits([(rng.randrange(L), 1)], rng.randrange(2))
+            shared += assert_sums_name_substrings(trees)
+        # a tree of two windows has one inner level, its root
+        assert shared or width <= Q + 1, width
+
+
+def test_node_sums_stay_within_their_bit_bound():
+    # x + y * pw with x, y < 2**b and pw < p < 2**81 is below 2**(b + 81),
+    # so a node at height h over letters of at most b bits holds fewer
+    # than b + 81h bits (the documented bound is b + 82h).  Letters near
+    # p and all-ones windows come within a few bits a level of it
+    rng = Random(32)
+    for n in range(15):
+        size = 1 << n
+        ctx = make_context(size, seed=n)
+        tree = HashedShiftTree(n, ctx)
+        tree.init([ctx.p - 1 - rng.randrange(1 << 8) for _ in range(size)])
+        tree.shift(rng.randrange(size))
+        tree.set(rng.randrange(size), ctx.p - 1)
+        b = ctx.p.bit_length()
+        for i in range(1, size):
+            height = n - i.bit_length() + 1
+            assert tree.nodes[i].bit_length() <= b + 81 * height, (n, i)
+        assert n == 0 or tree.nodes[1].bit_length() > b + 75 * n, n
+    for width in (Q, Q + 1, Q + 5):
+        ctx = make_context(1 << (width - Q), seed=width)
+        tree = HashedShiftTree.packed(width, ctx)
+        tree.set_bits([(0, (1 << (1 << width)) - 1)], 1)
+        tree.shift(rng.randrange(1 << width))
+        for i in range(1, tree.size):
+            height = tree.n - i.bit_length() + 1
+            assert tree.nodes[i].bit_length() <= W + 81 * height, (width, i)

@@ -890,6 +890,49 @@ def test_collision_tripwire_raises_distinct_error(monkeypatch):
                 solve(inst, backend="hashed", seed=0)
 
 
+def test_collision_retries_on_a_derived_context(monkeypatch):
+    # a diff_windows that lies on the first context only: the solve trips
+    # the tripwire once, starts over on a context drawn from a seed derived
+    # from the given one, and returns the oracle's sums.  The derived
+    # seeds repeat from run to run; with no seed each context is drawn
+    # afresh.  A lie on every context still raises, after _ATTEMPTS solves
+    from shifttree import subset_sum
+
+    made = []                           # (seed, context) of each solve
+    make_context = subset_sum.make_context
+
+    def recording_context(max_len, seed=None):
+        made.append((seed, make_context(max_len, seed)))
+        return made[-1][1]
+
+    monkeypatch.setattr(subset_sum, "make_context", recording_context)
+    liar = lying_diff_windows(HashedShiftTree.diff_windows)
+    real = HashedShiftTree.diff_windows
+
+    def first_context_lies(self, other, a, b):
+        lie = self.ctx is made[0][1]
+        return (liar if lie else real)(self, other, a, b)
+
+    monkeypatch.setattr(HashedShiftTree, "diff_windows", first_context_lies)
+    for inst in (Instance.from_pairs(6, [(2, 1), (3, 1)]),
+                 Instance.from_pairs(W + 88, [(W, 1), (5, 2)])):
+        want = solve_naive(inst)
+        seeds = []
+        for seed in (0, 0, 7, None):
+            made.clear()
+            assert solve(inst, backend="hashed", seed=seed) == want
+            assert len(made) == 2 and made[0][0] == seed
+            seeds.append(made[1][0])
+        assert seeds[0] == seeds[1] != 0 and seeds[2] not in (0, 7, seeds[0])
+        assert seeds[3] is None
+    monkeypatch.setattr(HashedShiftTree, "diff_windows", liar)
+    made.clear()
+    with pytest.raises(HashCollisionError):
+        solve(Instance.from_pairs(6, [(2, 1)]), backend="hashed", seed=0)
+    assert len(made) == subset_sum._ATTEMPTS == 3
+    assert len({seed for seed, _ in made}) == 3
+
+
 def test_edge_moduli_smoke():
     rng = Random(11)
     for m in EDGE_MODULI:

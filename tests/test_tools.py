@@ -76,7 +76,7 @@ def test_ab_time_json_records_what_it_prints(tmp_path):
     assert run["python"] == platform.python_version()
     assert run["agree"] == done.stdout.splitlines()[0]
     assert run["options"] == {
-        "sizes": [256, 512], "workload": None,
+        "sizes": [256, 512], "workload": None, "layers": None,
         "backends": ["hashed", "tagged"], "rounds": 2, "seed": 1,
         "counters_may_differ": False}
     for side in ("parent", "change"):
@@ -236,6 +236,60 @@ def test_ab_time_tree_ops_refuses_a_broken_set(tmp_path):
     assert "hashed change: batch 0 differs" in done.stdout
     assert "hashed parent:" not in done.stdout
     assert " ms [" not in done.stdout
+
+
+def layers(parent: Path, change: Path, *flags) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(AB_TIME), str(parent), str(change),
+         "--layers", "6", "--rounds", "2", *flags],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_ab_time_times_tree_layers(tmp_path):
+    # --layers 6: both sides run point writes, 2**v shifts of each
+    # valuation v in 0..5 and a full-width diff on two trees of letters of
+    # depth 6; each
+    # column's counters agree and are recorded, and its time per call is
+    # printed in microseconds
+    path = tmp_path / "layers.json"
+    done = layers(ROOT, ROOT, "--json", str(path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "outputs and counters agree"
+    labels = ["set", *(f"shift v{v}" for v in range(6)), "diff"]
+    for backend in ("hashed", "tagged"):
+        for label in labels:
+            for side in ("parent", "change"):
+                line, = (line for line in lines
+                         if line.startswith(f"{backend} {label} {side}: "))
+                assert " us [" in line and line.endswith("/2")
+    run = json.loads(path.read_text())["runs"][0]
+    assert run["options"]["layers"] == 6 and run["options"]["sizes"] is None
+    assert run["ratios"] == {}
+    rows = {(row["backend"], row["instance"]): row for row in run["rows"]}
+    assert list(rows) == [(backend, label) for backend in ("hashed", "tagged")
+                          for label in labels]
+    for (backend, label), row in rows.items():
+        parent, change = row["parent"], row["change"]
+        assert parent["q1_us"] <= parent["median_us"] <= parent["q3_us"]
+        assert parent["counters"] == change["counters"]
+        counters = parent["counters"]
+        if label == "set":
+            assert counters["updates"] == 6 * 1024
+        elif label.startswith("shift"):
+            v = int(label[7:])
+            assert counters["updates"] == 2 * (1 << v) * ((64 >> v) - 1)
+        else:
+            assert counters["diff_visits"] > 0
+        assert ("store_ops" in counters) == (backend == "tagged")
+    # a copy that counts one update too many per level refresh is refused
+    # before anything is timed
+    done = layers(ROOT, miscounting_copy(tmp_path))
+    assert done.returncode == 1, done.stdout
+    assert "hashed layers change: update counts differ" in done.stdout
+    assert " us [" not in done.stdout
+    done = layers(ROOT, ROOT, "--layers", "21")
+    assert done.returncode == 2 and "--layers must be in" in done.stderr
 
 
 SRC_LINES_SAMPLE = '''"""Module docstring

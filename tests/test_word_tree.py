@@ -72,9 +72,9 @@ def diff_bits(tree, other, a, b) -> int:
 
 
 def audit(trees, shared) -> bool:
-    """Every window holds exactly min(W, L) bits; every hashed summary is
-    the hash of the windows under it, each reduced mod p; every tag is
-    exact.  Returns whether some window is p or more."""
+    """Every window holds exactly min(W, L) bits; every hashed summary,
+    reduced mod p, is the hash of the windows under it, each reduced mod
+    p; every tag is exact.  Returns whether some window is p or more."""
     big = False
     for tree in trees:
         bits = 1 << tree.q
@@ -85,7 +85,7 @@ def audit(trees, shared) -> bool:
         big |= max(leaves) >= shared.p
         for i in range(1, tree.size):
             windows = node_string(tree, i)
-            assert tree.nodes[i] == hash_string(
+            assert tree.nodes[i] % shared.p == hash_string(
                 shared, [w % shared.p for w in windows])
     if isinstance(shared, TagStore):
         audit_tag_equivalences(shared, trees)

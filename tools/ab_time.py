@@ -2,7 +2,8 @@
 one process.
 
     python tools/ab_time.py PARENT CHANGE
-        [--sizes 4096 8192 ... | --workload dense|sparse|tree_ops]
+        [--sizes 4096 8192 ... | --workload dense|sparse|tree_ops
+         | --layers DEPTH]
         [--backends hashed tagged] [--rounds 5] [--seed 1]
         [--counters-may-differ] [--json PATH]
 
@@ -37,14 +38,28 @@ agree on ``updates``, ``diff_visits`` and ``store_ops``.  Then every
 round replays each batch once per side on fresh trees, each batch timed
 alone, and the report lists the batches under ``tree_ops``.
 
+``--layers DEPTH`` times the tree layers apart, on two trees of letters
+of that depth (1 to 20) loaded with one seeded string over four letters:
+1024 point ``set`` calls on the first tree, then a ``shift`` of each
+2-adic valuation v below DEPTH on both, 2**min(v, 6) times, then one
+``diff`` over the whole string.  First each side's pass must refresh DEPTH nodes per write and
+(L >> v) - 1 per tree and shift, and its diff and final strings must
+match two list models; unless ``--counters-may-differ``, both sides must
+also agree on each column's ``updates``, ``diff_visits`` and
+``store_ops``.  Then every round runs the pass once per side on fresh
+trees, and the report gives each column's process time per call in
+microseconds: ``set``, ``shift v0`` ... and ``diff``.
+
 ``--json PATH`` also records what the script prints as one run, appended
 to the ``runs`` list of the JSON file PATH (created if missing): the
 Python version, the options, each side's checkout (its git revision,
 whether its ``src/`` differs from that revision, a digest of its package
 and the window width ``_WORD`` its word trees use), then per backend and
-instance each side's median and quartiles in milliseconds, the paired
-timings it won (``won`` of ``pairs``), its median ``ascending()`` time
-and its exact counters, and the ratios of medians from size to size.
+instance (or layer column) each side's median and quartiles in
+milliseconds (microseconds per call with ``--layers``: ``median_us``),
+the paired timings it won (``won`` of ``pairs``), its median
+``ascending()`` time and its exact counters, and the ratios of medians
+from size to size.
 """
 
 import argparse
@@ -58,12 +73,22 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 from statistics import median, quantiles
 
 SIDES = ("parent", "change")
 COUNTERS = ("bellman_iterations", "reported_differences", "updates",
             "diff_visits", "store_ops")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+# point writes a --layers pass times, and its deepest trees: two trees of
+# depth 20 on one side take about 200 MB
+LAYER_WRITES = 1024
+MAX_LAYERS = 20
+# A shift of valuation v runs 2**min(v, 6) times in its column, so that
+# a shift refreshing a few nodes is not timed alone: one process_time
+# reading around a one-node shift took about 15 us, against 2.6 us per
+# shift in a loop
+SHIFT_REPEATS = 6
 
 
 def load(checkout: str, name: str):
@@ -148,10 +173,10 @@ def time_rounds(sides, backend: str, sizes, make, seed: int, rounds: int):
     return walls, lists
 
 
-def fresh_trees(pkg, backend: str, stream, seed: int):
-    """The two trees of a tree_ops pass, loaded with the stream's initial
-    string, and their shared tag store (``None`` for hashed trees)."""
-    size = len(stream.initial)
+def fresh_trees(pkg, backend: str, initial, seed: int):
+    """Two trees of letters loaded with the string ``initial``, and their
+    shared tag store (``None`` for hashed trees)."""
+    size = len(initial)
     n = size.bit_length() - 1
     store = None
     if backend == "hashed":
@@ -161,7 +186,7 @@ def fresh_trees(pkg, backend: str, stream, seed: int):
         store = pkg.TagStore()
         trees = [pkg.TaggedShiftTree(n, store) for _ in range(2)]
     for tree in trees:
-        tree.init(stream.initial)
+        tree.init(initial)
     return trees, store
 
 
@@ -195,7 +220,7 @@ def check_tree_ops(pkgs, backends, bench, stream, seed: int,
     for backend in backends:
         per_side = []
         for side, pkg in zip(SIDES, pkgs):
-            trees, store = fresh_trees(pkg, backend, stream, seed)
+            trees, store = fresh_trees(pkg, backend, stream.initial, seed)
             for index, (ops, want) in enumerate(
                     zip(stream.batches, stream.expected)):
                 if replay(bench, trees, ops) != want:
@@ -227,7 +252,8 @@ def time_tree_ops(pkgs, backend: str, bench, stream, seed: int, rounds: int):
     walls = [[[]] for _ in pkgs]
     for r in range(rounds):
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            trees, _ = fresh_trees(pkgs[side], backend, stream, seed)
+            trees, _ = fresh_trees(pkgs[side], backend, stream.initial,
+                                   seed)
             for ops in stream.batches:
                 gc.collect()
                 start = time.process_time()
@@ -236,31 +262,147 @@ def time_tree_ops(pkgs, backend: str, bench, stream, seed: int, rounds: int):
     return walls
 
 
-def quartiles(values) -> list[float]:
-    """``[q1, median, q3]`` of ``values``, in milliseconds."""
-    values = [1e3 * v for v in values]
+def layer_plan(depth: int, seed: int):
+    """The calls of a ``--layers`` pass on two trees of letters of depth
+    ``depth``, drawn by ``seed``: their one initial string over an
+    alphabet of four letters, ``LAYER_WRITES`` point writes to the first
+    tree, and one shift k of each 2-adic valuation v below ``depth``, as
+    ``(k, repeats)`` with 2**min(v, SHIFT_REPEATS) repeats."""
+    size = 1 << depth
+    rng = Random(f"layers:{depth}:{seed}")
+    initial = [rng.randrange(4) for _ in range(size)]
+    writes = [(rng.randrange(size), rng.randrange(4))
+              for _ in range(LAYER_WRITES)]
+    shifts = [((2 * rng.randrange(size >> (v + 1)) + 1) << v,
+               1 << min(v, SHIFT_REPEATS)) for v in range(depth)]
+    return initial, writes, shifts
+
+
+def layer_labels(depth: int) -> list[str]:
+    return ["set", *(f"shift v{v}" for v in range(depth)), "diff"]
+
+
+def run_layers(trees, store, writes, shifts):
+    """One ``--layers`` pass: the writes to the first tree, then each shift
+    on both trees, as often as it repeats, then one diff over the whole
+    string.  Returns, per
+    column of ``layer_labels``, the process time per call in seconds and
+    the counters the column moved, and the diff's output."""
+    t1, t2 = trees
+    walls, counts = [], []
+
+    def timed(calls, run, *moved):
+        before = [count() for _, count in moved]
+        gc.collect()
+        start = time.process_time()
+        out = run()
+        walls.append((time.process_time() - start) / calls)
+        counts.append({name: count() - was for (name, count), was
+                       in zip(moved, before)})
+        return out
+
+    updates = ("updates", lambda: t1.update_calls + t2.update_calls)
+    ops = [("store_ops", lambda: store.ops)] if store else []
+    timed(len(writes), lambda: [t1.set(pos, x) for pos, x in writes],
+          updates, *ops)
+    for k, repeats in shifts:
+        timed(2 * repeats, lambda: [(t1.shift(k), t2.shift(k))
+                                    for _ in range(repeats)], updates, *ops)
+    out = timed(1, lambda: t1.diff(t2, 0, t1.size - 1),
+                ("diff_visits", lambda: t1.diff_visits), *ops)
+    return walls, counts, out
+
+
+def check_layers(pkgs, backends, depth: int, seed: int, same_counters: bool,
+                 counters: dict) -> bool:
+    """Whether each side's ``--layers`` pass refreshes ``depth`` nodes per
+    write and (L >> v) - 1 per tree and shift of valuation v,
+    reports the differences of two list models and ends holding their
+    strings; and, if ``same_counters``, whether both sides agree on every
+    column's counters.  Otherwise print both sides' counters.  Both
+    sides' counters of a column go to ``counters[backend, label]``."""
+    initial, writes, shifts = layer_plan(depth, seed)
+    size = 1 << depth
+    first = list(initial)
+    for pos, x in writes:
+        first[pos] = x
+    k = sum(k * repeats for k, repeats in shifts) % size
+    models = [s[size - k:] + s[:size - k] for s in (first, initial)]
+    want = [pos for pos in range(size) if models[0][pos] != models[1][pos]]
+    expected = [depth * len(writes)] + [
+        2 * repeats * ((size >> v) - 1)
+        for v, (_, repeats) in enumerate(shifts)]
+    labels = layer_labels(depth)
+    ok = True
+    for backend in backends:
+        per_side = []
+        for side, pkg in zip(SIDES, pkgs):
+            trees, store = fresh_trees(pkg, backend, initial, seed)
+            _, counts, out = run_layers(trees, store, writes, shifts)
+            if [count["updates"] for count in counts[:-1]] != expected:
+                print(f"{backend} layers {side}: update counts differ from "
+                      f"one per level and write, and (L >> v) - 1 per shift")
+                ok = False
+            if out != want or [t.materialize() for t in trees] != models:
+                print(f"{backend} layers {side}: the diff or the final "
+                      f"strings differ from the models'")
+                ok = False
+            per_side.append(counts)
+            del trees, store    # one side's trees at a time
+        for col, label in enumerate(labels):
+            counters[backend, label] = tuple(c[col] for c in per_side)
+        if not same_counters:
+            for side, counts in zip(SIDES, per_side):
+                print(f"{backend} layers {side} counters: {counts}")
+        elif per_side[0] != per_side[1]:
+            print(f"{backend} layers: counters {per_side[0]} != "
+                  f"{per_side[1]}")
+            ok = False
+    return ok
+
+
+def time_layers(pkgs, backend: str, depth: int, seed: int, rounds: int):
+    """``walls[side][column]``: one process time per call and round, in
+    seconds, for each column of ``layer_labels``."""
+    initial, writes, shifts = layer_plan(depth, seed)
+    walls = [[[] for _ in layer_labels(depth)] for _ in pkgs]
+    for r in range(rounds):
+        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+            trees, store = fresh_trees(pkgs[side], backend, initial, seed)
+            for col, wall in enumerate(
+                    run_layers(trees, store, writes, shifts)[0]):
+                walls[side][col].append(wall)
+            del trees, store    # one side's trees at a time
+    return walls
+
+
+def quartiles(values, scale: float) -> list[float]:
+    """``[q1, median, q3]`` of ``values``, in seconds times ``scale``."""
+    values = [scale * v for v in values]
     return quantiles(values, n=4, method="inclusive") \
         if len(values) > 1 else values * 3
 
 
-def report(backend: str, labels, walls, counters, lists=None) -> dict:
-    """Print each side's spread and wins per column, and its median
-    ``ascending()`` time if ``lists`` holds them; with several columns,
-    the ratios of medians from one to the next.  Returns what it printed,
-    with both sides' ``counters`` of each column: ``{"rows": [one dict
-    per column], "ratios": {side: [...]}}``."""
+def report(backend: str, labels, walls, counters, lists=None,
+           unit: str = "ms") -> dict:
+    """Print each side's spread, in ``unit`` ("ms" or "us"), and wins per
+    column; with ``lists``, which solves pass, its median ``ascending()``
+    time and, with several sizes, the ratios of medians from one to the
+    next.  Returns what it printed, with both sides' ``counters`` of each
+    column: ``{"rows": [one dict per column], "ratios": {side: [...]}}``."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
     rows = []
     for col, label in enumerate(labels):
         a, b = walls[0][col], walls[1][col]
         wins = [sum(map(float.__lt__, a, b)), sum(map(float.__lt__, b, a))]
         row = {"backend": backend, "instance": label}
         for side in (0, 1):
-            q1, mid, q3 = quartiles(walls[side][col])
+            q1, mid, q3 = quartiles(walls[side][col], scale)
             line = (f"{backend} {label} {SIDES[side]}: "
-                    f"{mid:9.1f} ms [{q1:.1f}, {q3:.1f}]  "
+                    f"{mid:9.1f} {unit} [{q1:.1f}, {q3:.1f}]  "
                     f"won {wins[side]}/{len(a)}")
-            cell = {"median_ms": mid, "q1_ms": q1, "q3_ms": q3,
-                    "won": wins[side], "pairs": len(a),
+            cell = {f"median_{unit}": mid, f"q1_{unit}": q1,
+                    f"q3_{unit}": q3, "won": wins[side], "pairs": len(a),
                     "counters": counters[col][side]}
             if lists is not None:
                 listed = 1e3 * median(lists[side][col])
@@ -270,7 +412,7 @@ def report(backend: str, labels, walls, counters, lists=None) -> dict:
             row[SIDES[side]] = cell
         rows.append(row)
     ratios = {}
-    for side in (0, 1) if len(labels) > 1 else ():
+    for side in (0, 1) if lists is not None and len(labels) > 1 else ():
         mids = [median(w) for w in walls[side]]
         ratios[SIDES[side]] = [y / x for x, y in zip(mids, mids[1:])]
         print(f"{backend} {SIDES[side]} median ratio from size to size: "
@@ -334,6 +476,10 @@ def main(argv=None) -> int:
     which.add_argument("--workload", choices=("dense", "sparse", "tree_ops"),
                        help="time the benchmark workload's instance, or "
                             "its tree_ops stream, instead")
+    which.add_argument("--layers", type=int, metavar="DEPTH",
+                       help="time point writes, shifts per 2-adic "
+                            "valuation and a full-width diff on two trees "
+                            "of letters of this depth instead")
     ap.add_argument("--backends", nargs="+", choices=("hashed", "tagged"),
                     default=["hashed", "tagged"])
     ap.add_argument("--rounds", type=int, default=5)
@@ -346,12 +492,15 @@ def main(argv=None) -> int:
                     help="also append this run's report to the runs list "
                          "of the JSON file PATH")
     args = ap.parse_args(argv)
+    if args.layers is not None and not 1 <= args.layers <= MAX_LAYERS:
+        ap.error(f"--layers must be in [1, {MAX_LAYERS}]")
     sys.dont_write_bytecode = True  # leave no caches in either checkout
     record = read_record(Path(args.json)) if args.json else None
     names = ("shifttree_parent", "shifttree_change")
     sides = (load(args.parent, names[0]), load(args.change, names[1]))
     same_counters = not args.counters_may_differ
-    what = "outputs" if args.workload == "tree_ops" else "sums"
+    trees = args.workload == "tree_ops" or args.layers is not None
+    what = "outputs" if trees else "sums"
     agree = f"{what} and counters agree" if same_counters else f"{what} agree"
     counters: dict = {}
     reports = []
@@ -367,14 +516,25 @@ def main(argv=None) -> int:
             reports.append(report(backend, ["tree_ops"], time_tree_ops(
                 pkgs, backend, bench, stream, args.seed, args.rounds),
                 [counters[backend, "tree_ops"]]))
+    elif args.layers is not None:
+        pkgs = [sys.modules[name] for name in names]
+        if not check_layers(pkgs, args.backends, args.layers, args.seed,
+                            same_counters, counters):
+            return 1
+        print(agree)
+        labels = layer_labels(args.layers)
+        for backend in args.backends:
+            reports.append(report(backend, labels, time_layers(
+                pkgs, backend, args.layers, args.seed, args.rounds),
+                [counters[backend, label] for label in labels], unit="us"))
     elif not time_solves(args, sides, same_counters, agree, counters,
                          reports):
         return 1
     if record is not None:
         options = {key: value for key, value in vars(args).items()
                    if key not in ("parent", "change", "json")}
-        if args.workload:
-            options["sizes"] = None     # the workload's instance instead
+        if args.workload or args.layers is not None:
+            options["sizes"] = None     # the workload or the layers instead
         run = {"python": platform.python_version(), "options": options,
                "checkouts": {side: checkout(root, name) for side, root, name
                              in zip(SIDES, (args.parent, args.change), names)},
