@@ -5,7 +5,9 @@ One node array of 2**(n+1) entries holds a string: leaf slot j (node
 of the substring its subtree covers.  Every write stores letters or moves
 the rotation offset, then refreshes the dirty inner nodes bottom-up: a
 point write's one leaf up its ancestor chain in one loop, any other write
-level by level.
+level by level.  A word tree's window write alone leaves its refresh to
+the tree's next diff or shift, so that a shift that re-tiles every window
+folds it into the whole refresh it makes anyway.
 The one diff walk lives here too.  A variant supplies what a summary is:
 ``_refresh``, its letter checks and ``_equality``, which says when two
 summaries prove their subtrees equal.
@@ -39,9 +41,10 @@ _BLOCK = 64
 
 # Positions a word tree packs per leaf window, W.  Most of the solver's
 # shifts re-tile every window and refresh all L/W - 1 inner nodes, so a
-# wider window means fewer nodes to refresh; but a later copy of a value
-# steps W-bit windows, so a wider one slows solves of high multiplicity.
-# Chosen against 512, 2048 and 8192 in BENCH_window.json.
+# wider window means fewer nodes to refresh; but each window a diff
+# reports or a write touches costs O(W) bit work however few of its bits
+# change, so a wider one slows solves whose diffs add few sums in many
+# windows.  Chosen against 512, 2048 and 8192 in BENCH_window.json.
 _WORD = 4096
 
 # Fewest parents for which a refresh takes a whole level in one slice
@@ -75,8 +78,9 @@ class ShiftTree:
     2**j < W).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
     ``diff`` O((d+1) log m) for d reported differences.  A word tree has
     ``diff_windows`` O((w+1) log m) for w reported windows, and
-    ``set_bits`` O(s + b/W + w log m) for s spans of b bits in all that
-    write w windows, in their place.  A diff's bound counts node pairs;
+    ``set_bits`` O(s + b/W) for s spans of b bits in all, and the w
+    windows they write add O(w log m) to the tree's next diff or shift,
+    which refreshes their ancestors.  A diff's bound counts node pairs;
     each block it reaches adds one C-level compare of at most 64 letters
     (windows, in a word tree).  A fresh tree of letters holds
     ``size`` copies of ``letter``, which its inner nodes must already
@@ -100,6 +104,8 @@ class ShiftTree:
         self.length = self.size
         self.update_calls = 0
         self.diff_visits = 0
+        # leaf slots that set_bits wrote since the last diff or shift
+        self.stale: set[int] = set()
 
     @classmethod
     def packed(cls, width: int, shared) -> "ShiftTree":
@@ -164,9 +170,10 @@ class ShiftTree:
         """Write bit ``x`` of a word tree at position (start + i) mod
         ``length`` for every set bit i of each ``(start, bits)`` span, where
         start and bits >= 0 are integers; the spans may be any iterable.
-        Each window is written once, then the ancestors of the distinct
-        dirty leaves are refreshed once: O(w log m) for w windows written,
-        plus a step per span and per W bits of it."""
+        Each window is written once, in O(1) a span plus a step per W bits
+        of it.  The ancestors of the distinct written windows are refreshed
+        at the tree's next diff or shift, once for all the writes since
+        the last one: O(w log m) for w windows."""
         if not self.word:
             raise ValueError("set_bits needs a word tree")
         _check_bit(x)
@@ -193,7 +200,14 @@ class ShiftTree:
         nodes = self.nodes
         for j, w in windows.items():
             nodes[j] = nodes[j] | w if x else nodes[j] & ~w
-        self._refresh(self.n, windows.keys())
+        self.stale.update(windows)
+
+    def _settle(self) -> None:
+        """Refresh the ancestors of the windows written since the last
+        diff or shift."""
+        if self.stale:
+            self._refresh(self.n, self.stale)
+            self.stale = set()
 
     def shift(self, k: int) -> None:
         """Rotate the string right by ``k`` (negative rotates left)."""
@@ -204,7 +218,6 @@ class ShiftTree:
             return
         q = self.q
         delta = ((self.topo.delta << q) + self.r + k) % self.length
-        self.topo.delta = delta >> q
         r = delta & ((1 << q) - 1)
         if r != self.r:
             self._retile(r)
@@ -214,6 +227,10 @@ class ShiftTree:
             # subtrees of size k & -k moved wholesale; only nodes above
             # them change
             level = self.n - (k & -k).bit_length() + 1
+        if level < self.n:
+            self._settle()  # while the links are still the old ones
+        self.stale.clear()  # else the whole refresh below covers them
+        self.topo.delta = delta >> q
         self._refresh(level, range(1 << level, 2 << level))
 
     def _retile(self, r: int) -> None:
@@ -257,13 +274,17 @@ class ShiftTree:
         q, size = self.q, self.size
         out = []
         for c in self._walk(other, a, b):
-            # the window's bits within [a, b]: an end window loses some
-            lo = max(a - (c << q), 0)
-            mask = ((2 << (min(b - (c << q), (1 << q) - 1) - lo)) - 1) << lo
-            own = self.nodes[(c - self.topo.delta) % size + size] & mask
-            theirs = other.nodes[(c - other.topo.delta) % size + size] & mask
-            if own != theirs:
-                out.append((c, own, theirs))
+            own = self.nodes[(c - self.topo.delta) % size + size]
+            theirs = other.nodes[(c - other.topo.delta) % size + size]
+            lo, hi = a - (c << q), b - (c << q)
+            if lo > 0 or hi < (1 << q) - 1:
+                # an end window: keep its bits within [a, b]
+                lo = max(lo, 0)
+                mask = ((2 << (min(hi, (1 << q) - 1) - lo)) - 1) << lo
+                own, theirs = own & mask, theirs & mask
+                if own == theirs:
+                    continue
+            out.append((c, own, theirs))
         return out
 
     def _walk(self, other: "ShiftTree", a: int, b: int) -> list[int]:
@@ -278,6 +299,8 @@ class ShiftTree:
             raise ValueError(f"bad interval [{a}, {b}] for length "
                              f"{self.length}")
         a, b = a >> self.q, b >> self.q  # the leaves under [a, b]
+        self._settle()
+        other._settle()
         t_keys, q_keys, find, union = self._equality(other)
         out: list[int] = []
         n = self.n

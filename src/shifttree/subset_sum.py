@@ -6,32 +6,36 @@ by x and read off the changed positions: each is either a brand-new sum or
 the position it rotated in from, in equal numbers.  Two shift trees make
 that comparison output-sensitive.
 
-Only a value's first copy needs the comparison.  Let New_i be the sums the
-i-th copy of x adds.  Then S_(i-1) + x is (S_(i-2) + x) ∪ (New_(i-1) + x),
-and the first part already lies in S_(i-1), so
-
-    New_i = (New_(i-1) + x) \\ S_(i-1):
-
-the later copies follow the orbit of the first copy's new sums under +x
-until a copy adds nothing.  All the new sums of one value then reach each
-tree in one span write.
+A value's copies join S in pieces of 1, 2, 4, ... copies, then the rest:
+piece p = min(2 * (last p), copies left), starting at 1, is one step
+S <- S ∪ (S + px), one shift of the second tree to px mod m and one diff.
+After pieces of n copies in all, S = S0 + {0, ..., n}x; a piece is at most
+n + 1 copies, so it makes S = S0 + {0, ..., n + p}x, and the pieces of c
+copies join exactly c.  The value ends at the first piece that adds
+nothing, by the piece lemma: if S' = S0 + {0, ..., n}x and S' + px = S'
+for some 1 <= p <= n + 1, then S0 + (n+1)x lies in S' + px = S', so
+S' + x = S', and no later copy adds a sum.  This holds when px = 0 mod m
+too.  So a value with c copies makes at most floor(log2 min(c, m)) + 2
+diffs.
 
 Only the values x present in the instance are visited, in bit-reversed
 order, and the rotated tree moves from one to the next by the net delta.
 Neighbours in that order share as many low bits as the cheapest step of
-the full bit-reversal schedule between them, so the rotations cost no more
-than that schedule (linearithmic) and far less when few values are
-present.  The solve stops as soon as every residue is attainable.
+the full bit-reversal schedule between them, so when every value has one
+copy the rotations cost no more than that schedule (linearithmic) and far
+less when few values are present.  A value with c copies adds at most
+floor(log2 min(c, m)) + 1 shifts, one per piece after its first, and the
+next value's shift then starts from its last piece's rotation px mod m
+rather than from x.  The solve stops as soon as every residue is
+attainable.
 
 A value that S is already closed under, S + x = S, is skipped: no shift
 and no diff.  The stabilizer {g : S + g = S} is a subgroup of the
 residues mod m, and it only grows as S does: S + g = S gives
-(S ∪ (S + y)) + g = S ∪ (S + y).  The solver sees S + x = S for free in
-two cases: a value's diff finds no new sum, or its orbit stops with
-copies left, since an empty New_i means S_(i-1) + x ⊆ S_(i-1) by the
-recurrence above, and a translate of a finite set inside it is the set.
-So it keeps ``closed``, the gcd of m and every such x, whose multiples
-form a subgroup of the stabilizer, and skips every later multiple of it.
+(S ∪ (S + y)) + g = S ∪ (S + y).  The solver sees S + x = S for free
+whenever a piece's diff finds no new sum, by the piece lemma.  So it
+keeps ``closed``, the gcd of m and every such x, whose multiples form a
+subgroup of the stabilizer, and skips every later multiple of it.
 
 That order sorts first by the low k bits of x, reversed, so the solver
 takes the classes x = r (mod 2**k) in the k-bit reversed order of r and
@@ -57,24 +61,22 @@ prime; both are drawn from ``seed``.
 
 The solver works on windows end to end, never on single sums:
 
-- S is a list of L/W windows (ints of W bits) that mirrors the first
-  tree's string.
-- A value's one diff, ``diff_windows``, reports each window c in which the
+- The first tree never rotates, so its leaves are S's L/W windows (ints
+  of W bits) in order.
+- A piece's diff, ``diff_windows``, reports each window c in which the
   two strings differ as ``(c, own, theirs)``.  The new sums there are
   ``theirs & ~own``, and the balance check compares popcounts.
-- A later copy steps each ``(window, new sums)`` pair by x mod m: the bits
-  move into one or two windows, and those that pass m wrap to 0.  The
-  pairs that land in one window merge, and S masks them.
-- A value's new sums gather per window, so each tree gets one
-  ``set_bits`` call per productive value with O(windows) spans: window c
-  at Wc in the first tree, and at Wc + x in the second, and also at
-  Wc + x - m when L is padded.
-- ``SumSet`` is S as one m-bit int, joined from S's windows in C at the
-  end; its residue list is built only when ``ascending()`` asks for it.
+- Each tree gets one ``set_bits`` call per piece that adds sums, with a
+  span per window: window c at Wc in the first tree, and at Wc + d in
+  the second, rotated by d = px mod m, and also at Wc + d - m when L is
+  padded.  A word tree refreshes what it was written at its next diff
+  or shift.
+- ``SumSet`` is S as one m-bit int, joined from the first tree's
+  windows in C at the end; its residue list is built only when
+  ``ascending()`` asks for it.
 
-A value's diff and each of its later copies thus cost O(windows they
-report or add + 1), besides the value's shift and the refresh of the
-windows it writes, and never O(m).
+A piece's diff thus costs O(windows it reports or adds + 1), besides its
+shift and the refresh of the windows it writes, and never O(m).
 """
 
 from itertools import chain, compress, repeat
@@ -115,16 +117,16 @@ class HashCollisionError(RuntimeError):
     in ``HashedShiftTree``, one diff misses a difference with probability
     below (L/W) log L / 2**80 + max(1, L/2**17) * 2**-68.5 < L / 2**80
     (below 1e-16 at every modulus the CLI accepts), and never when
-    L <= W, whose one window compares exactly.  The check runs once per
-    visited value, on its one diff: the popcount of each reported
-    window's ``own ^ theirs``, summed, must be twice that of its new sums
-    ``theirs & ~own``, since every new sum pairs with the old sum it
-    rotated in from.  A collision that hides a balanced set of
+    L <= W, whose one window compares exactly.  The check runs on every
+    diff, one per piece of a value's copies: the popcount of each
+    reported window's ``own ^ theirs``, summed, must be twice that of its
+    new sums ``theirs & ~own``, since every new sum pairs with the old
+    sum it rotated in from.  A collision that hides a balanced set of
     differences, as many new sums as old ones, passes unseen and leaves
-    those sums (and their orbit under the value's later copies) out of
-    the result.  One that hides every difference of a diff also makes S
-    look closed under x: the solver then skips every later multiple of
-    gcd(closed, x), a whole coset class of values, and loses their sums
+    those sums out of the result.  One that hides every difference of a
+    piece's diff also makes S look closed under x: the solver then ends
+    the value, sets ``closed`` to gcd(closed, x) and skips every later
+    multiple of it, a whole coset class of values, and loses their sums
     too.  A solve that trips the check starts over on a new context; this
     is raised only when the last one trips it too.
     """
@@ -233,8 +235,8 @@ class SumSet:
 
 class SolverStats(SimpleNamespace):
     """Counters of one solve.  With the trees, ``bellman_iterations``
-    counts each visited value's diff and each later copy that added sums,
-    and ``reported_differences`` counts diff output only; the rest sum over
+    counts the diffs, one per piece of a value's copies, and
+    ``reported_differences`` their output; the rest sum over
     both trees (``store_ops`` over their shared tag store), and
     ``updates`` counts the inner nodes that shifts and writes refreshed.
     The naive backend counts its bitset passes as ``bellman_iterations``."""
@@ -340,68 +342,47 @@ def _solve_trees(inst: Instance, backend: str,
     t2.set_bits([(d % L, 1) for d in copies], 1)  # and its copies
 
     q = t1.q
-    step, full = 1 << q, (1 << (1 << q)) - 1
-    s = [0] * (L >> q)                  # S's windows, as t1 holds them
-    s[0] = count = 1
+    count = 1                           # |S|
     at = 0                              # t2 holds the double string rotated by at
     closed = m                          # S + g = S for every multiple g of it
     for x in chain.from_iterable(_bitrev_classes(inst.mult, width)):
         if x % closed == 0:
             continue                    # S + x = S: no shift, no diff
-        t2.shift(x - at)
-        at = x
-        stats.bellman_iterations += 1
-        found = t1.diff_windows(t2, 0, m - 1)
-        reported = sum((own ^ theirs).bit_count() for _, own, theirs in found)
-        # (window, its new sums): set in the rotated copy, not yet in S
-        new = [(c, b) for c, own, theirs in found if (b := theirs & ~own)]
-        if not new:
-            closed = gcd(closed, x)     # S + x = S
-        fresh = sum(bits.bit_count() for _, bits in new)
-        stats.reported_differences += reported
-        if reported != 2 * fresh:
-            # each reported position must be a new sum or the old sum it
-            # rotated in from; an imbalance means a difference was missed
-            if backend == "hashed":
-                raise HashCollisionError(f"{reported} differences but "
-                                         f"{fresh} new sums at shift {x}")
-            raise AssertionError("tagged diff returned an unbalanced set")
-        added: dict[int, int] = {}      # window -> the value's new sums
-        for copy in range(inst.mult[x]):
-            if copy:
-                # this copy's new sums follow exactly from the last copy's:
-                # its windows step by x, and the bits from m on wrap to 0
-                moved: dict[int, int] = {}
-                todo = [((c << q) + x, bits) for c, bits in new]
-                for p, bits in todo:    # (where bit 0 moved to, bits)
-                    if p + bits.bit_length() > m:
-                        # split off the bits from m on: their piece starts
-                        # at 0 or above and this loop places it later
-                        k = max(m - p, 0)
-                        todo.append((p + k - m, bits >> k))
-                        bits &= (1 << k) - 1
-                        if p >= L:
-                            # the whole piece wrapped, and p has no window:
-                            # with L = m, a piece can start past the last
-                            continue
-                    c, bits = p >> q, bits << p % step
-                    moved[c] = moved.get(c, 0) | bits & full
-                    if bits > full:
-                        moved[c + 1] = moved.get(c + 1, 0) | bits >> step
-                new = [(c, b) for c, bits in moved.items()
-                       if (b := bits & ~s[c])]
-                if not new:
-                    closed = gcd(closed, x)
-                    break               # S is stable under +x
-                stats.bellman_iterations += 1
-            for c, bits in new:
-                s[c] |= bits
-                added[c] = added.get(c, 0) | bits
-        if added:
-            count += sum(bits.bit_count() for bits in added.values())
-            t1.set_bits([(c << q, bits) for c, bits in added.items()], 1)
-            t2.set_bits([((c << q) + x + d, bits) for c, bits in added.items()
-                         for d in copies], 1)
+        left, p = inst.mult[x], 1       # copies not yet joined, next piece
+        while left and count < m:
+            # p copies at once: S becomes S ∪ (S + px), one diff at px
+            d = p * x % m
+            t2.shift(d - at)
+            at = d
+            stats.bellman_iterations += 1
+            found = t1.diff_windows(t2, 0, m - 1)
+            new = []                    # (window, its new sums)
+            reported = fresh = 0
+            for c, own, theirs in found:
+                reported += (own ^ theirs).bit_count()
+                # set in the rotated copy, not yet in S: theirs & ~own,
+                # without the complement's slow negative int
+                if b := (own | theirs) ^ own:
+                    fresh += b.bit_count()
+                    new.append((c, b))
+            stats.reported_differences += reported
+            if reported != 2 * fresh:
+                # each reported position must be a new sum or the old sum
+                # it rotated in from; an imbalance means a difference was
+                # missed
+                if backend == "hashed":
+                    raise HashCollisionError(f"{reported} differences but "
+                                             f"{fresh} new sums at shift {d}")
+                raise AssertionError("tagged diff returned an unbalanced set")
+            if not new:
+                closed = gcd(closed, x)  # S + x = S, by the piece lemma
+                break
+            count += fresh
+            t1.set_bits([(c << q, bits) for c, bits in new], 1)
+            t2.set_bits([((c << q) + d + e, bits) for c, bits in new
+                         for e in copies], 1)
+            left -= p
+            p = min(2 * p, left)
         if count == m:
             break                       # every residue attainable
 
@@ -409,9 +390,11 @@ def _solve_trees(inst: Instance, backend: str,
     stats.diff_visits = t1.diff_visits + t2.diff_visits
     if backend == "tagged":
         stats.store_ops = shared.ops
+    # the first tree never rotates, so its leaves are S's windows in order;
     # a window of 2**q bits is whole bytes, unless it is the only window
-    sums = SumSet(m, int.from_bytes(b"".join(map(
-        int.to_bytes, s, repeat(-(-step // 8)), repeat("little"))), "little"))
+    sums = SumSet(m, int.from_bytes(b"".join(
+        w.to_bytes(-(-(1 << q) // 8), "little") for w in t1.nodes[t1.size:]),
+        "little"))
     return SolveResult(sums=sums, stats=stats)
 
 

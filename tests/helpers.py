@@ -91,12 +91,36 @@ def solver_length(m: int) -> int:
     return L
 
 
-def solver_visits(inst: Instance) -> list[int]:
-    """Values the solver should visit, in order: the present residues in
-    [1, m) sorted by bit reversal over the width of the trees' length, but
-    for the multiples of ``closed``, the gcd of m and every value seen to
-    leave S as it was, which the solver skips; cut after the first one
-    that leaves every residue attainable (big-int bitset model)."""
+def add_pieces(bits: int, x: int, c: int, m: int) -> tuple[int, list, bool]:
+    """Join c copies of x to the set S of the m-bit int ``bits`` as the
+    solver does (big-int bitset model): in pieces of 1, 2, 4, ... copies,
+    then the rest, each piece p one step S <- S ∪ (S + px mod m).  The
+    value ends at the first piece that adds nothing, which then shows
+    S + x = S, or when S holds every residue.  Returns the new S, the
+    pieces in order, the one that added nothing included, and whether
+    one did."""
+    full = (1 << m) - 1
+    pieces = []
+    p, left = 1, c
+    while left and bits != full:
+        d = p * x % m
+        pieces.append(p)
+        grown = bits | ((bits << d | bits >> (m - d)) & full)
+        if grown == bits:
+            return bits, pieces, True
+        bits = grown
+        left -= p
+        p = min(2 * p, left)
+    return bits, pieces, False
+
+
+def solver_visits(inst: Instance) -> list[tuple[int, list[int]]]:
+    """Values the solver should visit, in order, each with its pieces (as
+    ``add_pieces`` takes them): the present residues in [1, m) sorted by
+    bit reversal over the width of the trees' length, but for the
+    multiples of ``closed``, the gcd of m and every value whose pieces
+    stopped on one that added nothing, which the solver skips; cut after
+    the first value that leaves every residue attainable."""
     m = inst.m
     width = solver_length(m).bit_length() - 1
     full = (1 << m) - 1
@@ -107,17 +131,20 @@ def solver_visits(inst: Instance) -> list[int]:
                     key=lambda x: bitrev(width, x)):
         if x % closed == 0:
             continue
-        visits.append(x)
-        for _ in range(min(inst.mult[x], m)):
-            grown = bits | ((bits << x | bits >> (m - x)) & full)
-            if grown == bits:
-                # S + x = S: from here on, so is every multiple of closed
-                closed = gcd(closed, x)
-                break
-            bits = grown
+        bits, pieces, stalled = add_pieces(bits, x, inst.mult[x], m)
+        visits.append((x, pieces))
+        if stalled:
+            # S + x = S: from here on, so is every multiple of closed
+            closed = gcd(closed, x)
         if bits == full:
             break
     return visits
+
+
+def piece_shifts(m: int, visits) -> list[int]:
+    """The second tree's rotation at each diff of ``visits``, as
+    ``solver_visits`` gives them: p * x mod m for each piece p of x."""
+    return [p * x % m for x, pieces in visits for p in pieces]
 
 
 def word_string(tree) -> list[int]:

@@ -413,6 +413,7 @@ def test_equal_substrings_hold_equal_exact_sums():
                 tree.set_bits([(0, s)], 1)
                 tree.shift(shift)
                 tree.set_bits([(rng.randrange(L), 1)], rng.randrange(2))
+                tree._settle()  # as the next diff or shift would
             shared += assert_sums_name_substrings(trees)
         # a tree of two windows has one inner level, its root
         assert shared or width <= Q + 1, width

@@ -26,8 +26,8 @@ from shifttree.cli import dense_instance
 from shifttree.subset_sum import bit_positions
 
 from helpers import (EDGE_MODULI, lying_diff_windows, naive_diff,
-                     random_instance, rotate_right, solver_length,
-                     solver_visits, word_string)
+                     piece_shifts, random_instance, rotate_right,
+                     solver_length, solver_visits, word_string)
 
 BACKENDS = ("hashed", "tagged", "naive")
 
@@ -278,18 +278,18 @@ def membership(sums) -> list[int]:
 def observe_solve(monkeypatch, inst, backend):
     """Solve ``inst`` while watching the solver's two word trees, each
     captured at its first ``set_bits``.  Returns the result and, for each
-    visited value x in visit order, (x, the first tree's 0/1 string, the
-    second's rotated back by x), read when the value is done: at the next
-    shift, or when the solve returns."""
+    piece in diff order, (the second tree's rotation d, the first tree's
+    0/1 string, the second's rotated back by d), read when the piece is
+    done: at the next shift, or when the solve returns."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real_set_bits, real_shift = cls.set_bits, cls.shift
-    trees, visited, seen = [], [], []
+    trees, shifts, seen = [], [], []
 
     def snapshot():
         first, second = trees
-        x = visited[-1]
-        seen.append((x, word_string(first),
-                     rotate_right(word_string(second), -x)))
+        d = shifts[-1]
+        seen.append((d, word_string(first),
+                     rotate_right(word_string(second), -d)))
 
     def set_bits(self, spans, x):
         if self not in trees:
@@ -298,97 +298,128 @@ def observe_solve(monkeypatch, inst, backend):
         real_set_bits(self, spans, x)
 
     def shift(self, k):
-        if visited:
+        if shifts:
             snapshot()
-        visited.append((visited[-1] if visited else 0) + k)
+        shifts.append((shifts[-1] if shifts else 0) + k)
         real_shift(self, k)
 
     with monkeypatch.context() as patch:
         patch.setattr(cls, "set_bits", set_bits)
         patch.setattr(cls, "shift", shift)
         result = solve_with_stats(inst, backend=backend, seed=inst.m)
-        if visited:
+        if shifts:
             snapshot()
     return result, seen
 
 
+def sums_after_pieces(inst, visits) -> list:
+    """The oracle's sums after each piece of ``visits`` (as
+    ``solver_visits`` gives them): the values visited before x with all
+    their copies, and x with the copies its pieces have joined so far."""
+    m = inst.m
+    out, done = [], {}
+    for x, pieces in visits:
+        for p in pieces:
+            done[x] = done.get(x, 0) + p
+            out.append(solve_naive(Instance(m, [done.get(v, 0)
+                                                for v in range(m)])))
+        done[x] = inst.mult[x]
+    return out
+
+
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_solver_state_checkpoint_padding_audit(backend, monkeypatch):
-    # after each visited value, the first tree holds S zero-padded and the
-    # second, rotated back, two copies of S around the zero gap, where S is
-    # the oracle's answer over the values visited so far (a skipped value
-    # adds nothing); at a power of two m (L = m) both trees hold S alone,
-    # with no padding and no gap
+    # after each piece of each visited value, the first tree holds S
+    # zero-padded and the second, rotated back, two copies of S around the
+    # zero gap, where S is the oracle's answer over the values visited
+    # before and the copies joined so far (a skipped value adds nothing);
+    # at a power of two m (L = m) both trees hold S alone, with no padding
+    # and no gap
     rng = Random(10)
     audits = 0
     for m in (2, 3, 5, 12, 12, 40, 8, 64):
         inst = random_instance(rng, m=m)
         L = solver_length(m)
         result, seen = observe_solve(monkeypatch, inst, backend)
-        visited = [x for x, _, _ in seen]
-        assert visited == solver_visits(inst), m
-        for i, (x, first, second) in enumerate(seen):
-            prefix = set(visited[:i + 1])
-            sub = Instance(m, [c if v in prefix else 0
-                               for v, c in enumerate(inst.mult)])
-            s = membership(solve_naive(sub))
-            assert first == s + [0] * (L - m), (m, x)
-            assert second == second_string(s, L), (m, x)
+        visits = solver_visits(inst)
+        assert [d for d, _, _ in seen] == piece_shifts(m, visits), m
+        for (d, first, second), sums in zip(
+                seen, sums_after_pieces(inst, visits)):
+            s = membership(sums)
+            assert first == s + [0] * (L - m), (m, d)
+            assert second == second_string(s, L), (m, d)
         if seen:
             assert seen[-1][1][:m] == membership(result.sums)
         audits += len(seen)
     assert audits > 0
 
 
-def visit_trace(monkeypatch, inst, backend):
-    """(value, number of sums after it) for each value one solve visits."""
+def piece_trace(monkeypatch, inst, backend):
+    """(rotation, number of sums after it) for each piece one solve
+    diffs."""
     _, seen = observe_solve(monkeypatch, inst, backend)
-    return [(x, sum(first)) for x, first, _ in seen]
+    return [(d, sum(first)) for d, first, _ in seen]
 
 
-def visited_values(monkeypatch, inst, backend):
-    """The result of one solve and the values it visited, in visit order:
-    each visited value moves the second tree by the net delta."""
+def solve_shifts(monkeypatch, inst, backend):
+    """The result of one solve and the second tree's rotation at each of
+    its shifts: one shift per piece, to p * x mod m."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real_shift = cls.shift
-    visited = []
+    shifts = []
 
     def shift(self, k):
-        visited.append((visited[-1] if visited else 0) + k)
+        shifts.append((shifts[-1] if shifts else 0) + k)
         real_shift(self, k)
 
     with monkeypatch.context() as patch:
         patch.setattr(cls, "shift", shift)
         result = solve_with_stats(inst, backend=backend, seed=inst.m)
-    return result, visited
+    return result, shifts
 
 
-def replay_skips(inst, visited) -> tuple[int, int]:
+def replay_skips(inst, visits) -> tuple[int, int]:
     """Replay the present values in bit-reversed order with a bitset S,
-    checking that ``visited`` is a subsequence of that order and that
-    every value left out of it, skipped or past saturation, has S + x = S
-    at its turn: the visited values grow S, the others must not.  Returns
-    how many were left out, and S as an int."""
+    checking the solver's ``visits``, (value, pieces) pairs, against it:
+    the values are a subsequence of that order; a value's pieces are 1,
+    2, 4, ... copies, then the rest; every piece grows S but the last,
+    which either grows it too, when the copies run out or S fills, or
+    adds nothing, when S + x = S already; and every value left out of
+    ``visits``, skipped or past saturation, has S + x = S at its turn.
+    Returns how many were left out, and S as an int."""
     m = inst.m
     width = solver_length(m).bit_length() - 1
     full = (1 << m) - 1
+
+    def rotated(bits, k):
+        return (bits << k | bits >> (m - k)) & full
+
     bits = 1
     left_out = 0
-    ahead = iter(visited)
-    want = next(ahead, None)
+    ahead = iter(visits)
+    want = next(ahead, (None, None))
     for x in sorted((x for x in range(1, m) if inst.mult[x]),
                     key=lambda x: bitrev(width, x)):
-        if x == want:
-            for _ in range(min(inst.mult[x], m)):
-                grown = bits | ((bits << x | bits >> (m - x)) & full)
-                if grown == bits:
-                    break
-                bits = grown
-            want = next(ahead, None)
-        else:
-            assert (bits << x | bits >> (m - x)) & full == bits, (m, x)
+        if x != want[0]:
+            assert rotated(bits, x) == bits, (m, x)
             left_out += 1
-    assert want is None, (m, "visited a value out of order")
+            continue
+        pieces, left, p = want[1], inst.mult[x], 1
+        for i, piece in enumerate(pieces):
+            assert piece == p, (m, x, pieces)
+            grown = bits | rotated(bits, p * x % m)
+            if grown == bits:
+                # the piece lemma: S + px = S here gives S + x = S
+                assert i == len(pieces) - 1, (m, x, pieces)
+                assert rotated(bits, x) == bits, (m, x, p)
+                break
+            bits = grown
+            left -= p
+            p = min(2 * p, left)
+        else:
+            assert left == 0 or bits == full, (m, x, pieces)
+        want = next(ahead, (None, None))
+    assert want[0] is None, (m, "visited a value out of order")
     return left_out, bits
 
 
@@ -396,35 +427,43 @@ def replay_skips(inst, visited) -> tuple[int, int]:
 def test_solver_visits_present_values_in_bitrev_order(backend, monkeypatch):
     # only even residues are attainable, so the solve never saturates: it
     # visits the present nonzero values in bit-reversed order, each at
-    # most once, but for those S is already closed under, which it skips
+    # most once, but for those S is already closed under, which it skips;
+    # each visited value shifts to each of its pieces once
     rng = Random(12)
     m = 96
     inst = Instance.from_pairs(
         m, [(rng.randrange(0, m, 2), rng.choice([1, 2, m])) for _ in range(30)])
     width = (2 * m - 1).bit_length()
-    seen = visit_trace(monkeypatch, inst, backend)
-    shifts = [x for x, _ in seen]
-    assert shifts == solver_visits(inst)
-    keys = [bitrev(width, x) for x in shifts]
+    seen = piece_trace(monkeypatch, inst, backend)
+    visits = solver_visits(inst)
+    assert [d for d, _ in seen] == piece_shifts(m, visits)
+    values = [x for x, _ in visits]
+    keys = [bitrev(width, x) for x in values]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(n < m for _, n in seen)
-    left_out, bits = replay_skips(inst, shifts)
+    left_out, bits = replay_skips(inst, visits)
     assert 0 < left_out and bits.bit_count() == seen[-1][1]
+    # a value with m copies stops on a piece that adds nothing
+    assert any(len(pieces) > 1 for _, pieces in visits)
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_solver_stops_at_saturation(backend, monkeypatch):
-    # value 1 with m copies attains every residue; the present values that
-    # come after it in bit-reversed order are never visited
+    # value 1 with m copies attains every residue: after 4, 4 and 20 its
+    # pieces of 1, 2, 4, 8 and 16 copies fill S, before its last piece of
+    # 19.  The present values that come after it in bit-reversed order
+    # are never visited
     m = 50
     width = (2 * m - 1).bit_length()
     inst = Instance.from_pairs(m, [(1, m), (3, 1), (4, 2), (20, 1), (33, 1)])
-    seen = visit_trace(monkeypatch, inst, backend)
-    shifts = [x for x, _ in seen]
+    seen = piece_trace(monkeypatch, inst, backend)
+    visits = solver_visits(inst)
+    values = [x for x, _ in visits]
     order = sorted((x for x in range(1, m) if inst.mult[x]),
                    key=lambda x: bitrev(width, x))
-    assert shifts == order[:len(shifts)] == solver_visits(inst)
-    assert len(shifts) < len(order)
+    assert values == order[:len(values)] and len(values) < len(order)
+    assert visits == [(4, [1, 1]), (20, [1]), (1, [1, 2, 4, 8, 16])]
+    assert [d for d, _ in seen] == piece_shifts(m, visits)
     assert [n == m for _, n in seen] == [False] * (len(seen) - 1) + [True]
     assert solve(inst, backend=backend, seed=3).ascending() == list(range(m))
 
@@ -473,9 +512,10 @@ def test_class_order_matches_global_bitrev_sort(backend, monkeypatch):
     # skips, each of which leaves S as it was
     whole = 0
     for inst in class_order_instances(Random(25)):
-        result, visited = visited_values(monkeypatch, inst, backend)
-        assert visited == solver_visits(inst), inst.m
-        left_out, bits = replay_skips(inst, visited)
+        result, shifts = solve_shifts(monkeypatch, inst, backend)
+        visits = solver_visits(inst)
+        assert shifts == piece_shifts(inst.m, visits), inst.m
+        left_out, bits = replay_skips(inst, visits)
         whole += left_out == 0
         sums = result.sums
         assert sums == solve_naive(inst) and len(sums) < inst.m
@@ -510,9 +550,10 @@ def test_skipped_values_leave_the_sums_unchanged(backend, monkeypatch):
     # skipped had S + x = S at that moment, so the skip lost no sum
     skipped = 0
     for inst in skip_instances(Random(28)):
-        result, visited = visited_values(monkeypatch, inst, backend)
-        assert visited == solver_visits(inst), inst.m
-        left_out, bits = replay_skips(inst, visited)
+        result, shifts = solve_shifts(monkeypatch, inst, backend)
+        visits = solver_visits(inst)
+        assert shifts == piece_shifts(inst.m, visits), inst.m
+        left_out, bits = replay_skips(inst, visits)
         assert result.sums.bits == bits == solve_naive(inst).bits, inst.m
         if len(result.sums) < inst.m:
             skipped += left_out     # no saturation: every one a skip
@@ -552,11 +593,12 @@ def test_mult8_visits_fewer_values_than_it_holds(monkeypatch):
     present = sum(map(bool, inst.mult[1:]))
     want = solve_naive(inst)
     assert len(want) == m // 8
+    visited = len(solver_visits(inst))
+    assert 0 < visited < present
     for backend in ("hashed", "tagged"):
-        result, visited = visited_values(monkeypatch, inst, backend)
+        result, shifts = solve_shifts(monkeypatch, inst, backend)
         assert result.sums == want
-        assert len(visited) <= result.stats.bellman_iterations
-        assert 0 < len(visited) < present
+        assert visited <= len(shifts) == result.stats.bellman_iterations
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
@@ -589,9 +631,9 @@ def multiplicity_heavy(rng, m):
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
-def test_orbit_copies_match_oracle(backend):
-    # every copy after a value's first is derived from the last copy's new
-    # sums, not from a diff; the bitset oracle checks the result
+def test_multiplicity_pieces_match_oracle(backend):
+    # a value's copies join S in pieces of 1, 2, 4, ... copies, each one
+    # diff at p * x; the bitset oracle checks the result
     rng = Random(21)
     for m in (2, 7, 64, 96, 1000, 4096):
         for inst in multiplicity_heavy(rng, m):
@@ -601,10 +643,69 @@ def test_orbit_copies_match_oracle(backend):
                                      if c])
 
 
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_every_multiplicity_matches_oracle(backend):
+    # every multiplicity c from 1 to 2**6 + 1, then c = m and c = 10**30,
+    # at a one-window m, a padded m of three windows (2W + 1) and an
+    # unpadded one of two (2W): the value alone, and after a few others.
+    # The value is at times m/2 or m/4, whose pieces reach px = 0 mod m
+    rng = Random(32)
+    for m in (1000, 2 * W + 1, 2 * W):
+        for c in [*range(1, 2 ** 6 + 2), m, 10 ** 30]:
+            x = rng.choice([rng.randrange(1, m), m // 2, m // 4, 1, m - 1])
+            others = [(rng.randrange(1, m), rng.randint(1, 2))
+                      for _ in range(3)]
+            for pairs in ([(x, c)], [(x, c)] + others):
+                inst = Instance.from_pairs(m, pairs)
+                assert solve(inst, backend=backend, seed=c) \
+                    == solve_naive(inst), (m, pairs)
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_a_piece_that_adds_nothing_leaves_s_closed(backend, monkeypatch):
+    # the piece lemma: let S = S0 + {0, ..., n}x.  If S + px = S for some
+    # p <= n + 1, then S0 + (n+1)x lies in S + px = S, so S + x = S.  Read
+    # S off the first tree after every piece of a solve: wherever a piece
+    # adds nothing, S + x = S at that moment, though the piece moved S by
+    # px with p > 1 at times.  Then the lemma alone, on random bitsets,
+    # px = 0 mod m included
+    rng = Random(34)
+    stops = doubled = 0
+    for m in (12, 64, 96, 100, 1000, W + 6, 2 * W):
+        for inst in multiplicity_heavy(rng, m):
+            _, seen = observe_solve(monkeypatch, inst, backend)
+            visits = solver_visits(inst)
+            assert [d for d, _, _ in seen] == piece_shifts(m, visits)
+            before = [1] + [0] * (m - 1)            # S = {0}
+            for (x, p), (d, first, _) in zip(
+                    [(x, p) for x, ps in visits for p in ps], seen):
+                after = first[:m]
+                if after == before:
+                    assert rotate_right(after, x) == after, (m, x, p)
+                    stops += 1
+                    doubled += p > 1
+                before = after
+    assert stops > 10 and doubled > 0
+    for _ in range(3000):
+        m = rng.randint(1, 40)
+        full = (1 << m) - 1
+        x = rng.randrange(m)
+        n = rng.randrange(2 * m)
+        s0 = rng.getrandbits(m) | 1
+        s = 0
+        for k in range(n + 1):
+            d = k * x % m
+            s |= (s0 << d | s0 >> (m - d)) & full
+        for p in range(1, n + 2):
+            d = p * x % m
+            if (s << d | s >> (m - d)) & full == s:
+                assert (s << x | s >> (m - x)) & full == s, (m, x, n, p)
+
+
 def near_modulus(rng, m):
     """Values at or close to m - 1, m - W + 1, m - W - 1 and W - 1, with
-    many copies, among others: the orbit of a copy then moves windows of
-    new sums across both m, where they wrap to 0, and a window edge."""
+    many copies, among others: a piece then moves windows of new sums
+    across both m, where they wrap to 0, and a window edge."""
     near = [m - 1, m - 2, m - W + 1, m - W - 1, W - 1, W + 1, m // 2 + 1]
     yield Instance.from_pairs(m, [(m - 1, m)])
     yield Instance.from_pairs(m, [(rng.choice(near) % m, rng.choice(
@@ -677,8 +778,8 @@ def layout_instances(rng, m):
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_power_of_two_moduli_solve_on_unpadded_trees(backend, monkeypatch):
     # a power-of-two m solves on trees of length m: the first holds S, the
-    # second one copy of it, and the orbit of a value's later copies wraps
-    # pieces past the last window; any other m pads to L >= 2m.  Every
+    # second one copy of it, and a value's pieces write new sums that wrap
+    # past the last window; any other m pads to L >= 2m.  Every
     # solve must match the oracle, at m = 2**k and at its neighbours
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real_set_bits = cls.set_bits
@@ -701,12 +802,13 @@ def test_power_of_two_moduli_solve_on_unpadded_trees(backend, monkeypatch):
 
 def tree_calls(monkeypatch, inst, backend):
     """Solve ``inst`` and group the trees' diffs and window writes by
-    visited value: for each value x in visit order, (x, the names of the
-    diff methods called, the trees written by ``set_bits`` in call order,
-    0 for the first tree and 1 for the second, and each write's bit and
-    spans).  A word tree is written by ``set_bits`` only.  The trees are
-    numbered by their first write; the
-    writes of S = {0}, before the first shift, belong to no value."""
+    piece, that is by shift: for each piece in order, (the second tree's
+    rotation d = p * x mod m, the names of the diff methods called, the
+    trees written by ``set_bits`` in call order, 0 for the first tree and
+    1 for the second, and each write's bit and spans).  A word tree is
+    written by ``set_bits`` only.  The trees are numbered by their first
+    write; the writes of S = {0}, before the first shift, belong to no
+    piece."""
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     real = {name: getattr(cls, name)
             for name in ("shift", "diff", "diff_windows", "set_bits")}
@@ -746,30 +848,30 @@ def tree_calls(monkeypatch, inst, backend):
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
-    # a visited value makes one window diff, however many copies it has,
-    # and a value that adds sums makes one span write per tree; one that
-    # adds none writes nothing.  Beside one-window moduli, m = W + 333
-    # pads to four windows and m = 2W is two, unpadded
+    # a visited value makes one window diff per piece, at most
+    # floor(log2 min(c, m)) + 2 of them for c copies, and each piece that
+    # adds sums makes one span write per tree; one that adds none writes
+    # nothing.  Beside one-window moduli, m = W + 333 pads to four windows
+    # and m = 2W is two, unpadded
     rng = Random(22)
     checked = productive = 0
     for m in (5, 40, 96, 333, 1000, 64, 1024, W + 333, 2 * W):
         for inst in [*multiplicity_heavy(rng, m), random_instance(rng, m)]:
             calls = tree_calls(monkeypatch, inst, backend)
-            visited = [x for x, _, _, _ in calls]
-            assert visited == solver_visits(inst), m
-            # the oracle's sum count over the values visited so far
-            sizes = [len(solve_naive(Instance(m, [
-                c if v in visited[:i] else 0
-                for v, c in enumerate(inst.mult)])))
-                for i in range(len(visited) + 1)]
-            for (x, diffs, writes, spans), before, after in zip(
+            visits = solver_visits(inst)
+            assert [d for d, _, _, _ in calls] == piece_shifts(m, visits), m
+            for x, pieces in visits:
+                assert len(pieces) <= min(inst.mult[x], m).bit_length() + 1
+            # the oracle's sum count before the first piece and after each
+            sizes = [1] + list(map(len, sums_after_pieces(inst, visits)))
+            for (d, diffs, writes, spans), before, after in zip(
                     calls, sizes, sizes[1:]):
-                assert diffs == ["diff_windows"], (m, x)
-                assert writes == ([0, 1] if after > before else []), (m, x)
+                assert diffs == ["diff_windows"], (m, d)
+                assert writes == ([0, 1] if after > before else []), (m, d)
                 if writes:
-                    # the value's new sums, one span per window: in the
+                    # the piece's new sums, one span per window: in the
                     # first tree at the window's start, in the second
-                    # moved by x, and also by x - m when L is padded
+                    # moved by d, and also by d - m when L is padded
                     (bit1, first), (bit2, second) = spans
                     L = solver_length(m)
                     step = min(L, W)
@@ -778,8 +880,8 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
                     assert len(set(starts)) == len(starts)
                     assert all(start % step == 0 for start in starts)
                     assert sum(bits.bit_count() for _, bits in first) \
-                        == after - before, (m, x)
-                    moves = (x,) if L == m else (x, x - m)
+                        == after - before, (m, d)
+                    moves = (d,) if L == m else (d, d - m)
                     assert sorted(second) == sorted(
                         (start + r, bits) for start, bits in first
                         for r in moves)
@@ -825,13 +927,15 @@ def test_solve_never_calls_init(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])
 def test_chain_counters(backend):
-    # one diff finds the first copy's sum (2 reported positions); the
-    # other m - 2 sums each take one orbit step
+    # the chain (1, m) joins its copies in pieces of 1, 2, 4, ...: after n
+    # copies S = {0, ..., n}, so S fills at the diff that takes n past
+    # m - 2, the (m - 1).bit_length()-th.  Each diff reports its new sums
+    # and the old sums they rotated in from: 2(m - 1) positions in all
     for m in (2, 3, 50, 64, 1000):
         stats = solve_with_stats(Instance.from_pairs(m, [(1, m)]),
                                  backend=backend, seed=m).stats
-        assert stats.bellman_iterations == m - 1, m
-        assert stats.reported_differences == 2, m
+        assert stats.bellman_iterations == (m - 1).bit_length(), m
+        assert stats.reported_differences == 2 * (m - 1), m
 
 
 def test_dense_diff_work_is_pinned():
@@ -846,11 +950,17 @@ def test_dense_diff_work_is_pinned():
     # tags.  m = 32W + 1 pads to L = 128W, 128 windows under trees of
     # depth 7: a walk descends from the root to blocks on level 1, and
     # tags sit on levels 0..1.  Only the power of two m = 8W stalls before
-    # it saturates, so only there does the solver skip values.
+    # it saturates, so only there does the solver skip values.  Every
+    # value has one or two copies, so each diff is one copy: 135, 21 and
+    # 235 values visited, 64, 7 and 111 of them with a second diff.  Every
+    # sum is found by a diff that also reports the old sum it rotated in
+    # from, so the reported differences are 2(|S| - 1).  A window write is
+    # refreshed at the tree's next diff or shift, and a re-tiling shift
+    # folds it into its whole refresh
     assert W == 4096  # the pins hold for this window width
-    pins = {8 * W - 1: ((4157, 199, 54004), (135, 0), (135, 677)),
-            8 * W: ((320, 22, 65532), (21, 0), (21, 27)),
-            32 * W + 1: ((29536, 346, 223036), (705, 0), (705, 2824))}
+    pins = {8 * W - 1: ((4441, 199, 65532), (199, 0), (199, 869)),
+            8 * W: ((303, 28, 65534), (28, 0), (28, 29)),
+            32 * W + 1: ((35161, 346, 262144), (1038, 0), (1038, 3722))}
     for m, (work, hashed, tagged) in pins.items():
         inst = dense_instance(m, 1)
         stats = {backend: solve_with_stats(inst, backend, seed=1).stats

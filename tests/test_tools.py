@@ -76,9 +76,9 @@ def test_ab_time_json_records_what_it_prints(tmp_path):
     assert run["python"] == platform.python_version()
     assert run["agree"] == done.stdout.splitlines()[0]
     assert run["options"] == {
-        "sizes": [256, 512], "workload": None, "layers": None,
-        "backends": ["hashed", "tagged"], "rounds": 2, "seed": 1,
-        "counters_may_differ": False}
+        "sizes": [256, 512], "family": "dense", "workload": None,
+        "layers": None, "backends": ["hashed", "tagged"], "rounds": 2,
+        "seed": 1, "counters_may_differ": False}
     for side in ("parent", "change"):
         where = run["checkouts"][side]
         assert set(where) == {"revision", "src_modified", "package_sha256",
@@ -164,6 +164,23 @@ def test_ab_time_switch_still_requires_equal_sums(tmp_path):
     assert " ms [" not in done.stdout
 
 
+def test_ab_time_checks_sums_against_solve_naive(tmp_path):
+    # two sides that agree with each other but whose tree solves lose
+    # their largest sum are refused: the change side's naive backend,
+    # the big-int bitset, keeps it
+    def drop_a_tree_sum(text):
+        end = "    return SolveResult(sums=sums, stats=stats)\n"
+        assert text.count(end) == 1
+        drop = "    sums.bits ^= 1 << (sums.bits.bit_length() - 1)\n"
+        return text.replace(end, drop + end)
+
+    broken = miscounting_copy(tmp_path, drop_a_tree_sum)
+    done = ab_time(broken, broken)
+    assert done.returncode == 1, done.stdout
+    assert "hashed m=256: the sums differ from solve_naive" in done.stdout
+    assert " ms [" not in done.stdout
+
+
 def test_ab_time_refuses_a_checkout_without_the_package(tmp_path):
     done = ab_time(ROOT, tmp_path)
     assert done.returncode == 2
@@ -197,6 +214,59 @@ def test_ab_time_times_a_benchmark_workload(monkeypatch):
          "--workload", "dense", "--sizes", "256"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 2 and "not allowed with" in done.stderr
+
+
+def test_ab_time_times_the_instance_families(tmp_path, monkeypatch):
+    # a tiny grid: every --family at two sizes, in one JSON record whose
+    # rows name the family; each family's tables are as defined, and the
+    # tree solves of them match the bitset oracle.  A family goes with
+    # --sizes only
+    from math import ceil, sqrt
+
+    from shifttree import Instance, solve, solve_naive
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing there
+    spec = importlib.util.spec_from_file_location("ab_time_tool", AB_TIME)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "BENCH_grid.json"
+    for family in tool.FAMILIES:
+        done = ab_time(ROOT, ROOT, "--family", family, "--json", str(path))
+        assert done.returncode == 0, (family, done.stderr)
+        assert done.stdout.splitlines()[0] == "sums and counters agree"
+    runs = json.loads(path.read_text())["runs"]
+    assert [run["options"]["family"] for run in runs] == list(tool.FAMILIES)
+    for run in runs:
+        family = run["options"]["family"]
+        label = "m=" if family == "dense" else f"{family} m="
+        assert [row["instance"] for row in run["rows"]] \
+            == [f"{label}{m}" for m in (256, 512)] * 2
+        assert all(row[side]["median_ms"] >= 0 for row in run["rows"]
+                   for side in ("parent", "change"))
+    for m in (64, 256, 512):
+        tables = {family: tool.family_mult(family, m, 1)
+                  for family in tool.FAMILIES[1:]}
+        present = {family: {x: c for x, c in enumerate(mult) if c}
+                   for family, mult in tables.items()}
+        assert present["chain"] == {1: m}
+        assert present["3579"] == {3: m // 4, 5: m // 4, 7: m // 4,
+                                   9: m // 4}
+        assert present["small"] == {
+            x: 1 for x in range(1, ceil(sqrt(2 * m)) + 2)}
+        assert set(present["mult8"]) <= set(range(8, m, 8))
+        assert 0 < len(present["mult8"]) < m // 8
+        assert set(present["rand8"].values()) == {1}
+        assert len(present["rand8"]) == 8
+        for family, mult in tables.items():
+            inst = Instance(m, mult)
+            for backend in ("hashed", "tagged"):
+                assert solve(inst, backend, seed=1) == solve_naive(inst), \
+                    (family, m, backend)
+    done = subprocess.run(
+        [sys.executable, str(AB_TIME), str(ROOT), str(ROOT),
+         "--workload", "dense", "--family", "chain"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2 and "--family goes with --sizes" in done.stderr
 
 
 def tree_ops(parent: Path, change: Path) -> subprocess.CompletedProcess:

@@ -74,9 +74,12 @@ def diff_bits(tree, other, a, b) -> int:
 def audit(trees, shared) -> bool:
     """Every window holds exactly min(W, L) bits; every hashed summary,
     reduced mod p, is the hash of the windows under it, each reduced mod
-    p; every tag is exact.  Returns whether some window is p or more."""
+    p; every tag is exact.  Returns whether some window is p or more.  A
+    window write's refresh waits for the tree's next diff or shift, so the
+    audit first settles it, as a diff would."""
     big = False
     for tree in trees:
+        tree._settle()
         bits = 1 << tree.q
         leaves = tree.nodes[tree.size:]
         assert all(0 <= w < 1 << bits for w in leaves), tree.r
@@ -387,8 +390,9 @@ def set_bit_indices(bits: int) -> list[int]:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_span_writes_match_one_bit_spans(backend):
     # a span write on one twin and one-bit spans of the same positions on
-    # the other leave the same string, the same nodes and the same refresh
-    # count: one per distinct inner ancestor of the written windows.  Spans
+    # the other leave the same string, the same windows to refresh and,
+    # once settled, the same nodes and the same refresh count: one per
+    # distinct inner ancestor of the written windows.  Spans
     # run across windows and past L (starts below 0 and above L, bits
     # longer than a window or than L), and x is 0 or 1
     rng = Random(20)
@@ -414,6 +418,12 @@ def test_span_writes_match_one_bit_spans(backend):
             before = a.update_calls, b.update_calls
             a.set_bits(iter(spans), x)
             write(b, positions, x)
+            # the writes refresh nothing yet; settling them refreshes each
+            # distinct inner ancestor of the written windows once
+            assert (a.update_calls, b.update_calls) == before
+            assert a.stale == b.stale
+            a._settle()
+            b._settle()
             assert a.update_calls - before[0] == b.update_calls - before[1] \
                 == len(inner_ancestors(a.topo, {p >> a.q for p in positions}))
             mask = bit_mask(positions)
@@ -422,6 +432,58 @@ def test_span_writes_match_one_bit_spans(backend):
             assert a.nodes == b.nodes
             writes += bool(positions)
     assert writes > 300
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_writes_refresh_at_the_next_diff_or_shift(backend):
+    # a window write leaves its tree's summaries stale until the tree's
+    # next diff or shift.  A shift that refreshes the whole tree (every
+    # re-tile, and a word shift by an odd number of windows) folds the
+    # stale windows into that refresh; any other shift, and a diff, first
+    # refresh their ancestors.  Either way the lazy twin's nodes end as
+    # those of a twin settled right after the write, at no more updates
+    rng = Random(33)
+    folded = settled = 0
+    for trial in range(200):
+        width = rng.choice([Q + 1, Q + 2, Q + 4, Q + 7])
+        L = 1 << width
+        (lazy, eager), shared = word_trees(backend, width, seed=trial)
+        for _ in range(4):
+            positions = batch_write(rng, L, most=64)
+            x = rng.randrange(2)
+            for tree in (lazy, eager):
+                write(tree, positions, x)
+            assert lazy.stale == eager.stale
+            before = lazy.update_calls, eager.update_calls
+            eager._settle()
+            cost = eager.update_calls - before[1]
+            assert cost == len(inner_ancestors(
+                eager.topo, {p >> Q for p in positions}))
+            if rng.random() < 0.3:
+                # equal strings: the diff, either way round, settles both
+                # trees, then reports nothing
+                pair = [lazy, eager][::rng.choice([1, -1])]
+                assert pair[0].diff_windows(pair[1], 0, L - 1) == []
+                assert lazy.update_calls - before[0] == cost
+                assert lazy.nodes == eager.nodes and not lazy.stale
+                continue
+            k = random_shift(rng, width)
+            lazy.shift(k)
+            eager.shift(k)
+            if k % L == 0:
+                # no rotation: nothing is refreshed, and the windows wait
+                assert lazy.update_calls == before[0]
+                lazy._settle()
+                assert lazy.nodes == eager.nodes
+                continue
+            whole = shift_updates(width, k) == (L >> Q) - 1
+            assert lazy.update_calls - before[0] == shift_updates(width, k) \
+                + (0 if whole else cost), (trial, k)
+            assert lazy.nodes == eager.nodes and not lazy.stale
+            folded += whole and cost > 0
+            settled += not whole and cost > 0
+        audit([lazy, eager], shared)
+    assert folded > 50 and settled > 50
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -2,20 +2,32 @@
 one process.
 
     python tools/ab_time.py PARENT CHANGE
-        [--sizes 4096 8192 ... | --workload dense|sparse|tree_ops
-         | --layers DEPTH]
+        [--sizes 4096 8192 ... [--family dense|mult8|chain|3579|small|rand8]
+         | --workload dense|sparse|tree_ops | --layers DEPTH]
         [--backends hashed tagged] [--rounds 5] [--seed 1]
         [--counters-may-differ] [--json PATH]
 
 PARENT and CHANGE are checkout roots.  Each one's ``src/shifttree`` is
 loaded under its own package name, so both sides share one interpreter and
-one machine state.  The instances are ``cli.dense_instance(m, seed)`` for
-each size m, or, with ``--workload``, the one instance of that benchmark
-workload at ``seed``, from this checkout's ``perfbench/workloads.py``
-(imported, never written).  First, for every backend and instance, both
-sides build and solve it and must give the same instance, the same sums
-and the same exact counters; otherwise the script stops with exit 1 (exit
-2 when a checkout holds no ``src/shifttree`` package).  A change
+one machine state.  The instances are those of ``--family`` at each size
+m (default ``dense``):
+
+- ``dense``: ``cli.dense_instance(m, seed)``;
+- ``mult8``: the multiples of 8, each present once with probability 1/2;
+- ``chain``: the value 1 with multiplicity m;
+- ``3579``: 3, 5, 7 and 9, each with multiplicity m // 4;
+- ``small``: 1, 2, ..., ceil(sqrt(2m)) + 1, each once, so S grows as an
+  interval;
+- ``rand8``: 8 distinct random values in [1, m), each once;
+
+the random ones drawn from ``seed``.  Or, with ``--workload``, the
+instance is the one of that benchmark workload at ``seed``, from this
+checkout's ``perfbench/workloads.py`` (imported, never written).  First,
+for every backend and instance, both sides build and solve it and must
+give the same instance, the same sums, which must also be those of the
+change side's ``solve_naive`` (the big-int bitset), and the same exact
+counters; otherwise the script stops with exit 1 (exit 2 when a checkout
+holds no ``src/shifttree`` package).  A change
 that moves the counters on purpose is timed with ``--counters-may-differ``:
 the instances and sums must still agree, and each side's counters are
 printed instead of compared.
@@ -72,11 +84,13 @@ import platform
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 from random import Random
 from statistics import median, quantiles
 
 SIDES = ("parent", "change")
+FAMILIES = ("dense", "mult8", "chain", "3579", "small", "rand8")
 COUNTERS = ("bellman_iterations", "reported_differences", "updates",
             "diff_visits", "store_ops")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -124,10 +138,12 @@ def solve(cli, inst, backend: str, seed: int):
 def check(sides, backends, sizes, make, seed: int, same_counters: bool,
           counters: dict) -> bool:
     """Whether both sides agree on every instance, sum set and, if
-    ``same_counters``, counter; otherwise print both sides' counters.
+    ``same_counters``, counter, and their sums equal those of the change
+    side's naive backend; otherwise print both sides' counters.
     ``make(cli, m)`` builds a side's instance of size m.  Both sides'
     counters go to ``counters[backend, m]``."""
     ok = True
+    naive = {}
     for backend in backends:
         for m in sizes:
             insts = [make(cli, m) for cli in sides]
@@ -141,6 +157,11 @@ def check(sides, backends, sizes, make, seed: int, same_counters: bool,
             counters[backend, m] = (stats_a, stats_b)
             if sums_a != sums_b:
                 print(f"{backend} m={m}: the sums differ")
+                ok = False
+            if m not in naive:
+                naive[m] = solve(sides[1], insts[1], "naive", seed)[0]
+            if sums_b != naive[m]:
+                print(f"{backend} m={m}: the sums differ from solve_naive")
                 ok = False
             if not same_counters:
                 for side, stats in zip(SIDES, (stats_a, stats_b)):
@@ -473,6 +494,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout root of the change side")
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--sizes", type=int, nargs="+", default=[4096, 8192])
+    ap.add_argument("--family", choices=FAMILIES, default="dense",
+                    help="the instance family solved at each of --sizes")
     which.add_argument("--workload", choices=("dense", "sparse", "tree_ops"),
                        help="time the benchmark workload's instance, or "
                             "its tree_ops stream, instead")
@@ -494,6 +517,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.layers is not None and not 1 <= args.layers <= MAX_LAYERS:
         ap.error(f"--layers must be in [1, {MAX_LAYERS}]")
+    if args.family != "dense" and (args.workload or args.layers is not None):
+        ap.error("--family goes with --sizes only")
     sys.dont_write_bytecode = True  # leave no caches in either checkout
     record = read_record(Path(args.json)) if args.json else None
     names = ("shifttree_parent", "shifttree_change")
@@ -535,6 +560,7 @@ def main(argv=None) -> int:
                    if key not in ("parent", "change", "json")}
         if args.workload or args.layers is not None:
             options["sizes"] = None     # the workload or the layers instead
+            options["family"] = None
         run = {"python": platform.python_version(), "options": options,
                "checkouts": {side: checkout(root, name) for side, root, name
                              in zip(SIDES, (args.parent, args.change), names)},
@@ -554,15 +580,19 @@ def time_solves(args, sides, same_counters: bool, agree: str,
     fill ``counters`` and append each backend's ``report`` to
     ``reports``.  Returns whether the check passed."""
     sizes = args.sizes
+    label = "m={}" if args.family == "dense" else args.family + " m={}"
     if args.workload:
         m, mult = bench_workloads().solver_instance(args.workload, args.seed)
         sizes = [m]
 
         def make(cli, m):
             return cli.Instance(m, list(mult))
-    else:
+    elif args.family == "dense":
         def make(cli, m):
             return cli.dense_instance(m, args.seed)
+    else:
+        def make(cli, m):
+            return cli.Instance(m, family_mult(args.family, m, args.seed))
     if not check(sides, args.backends, sizes, make, args.seed,
                  same_counters, counters):
         return False
@@ -570,9 +600,31 @@ def time_solves(args, sides, same_counters: bool, agree: str,
     for backend in args.backends:
         walls, lists = time_rounds(sides, backend, sizes, make, args.seed,
                                    args.rounds)
-        reports.append(report(backend, [f"m={m}" for m in sizes], walls,
-                              [counters[backend, m] for m in sizes], lists))
+        reports.append(report(backend, [label.format(m) for m in sizes],
+                              walls, [counters[backend, m] for m in sizes],
+                              lists))
     return True
+
+
+def family_mult(family: str, m: int, seed: int) -> list[int]:
+    """The multiplicity table of ``family`` (not ``dense``) at size m."""
+    mult = [0] * m
+    rng = Random(f"{family}:{m}:{seed}")
+    if family == "mult8":
+        for x in range(8, m, 8):
+            mult[x] = int(rng.random() < 0.5)
+    elif family == "chain":
+        mult[1 % m] += m
+    elif family == "3579":
+        for x in (3, 5, 7, 9):
+            mult[x % m] += m // 4
+    elif family == "small":
+        for x in range(1, isqrt(2 * m - 1) + 3):
+            mult[x % m] += 1
+    else:
+        for x in rng.sample(range(1, m), min(8, m - 1)):
+            mult[x] = 1
+    return mult
 
 
 if __name__ == "__main__":
