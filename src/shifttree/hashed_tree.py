@@ -24,10 +24,13 @@ class HashedShiftTree(ShiftTree):
     one.  A node's summary is left + right * r**(2**(h-1)) over its two
     children, h its height, with the square reduced mod p and the sum
     not: for letters of at most b bits (81 in a tree of letters, 4096 in
-    a word tree) a node holds fewer than b + 81h bits, so a point write
-    is O(log m) updates, each one multiplication by an 81-bit square and
-    one addition on integers of at most b + 81 log m bits, and no
-    division.  A fresh
+    a word tree) a node holds fewer than b + 81h bits.  A sum is linear
+    in its letters, so a point write adds its change to each ancestor:
+    one addition per level, on integers of at most b + 81 log m bits,
+    with a multiplication by the level's 81-bit square only where the
+    leaf sits in a right child (where the offset bit of its position is
+    1), and no division.  A write of the letter already there adds
+    nothing and is skipped.  A fresh
     tree represents the all-zero string (every subtree sum of a zero
     string is 0, so the zeroed node array is already consistent).
     ``diff`` is correct unless a hash collision hides a genuine
@@ -60,25 +63,33 @@ class HashedShiftTree(ShiftTree):
             raise ValueError(f"letter {x!r} is not an integer in "
                              f"[0, {self.ctx.p})")
 
+    def _write(self, j: int, x) -> None:
+        # A sum is linear in its letters: the leaf's change d, times the
+        # squares of the levels where the chain climbs out of a right
+        # child, is each ancestor's change.  No sibling is read.
+        sums = self.nodes
+        n = self.n
+        d = x - sums[j]
+        sums[j] = x
+        i = j
+        bits = self.topo.delta
+        width = self.size  # first node of i's level
+        for pw in self.ctx.squares[:n]:
+            i += bits & 1  # odd iff i is its parent's right child
+            bits >>= 1
+            if i & 1:
+                d *= pw
+            i >>= 1
+            if i == width:  # the wrap: the last node's parent
+                i >>= 1
+            sums[i] += d
+            width >>= 1
+        self.update_calls += n
+
     def _refresh(self, level: int, dirty) -> None:
         sums = self.nodes
         squares = self.ctx.squares
         n = self.n
-        if type(dirty) is tuple:
-            # one node, as a point write's leaf: walk its ancestor chain
-            i, = dirty
-            bits = self.topo.delta >> (n - level)
-            width = 1 << level  # first node of i's level
-            for pw in squares[n - level:n]:
-                s = bits & 1
-                bits >>= 1
-                i = (i + s) >> 1
-                if i == width:  # the wrap: the last node's parent
-                    i >>= 1
-                sums[i] = sums[(2 * i - s) | width] + sums[2 * i + 1 - s] * pw
-                width >>= 1
-            self.update_calls += level
-            return
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k

@@ -4,12 +4,14 @@ One node array of 2**(n+1) entries holds a string: leaf slot j (node
 ``size + j``) holds a letter, and inner node i in [1, size) holds a summary
 of the substring its subtree covers.  Every write stores letters or moves
 the rotation offset, then refreshes the dirty inner nodes bottom-up: a
-point write's one leaf up its ancestor chain in one loop, any other write
-level by level.  A word tree's window write alone leaves its refresh to
-the tree's next diff or shift, so that a shift that re-tiles every window
-folds it into the whole refresh it makes anyway.
+point write that changes its letter walks its leaf's ancestor chain in
+one loop, any other write goes level by level, and a point write of the
+letter already there does nothing.  A word tree's window write alone
+leaves its refresh to the tree's next diff or shift, so that a shift that
+re-tiles every window folds it into the whole refresh it makes anyway.
 The one diff walk lives here too.  A variant supplies what a summary is:
-``_refresh``, its letter checks and ``_equality``, which says when two
+``_refresh`` for the level-by-level refreshes, ``_write`` for a point
+write's chain, its letter checks and ``_equality``, which says when two
 summaries prove their subtrees equal.
 
 A tree of letters holds one position per leaf; it is written by ``init``
@@ -75,19 +77,20 @@ class ShiftTree:
 
     Costs, for a string of length m: ``shift(k)`` O(m / 2**j) where 2**j
     is the largest power of two dividing k (in a word tree, O(m / W) for
-    2**j < W).  A tree of letters adds ``init`` O(m); ``set`` O(log m);
-    ``diff`` O((d+1) log m) for d reported differences.  A word tree has
-    ``diff_windows`` O((w+1) log m) for w reported windows, and
-    ``set_bits`` O(s + b/W) for s spans of b bits in all, and the w
-    windows they write add O(w log m) to the tree's next diff or shift,
-    which refreshes their ancestors.  A diff's bound counts node pairs;
-    each block it reaches adds one C-level compare of at most 64 letters
-    (windows, in a word tree).  A fresh tree of letters holds
-    ``size`` copies of ``letter``, which its inner nodes must already
-    summarise; a fresh word tree holds the all-zero string.
+    2**j < W).  A tree of letters adds ``init`` O(m); ``set`` O(log m),
+    and O(1) when the letter is already there; ``diff`` O((d+1) log m)
+    for d reported differences.  A word tree has ``diff_windows``
+    O((w+1) log m) for w reported windows, and ``set_bits`` O(s + b/W)
+    for s spans of b bits in all, and the w windows they write add
+    O(w log m) to the tree's next diff or shift, which refreshes their
+    ancestors.  A diff's bound counts node pairs; each block it reaches
+    adds one C-level compare of at most 64 letters (windows, in a word
+    tree).  A fresh tree of letters holds ``size`` copies of ``letter``,
+    which its inner nodes must already summarise; a fresh word tree holds
+    the all-zero string.
 
-    Every operation is shared; a variant is a node refresh, a letter check
-    and a node-equality hook for the one diff walk.
+    Every operation is shared; a variant is a node refresh, a point-write
+    chain, a letter check and a node-equality hook for the one diff walk.
     """
 
     def __init__(self, n: int, letter):
@@ -125,12 +128,17 @@ class ShiftTree:
 
     def _refresh(self, level: int, dirty) -> None:
         """Recompute the distinct ancestors of ``dirty`` (all on ``level``)
-        bottom-up from their children; count them in ``update_calls``.
-        ``dirty`` is a one-element tuple (a point write's leaf, whose
-        chain is walked directly), a whole-level ``range`` (refreshed a
-        level at a time) or any other collection of nodes, such as the
-        windows one ``set_bits`` call wrote (refreshed level by level over
-        their distinct ancestors)."""
+        bottom-up from their children, level by level; count them in
+        ``update_calls``.  ``dirty`` is a whole-level ``range`` (refreshed
+        a level at a time) or any other collection of nodes, such as the
+        windows written since the last diff or shift (refreshed over their
+        distinct ancestors)."""
+        raise NotImplementedError
+
+    def _write(self, j: int, x) -> None:
+        """Store letter ``x`` at leaf slot ``j``, whose letter is not ``==``
+        to it, and bring the n ancestors of the leaf up to date, counting
+        them in ``update_calls``: a point write's own chain."""
         raise NotImplementedError
 
     def _check(self, letters) -> None:
@@ -160,11 +168,13 @@ class ShiftTree:
         self._refresh(self.n, range(self.size, 2 * self.size))
 
     def set(self, pos: int, x) -> None:
-        """Overwrite the letter at string position ``pos``."""
+        """Overwrite the letter at string position ``pos``.  A letter ``==``
+        to the one there is not written and refreshes nothing."""
         self._check_letter(x)
         j = self.topo.leaf_of_position(pos)
-        self.nodes[j] = x
-        self._refresh(self.n, (j,))
+        if self.nodes[j] == x:
+            return
+        self._write(j, x)
 
     def set_bits(self, spans, x) -> None:
         """Write bit ``x`` of a word tree at position (start + i) mod

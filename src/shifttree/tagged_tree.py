@@ -13,11 +13,12 @@ below, it records their equivalence in the shared TagStore, so the same
 comparison short-circuits next time.
 A refresh computes a level's entries (a whole level in one pass), then
 updates the tags of that level if it is at or above block level; a point
-write's refresh walks its leaf's ancestor chain and settles each
-ancestor's entry and tag in one step.  Letters only need ``==``: no
-hashing, no order, so a word tree's windows serve as exact letters under
-the same tag layout.  The node array, the writes, the diff walk and
-``_MIXED`` come from ``ShiftTree``.
+write walks its leaf's ancestor chain and settles each ancestor's entry
+and tag in one step, and a point write of the letter already there
+touches nothing, so every tag and every equality a diff learned stays.
+Letters only need ``==``: no hashing, no order, so a word tree's windows
+serve as exact letters under the same tag layout.  The node array, the
+writes, the diff walk and ``_MIXED`` come from ``ShiftTree``.
 """
 
 from .shift_tree import _BLOCK, _MIXED, _WHOLE_LEVEL, ShiftTree
@@ -29,7 +30,9 @@ class TaggedShiftTree(ShiftTree):
     inverse-Ackermann factor, but exact: diff never misses a difference.
     A diff settles two uniform nodes by their letters and two mixed nodes
     by the classes of their tags, and unions the tags of every mixed pair
-    it fully covered and found equal.
+    it fully covered and found equal.  A point write of a letter ``==`` to
+    the one there keeps every tag; a NaN is never ``==``, so its write
+    still refreshes.
 
     All trees that should be comparable must share one TagStore, and all
     operations on trees sharing a store must be externally serialized
@@ -49,6 +52,39 @@ class TaggedShiftTree(ShiftTree):
         self.tags: list[int | None] = [None] * (
             2 << max(n - _BLOCK.bit_length() + 1, 0))
 
+    def _write(self, j: int, x) -> None:
+        # walk the leaf's ancestor chain, settling each ancestor's entry,
+        # then its tag if it has a slot, as _refresh does level by level
+        nodes = self.nodes
+        tags = self.tags
+        store = self.store
+        slots = len(tags)
+        mixed = _MIXED
+        nodes[j] = x
+        i = j
+        bits = self.topo.delta
+        width = self.size  # first node of i's level
+        for _ in range(self.n):
+            s = bits & 1
+            bits >>= 1
+            i = (i + s) >> 1
+            if i == width:  # the wrap: the last node's parent
+                i >>= 1
+            y = nodes[(2 * i - s) | width]
+            if y is not mixed and y == nodes[2 * i + 1 - s]:
+                nodes[i] = y
+                if i < slots and tags[i] is not None:
+                    store.delete_tag(tags[i])
+                    tags[i] = None
+            else:
+                nodes[i] = mixed
+                if i < slots:
+                    old = tags[i]
+                    tags[i] = (store.new_tag() if old is None
+                               else store.renew(old))
+            width >>= 1
+        self.update_calls += self.n
+
     def _refresh(self, level: int, dirty) -> None:
         # Every node gets its letter or _MIXED.  At or above block level a
         # uniform node then drops its tag, and a mixed one gets a fresh
@@ -61,32 +97,6 @@ class TaggedShiftTree(ShiftTree):
         # the nodes at or above block level are those below len(tags)
         slots = len(tags)
         mixed = _MIXED
-        if type(dirty) is tuple:
-            # one node, as a point write's leaf: walk its ancestor chain,
-            # settling each ancestor's entry, then its tag if it has a slot
-            i, = dirty
-            bits = self.topo.delta >> (self.n - level)
-            width = 1 << level  # first node of i's level
-            for _ in range(level):
-                s = bits & 1
-                bits >>= 1
-                i = (i + s) >> 1
-                if i == width:  # the wrap: the last node's parent
-                    i >>= 1
-                x = nodes[(2 * i - s) | width]
-                if x is not mixed and x == nodes[2 * i + 1 - s]:
-                    nodes[i] = x
-                    if i < slots and tags[i] is not None:
-                        delete_tag(tags[i])
-                        tags[i] = None
-                else:
-                    nodes[i] = mixed
-                    if i < slots:
-                        old = tags[i]
-                        tags[i] = new_tag() if old is None else renew(old)
-                width >>= 1
-            self.update_calls += level
-            return
         calls = 0
         for k, s, parents in self.topo.ancestors(level, dirty):
             width = 2 << k

@@ -117,6 +117,42 @@ def test_set_after_shift():
     audit_invariant(tree)
 
 
+def test_point_writes_keep_the_sums_of_a_fresh_tree():
+    # a point write adds its change to each ancestor's sum instead of
+    # recomputing it; after writes at random rotations, the node array is
+    # the one a fresh tree builds from the model string at that rotation.
+    # The writes lower and raise letters, reach p - 1, and always include
+    # the wrap leaf (the last leaf slot), whose chain takes the wrap link
+    rng = Random(29)
+    for trial in range(300):
+        n = trial % 11
+        size = 1 << n
+        ctx = make_context(size, seed=trial)
+        letters = [0, 1, 2, ctx.p - 1, ctx.p - 2, rng.randrange(ctx.p)]
+        model = [rng.choice(letters) for _ in range(size)]
+        tree = HashedShiftTree(n, ctx)
+        tree.init(model)
+        for _ in range(3):
+            k = rng.randrange(-size, 2 * size)
+            tree.shift(k)
+            model = rotate_right(model, k)
+            delta = tree.topo.delta
+            wrap = (delta - 1) % size   # the position in slot size - 1
+            assert tree.topo.leaf_of_position(wrap) == 2 * size - 1
+            for pos in [wrap] + [rng.randrange(size)
+                                 for _ in range(rng.randrange(6))]:
+                x = rng.choice([y for y in letters if y != model[pos]])
+                before = tree.update_calls
+                tree.set(pos, x)
+                assert tree.update_calls - before == n
+                model[pos] = x
+            twin = HashedShiftTree(n, ctx)
+            twin.init(rotate_right(model, -delta))
+            twin.shift(delta)
+            assert twin.materialize() == tree.materialize() == model
+            assert tree.nodes == twin.nodes, (trial, delta)
+
+
 def test_set_validation():
     tree, ctx = fresh(2)
     tree.init(bits("0000"))
@@ -288,8 +324,10 @@ def test_randomized_model_stress_with_audits():
     # op, stored hashes are audited periodically, and paired diffs match the
     # naive position-wise comparison within the visit budget.  A run of
     # point writes, made after a shift of a random valuation, updates
-    # exactly n inner nodes per write and leaves the nodes of a twin that
-    # loads the same leaves at offset 0, then shifts to the tree's offset.
+    # exactly n inner nodes per write that changes the model's letter and
+    # none per write of the letter already there, and leaves the nodes of
+    # a twin that loads the same leaves at offset 0, then shifts to the
+    # tree's offset.
     # The last 200 trials write four letters drawn from [2**61, 2**80).
     rng = Random(2024)
     for trial in range(1200):
@@ -325,7 +363,8 @@ def test_randomized_model_stress_with_audits():
                 for pos in positions:
                     before = trees[w].update_calls
                     trees[w].set(pos, x)
-                    assert trees[w].update_calls - before == n
+                    changed = models[w][pos] != x
+                    assert trees[w].update_calls - before == n * changed
                     models[w][pos] = x
                 twin = HashedShiftTree(n, ctx)
                 twin.init(trees[w].nodes[size:])

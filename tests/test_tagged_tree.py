@@ -180,12 +180,16 @@ def test_model_equivalence():
                 twin.shift(k)
                 model = rotate_right(model, k)
                 positions, x = batch_write(rng, size), rng.randrange(3)
+                # a point write that changes its letter refreshes its
+                # leaf's n ancestors, and one of the letter already there
+                # refreshes none: in either order, one write per distinct
+                # position whose model letter is not x
+                changed = len({pos for pos in positions if model[pos] != x})
                 for t, run in ((tree, positions), (twin, positions[::-1])):
                     before = t.update_calls
                     for pos in run:
                         t.set(pos, x)
-                    # a point write refreshes its leaf's n ancestors
-                    assert t.update_calls - before == n * len(positions)
+                    assert t.update_calls - before == n * changed
                 for pos in positions:
                     model[pos] = x
             assert tree.materialize() == twin.materialize() == model
@@ -543,6 +547,94 @@ def test_shared_nan_letter_is_still_reported():
         for _ in range(2):
             assert a.diff(b, 0, size - 1) == [1, size - 1]
             assert b.diff(a, 1, size - 2) == [1]
+
+
+def test_nan_written_over_itself_still_refreshes():
+    # a NaN is not == to itself, so writing the NaN object a leaf already
+    # holds is not skipped: it refreshes the leaf's n ancestors, and the
+    # position is still reported against a tree holding the same object
+    nan = float("nan")
+    for n in (2, 7):
+        size = 1 << n
+        pos = 5 % size
+        s = [0] * size
+        s[pos] = nan
+        store = TagStore()
+        a = rotated(TaggedShiftTree(n, store), s, 1)
+        b = rotated(TaggedShiftTree(n, store), s, 6)
+        for _ in range(2):
+            before = a.update_calls
+            a.set(pos, nan)
+            assert a.update_calls - before == n
+            assert a.nodes[a.topo.leaf_of_position(pos)] is nan
+            assert a.diff(b, 0, size - 1) == [pos]
+            assert b.diff(a, 0, size - 1) == [pos]
+
+
+def fresh_pair(backend, n, s, shifts, letter=lambda x: x):
+    """Two trees of ``backend`` holding ``s`` (mapped by ``letter``) at
+    rotation offsets ``shifts``, and their TagStore (None if hashed)."""
+    if backend == "hashed":
+        ctx = make_context(1 << n, seed=n)
+        return [rotated(HashedShiftTree(n, ctx), s, k) for k in shifts], None
+    store = TagStore()
+    trees = [rotated(TaggedShiftTree(n, store), [letter(x) for x in s], k)
+             for k in shifts]
+    return trees, store
+
+
+def state(tree, store):
+    """Everything a write could touch: the nodes, the tags, the update
+    count and the store's operation and live-tag counts."""
+    counts = None if store is None else (store.ops, store.live)
+    return (list(tree.nodes), list(getattr(tree, "tags", [])),
+            tree.update_calls, counts)
+
+
+@pytest.mark.parametrize("backend, letter", [
+    ("hashed", int), ("tagged", int), ("tagged", Glyph)],
+    ids=["hashed", "tagged", "tagged-glyphs"])
+def test_write_of_the_present_letter_changes_nothing(backend, letter):
+    # a point write of a letter == to the one its leaf holds (an equal new
+    # object, too) writes nothing and refreshes nothing: nodes, tags, the
+    # update count and the store's counts stay as they were
+    rng = Random(45)
+    for n in range(11):
+        size = 1 << n
+        s = [rng.choice([0, 1, 3 << 70]) for _ in range(size)]
+        trees, store = fresh_pair(backend, n, s, (rng.randrange(size),
+                                                  rng.randrange(size)),
+                                  letter)
+        a, b = trees
+        a.diff(b, 0, size - 1)
+        for pos in rng.sample(range(size), min(size, 20)):
+            before = state(a, store)
+            # int(str(x)) is a new int object for the big letter
+            a.set(pos, letter(int(str(s[pos]))))
+            assert state(a, store) == before, (n, pos)
+        assert a.materialize() == [letter(x) for x in s]
+
+
+@pytest.mark.parametrize("backend", ["hashed", "tagged"])
+def test_write_of_the_present_letter_keeps_an_equality(backend):
+    # after a diff has settled two equal trees at their roots, writes of
+    # the letters already there leave the next diff at one visit: a tagged
+    # tree keeps the tags the diff unioned
+    rng = Random(46)
+    for n in (3, 6, 7, 10):
+        size = 1 << n
+        s = [rng.randrange(3) for _ in range(size)]
+        (a, b), _ = fresh_pair(backend, n, s, (3, 3 + size // 2))
+        assert a.diff(b, 0, size - 1) == []
+        before = a.diff_visits
+        assert a.diff(b, 0, size - 1) == []
+        assert a.diff_visits - before == 1
+        for pos in range(size):
+            a.set(pos, s[pos])
+            b.set(pos, s[pos])
+        before = a.diff_visits
+        assert a.diff(b, 0, size - 1) == []
+        assert a.diff_visits - before == 1, n
 
 
 def audit_tag_equivalences(store, trees):

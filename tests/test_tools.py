@@ -291,14 +291,14 @@ def test_ab_time_times_the_tree_ops_stream():
 
 
 def test_ab_time_tree_ops_refuses_a_broken_set(tmp_path):
-    # a copy whose point write stores the letter but refreshes no ancestor
-    # misses differences: its diffs differ from the stream's, so the run
-    # stops before anything is timed
+    # a copy whose hashed point write stores the letter but adds its
+    # change to no ancestor misses differences: its diffs differ from the
+    # stream's, so the run stops before anything is timed
     shutil.copytree(ROOT / "src" / "shifttree", tmp_path / "src" / "shifttree",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "src" / "shifttree" / "shift_tree.py"
+    path = tmp_path / "src" / "shifttree" / "hashed_tree.py"
     text = path.read_text()
-    line = "        self._refresh(self.n, (j,))\n"
+    line = "            sums[i] += d\n"
     assert text.count(line) == 1
     path.write_text(text.replace(line, ""))
     done = tree_ops(ROOT, tmp_path)
@@ -315,12 +315,23 @@ def layers(parent: Path, change: Path, *flags) -> subprocess.CompletedProcess:
         capture_output=True, text=True, timeout=300)
 
 
-def test_ab_time_times_tree_layers(tmp_path):
-    # --layers 6: both sides run point writes, 2**v shifts of each
-    # valuation v in 0..5 and a full-width diff on two trees of letters of
-    # depth 6; each
-    # column's counters agree and are recorded, and its time per call is
-    # printed in microseconds
+def test_ab_time_times_tree_layers(tmp_path, monkeypatch):
+    # --layers 6: both sides run point writes that each change their
+    # letter, 2**v shifts of each valuation v in 0..5 and a full-width
+    # diff on two trees of letters of depth 6; each column's counters
+    # agree and are recorded, and its time per call is printed in
+    # microseconds.  As no write is of the letter already there, each
+    # refreshes 6 nodes whether or not a tree skips such writes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing there
+    spec = importlib.util.spec_from_file_location("ab_time_tool", AB_TIME)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    initial, writes, _ = tool.layer_plan(6, 1)
+    assert len(writes) == tool.LAYER_WRITES
+    letters = list(initial)
+    for pos, x in writes:
+        assert x in range(4) and x != letters[pos], (pos, x)
+        letters[pos] = x
     path = tmp_path / "layers.json"
     done = layers(ROOT, ROOT, "--json", str(path))
     assert done.returncode == 0, done.stdout + done.stderr

@@ -52,15 +52,17 @@ alone, and the report lists the batches under ``tree_ops``.
 
 ``--layers DEPTH`` times the tree layers apart, on two trees of letters
 of that depth (1 to 20) loaded with one seeded string over four letters:
-1024 point ``set`` calls on the first tree, then a ``shift`` of each
+1024 point ``set`` calls on the first tree, each writing one of the three
+letters other than the one its position holds, then a ``shift`` of each
 2-adic valuation v below DEPTH on both, 2**min(v, 6) times, then one
-``diff`` over the whole string.  First each side's pass must refresh DEPTH nodes per write and
-(L >> v) - 1 per tree and shift, and its diff and final strings must
-match two list models; unless ``--counters-may-differ``, both sides must
-also agree on each column's ``updates``, ``diff_visits`` and
-``store_ops``.  Then every round runs the pass once per side on fresh
-trees, and the report gives each column's process time per call in
-microseconds: ``set``, ``shift v0`` ... and ``diff``.
+``diff`` over the whole string.  First each side's pass must refresh
+DEPTH nodes per write and (L >> v) - 1 per tree and shift, and its diff
+and final strings must match two list models; unless
+``--counters-may-differ``, both sides must also agree on each column's
+``updates``, ``diff_visits`` and ``store_ops``.  Then every round runs
+the pass once per side on fresh trees, and the report gives each
+column's process time per call in microseconds: ``set``, ``shift v0``
+... and ``diff``.
 
 ``--json PATH`` also records what the script prints as one run, appended
 to the ``runs`` list of the JSON file PATH (created if missing): the
@@ -287,13 +289,21 @@ def layer_plan(depth: int, seed: int):
     """The calls of a ``--layers`` pass on two trees of letters of depth
     ``depth``, drawn by ``seed``: their one initial string over an
     alphabet of four letters, ``LAYER_WRITES`` point writes to the first
-    tree, and one shift k of each 2-adic valuation v below ``depth``, as
-    ``(k, repeats)`` with 2**min(v, SHIFT_REPEATS) repeats."""
+    tree, each of one of the three letters other than the one its
+    position holds when it is made, and one shift k of each 2-adic
+    valuation v below ``depth``, as ``(k, repeats)`` with
+    2**min(v, SHIFT_REPEATS) repeats."""
     size = 1 << depth
     rng = Random(f"layers:{depth}:{seed}")
     initial = [rng.randrange(4) for _ in range(size)]
-    writes = [(rng.randrange(size), rng.randrange(4))
-              for _ in range(LAYER_WRITES)]
+    first = list(initial)
+    writes = []
+    for _ in range(LAYER_WRITES):
+        pos = rng.randrange(size)
+        # every write changes its letter, so each one refreshes ``depth``
+        # nodes whether or not a tree skips the write of a present letter
+        first[pos] = (first[pos] + 1 + rng.randrange(3)) % 4
+        writes.append((pos, first[pos]))
     shifts = [((2 * rng.randrange(size >> (v + 1)) + 1) << v,
                1 << min(v, SHIFT_REPEATS)) for v in range(depth)]
     return initial, writes, shifts
