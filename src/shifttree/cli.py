@@ -26,7 +26,9 @@ BENCH_COLUMNS = "m,backend,wall_ns,updates,diff_visits,store_ops"
 # keeps one run under 1 GB; larger inputs are refused before any table is
 # allocated.
 MAX_MODULUS = 1 << 20
-# Residues list mode encodes and writes at a time.
+# Lines an output encodes and writes at a time, and characters of input
+# the parse splits into lines at a time, so that neither holds a str per
+# line of the whole output or input.
 _SLICE = 1 << 16
 
 
@@ -41,23 +43,32 @@ def parse_instance(text: str, modulus: int) -> Instance:
     _check_modulus(modulus)
     mult = [0] * modulus
     # removeprefix returns the text itself, uncopied, when it has no mark
-    for lineno, raw in enumerate(
-            text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) > 2:
-            raise ValueError(
-                f"line {lineno}: expected 'value' or 'value multiplicity'")
-        try:
-            value = int(parts[0])
-            count = int(parts[1]) if len(parts) == 2 else 1
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer token") from None
-        if count < 0:
-            raise ValueError(f"line {lineno}: negative multiplicity {count}")
-        mult[value % modulus] += count
+    text = text.removeprefix("\ufeff")
+    lineno = start = 0
+    while start < len(text):
+        # one slice of lines at a time, cut just after a "\n": a cut there
+        # never splits a "\r\n" pair, so the lines are those of the text
+        stop = text.find("\n", start + _SLICE) + 1 or len(text)
+        for lineno, raw in enumerate(text[start:stop].splitlines(),
+                                     start=lineno + 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) > 2:
+                raise ValueError(f"line {lineno}: expected 'value' or "
+                                 f"'value multiplicity'")
+            try:
+                value = int(parts[0])
+                count = int(parts[1]) if len(parts) == 2 else 1
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer token") \
+                    from None
+            if count < 0:
+                raise ValueError(
+                    f"line {lineno}: negative multiplicity {count}")
+            mult[value % modulus] += count
+        start = stop
     return Instance(modulus, mult)
 
 
@@ -102,18 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def write_residues(residues: list[int]) -> None:
-    """Write one residue a line to standard output's binary layer, a slice
-    of 2**16 at a time, so only one slice's text is held at once.  A write
-    of fewer bytes than a slice holds means the reader has gone: it raises
-    BrokenPipeError, as the text layer would not."""
-    out = sys.stdout.buffer
-    for i in range(0, len(residues), _SLICE):
-        data = ("\n".join(map(str, residues[i:i + _SLICE])) + "\n").encode()
-        if out.write(data) < len(data):
-            raise BrokenPipeError("standard output took a short write")
-
-
 def reader_gone(stream) -> int:
     """Point ``stream``'s descriptor at devnull once a write to it has
     failed, as the Python docs advise for a closed pipe, so that the
@@ -124,12 +123,19 @@ def reader_gone(stream) -> int:
     return 1
 
 
-def emit(stream, lines) -> int:
-    """Write ``lines``, one a line, to ``stream`` and flush it: exit code
-    0, or 1 when the reader is gone or the descriptor takes no writes."""
+def emit(stream, lines: list) -> int:
+    """Write ``lines``, one a line, to ``stream``'s binary layer, a slice
+    of ``_SLICE`` lines at a time, so only one slice's text is held at
+    once, and flush it: exit code 0, or 1 when the reader is gone or the
+    descriptor takes no writes.  A write of fewer bytes than a slice holds
+    means the reader has gone, though the text layer would not say so."""
     try:
-        stream.write("".join(f"{line}\n" for line in lines))
-        stream.flush()
+        out = stream.buffer
+        for i in range(0, len(lines), _SLICE):
+            data = ("\n".join(map(str, lines[i:i + _SLICE])) + "\n").encode()
+            if out.write(data) < len(data):
+                return reader_gone(stream)
+        out.flush()
     except OSError:
         return reader_gone(stream)
     return 0
@@ -202,18 +208,12 @@ def main(argv=None) -> int:
         # started with a descriptor closed that the output needs: as when
         # the reader is gone
         return 1
-    try:
-        if args.mode == "count":
-            print(len(result.sums))
-        else:
-            write_residues(result.sums.ascending())
-        sys.stdout.flush()
-    except BrokenPipeError:
-        return reader_gone(sys.stdout)
-    if args.mode == "stats":
-        return emit(sys.stderr, [f"{key}={getattr(result.stats, key)}"
-                                 for key in STATS_KEYS])
-    return 0
+    code = emit(sys.stdout, [len(result.sums)] if args.mode == "count"
+                else result.sums.ascending())
+    if code or args.mode != "stats":
+        return code
+    return emit(sys.stderr, [f"{key}={getattr(result.stats, key)}"
+                             for key in STATS_KEYS])
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ point write that changes its letter walks its leaf's ancestor chain in
 one loop, any other write goes level by level, and a point write of the
 letter already there does nothing.  A word tree's window write alone
 leaves its refresh to the tree's next diff or shift, so that a shift that
-re-tiles every window folds it into the whole refresh it makes anyway.
+bit-shifts every window folds it into the whole refresh it makes anyway.
 The one diff walk lives here too.  A variant supplies what a summary is:
 ``_refresh`` for the level-by-level refreshes, ``_write`` for a point
 write's chain, its letter checks and ``_equality``, which says when two
@@ -18,17 +18,18 @@ A tree of letters holds one position per leaf; it is written by ``init``
 and ``set`` and read by ``diff`` and ``materialize``.  A word tree
 (``packed``) holds a 0/1 string of length 2**width with min(W, 2**width)
 positions per leaf, W = ``_WORD``, packed as the bits of one int, its
-*window*: bit i of string block c's window is string position Wc + i, so
-the tree has log2 W levels fewer.  Its rotation delta = W*D + r moves the
-word tree by D,
-and the windows tile the unrotated bit string at offset r; a shift that
-changes r re-tiles every window, then refreshes the whole tree.  The
-variants see windows as letters, and so does the diff walk: in every tree
-it stops at blocks of 64 leaves, which in a word tree are 64 windows.  A
-word tree is read and written by whole windows only: ``diff_windows``
-reports each differing window with both trees' bits, and ``set_bits``
-writes the set bits of ``(start, bits)`` spans.  The letter methods
-``init``, ``set``, ``diff`` and ``materialize`` refuse a word tree.
+*window*: the windows are the W-aligned blocks of the current string, bit
+i of block c's window being string position Wc + i, so the tree has
+log2 W levels fewer.  Its one rotation number is ``topo.delta``, counted
+in windows: a shift by k = aW + e moves the windows by a, as a tree of
+letters moves its leaves, after shifting every window's bits up by e
+when e is not 0, which then refreshes the whole tree.  The variants see
+windows as letters, and so does the diff walk: in every tree it stops at
+blocks of 64 leaves, which in a word tree are 64 windows.  A word tree is
+read and written by whole windows only: ``diff_windows`` reports each
+differing window with both trees' bits, and ``set_bits`` sets the set
+bits of ``(start, bits)`` spans.  The letter methods ``init``, ``set``,
+``diff`` and ``materialize`` refuse a word tree.
 """
 
 from itertools import compress
@@ -42,11 +43,15 @@ from .topology import Topology
 _BLOCK = 64
 
 # Positions a word tree packs per leaf window, W.  Most of the solver's
-# shifts re-tile every window and refresh all L/W - 1 inner nodes, so a
-# wider window means fewer nodes to refresh; but each window a diff
-# reports or a write touches costs O(W) bit work however few of its bits
-# change, so a wider one slows solves whose diffs add few sums in many
-# windows.  Chosen against 512, 2048 and 8192 in BENCH_window.json.
+# shifts are by a part of a window, which bit-shifts every window and
+# refreshes all L/W - 1 inner nodes, so a wider window means fewer nodes
+# to refresh; but each window a diff reports or a write touches costs O(W)
+# bit work however few of its bits change, so a wider one slows solves
+# whose diffs add few sums in many windows.  Chosen over 512 and 2048 in
+# BENCH_window.json.  8192 lost only while a value's later copies stepped
+# one at a time; measured again since, it is even on rand8 and up to 15%
+# faster on the other families, so moving to it is open, as a change of
+# its own: the hashed collision bound grows with W.
 _WORD = 4096
 
 # Fewest parents for which a refresh takes a whole level in one slice
@@ -60,11 +65,6 @@ _WHOLE_LEVEL = 32
 # to a letter: a refresh relies on this to tell a uniform pair of children,
 # and the diff walk to settle a uniform node only against a uniform one.
 _MIXED = object()
-
-
-def _check_bit(x) -> None:
-    if not (isinstance(x, int) and 0 <= x <= 1):
-        raise ValueError(f"letter {x!r} of a word tree is not 0 or 1")
 
 
 def _refuse_letters(letters) -> None:
@@ -99,10 +99,9 @@ class ShiftTree:
         self.size = 1 << n
         # index 0 unused; summaries at [1, size), letters at [size, 2*size)
         self.nodes = [letter] * (2 * self.size)
-        # log2 of the positions a leaf holds and the offset at which the
-        # leaves tile the unrotated string: both 0 in a tree of letters,
-        # and q is 0 in a word tree of one position too, so ``word`` tells
-        self.q = self.r = 0
+        # log2 of the positions a leaf holds: 0 in a tree of letters, and
+        # in a word tree of one position too, so ``word`` tells
+        self.q = 0
         self.word = False
         self.length = self.size
         self.update_calls = 0
@@ -176,9 +175,9 @@ class ShiftTree:
             return
         self._write(j, x)
 
-    def set_bits(self, spans, x) -> None:
-        """Write bit ``x`` of a word tree at position (start + i) mod
-        ``length`` for every set bit i of each ``(start, bits)`` span, where
+    def set_bits(self, spans) -> None:
+        """Set the bit of a word tree at position (start + i) mod ``length``
+        for every set bit i of each ``(start, bits)`` span, where
         start and bits >= 0 are integers; the spans may be any iterable.
         Each window is written once, in O(1) a span plus a step per W bits
         of it.  The ancestors of the distinct written windows are refreshed
@@ -186,7 +185,6 @@ class ShiftTree:
         the last one: O(w log m) for w windows."""
         if not self.word:
             raise ValueError("set_bits needs a word tree")
-        _check_bit(x)
         q, size, delta = self.q, self.size, self.topo.delta
         step, full = 1 << q, (1 << (1 << q)) - 1
         windows: dict[int, int] = {}    # leaf slot -> bits to write there
@@ -209,7 +207,7 @@ class ShiftTree:
             raise ValueError("span starts and bits must be integers") from err
         nodes = self.nodes
         for j, w in windows.items():
-            nodes[j] = nodes[j] | w if x else nodes[j] & ~w
+            nodes[j] |= w
         self.stale.update(windows)
 
     def _settle(self) -> None:
@@ -220,47 +218,34 @@ class ShiftTree:
             self.stale = set()
 
     def shift(self, k: int) -> None:
-        """Rotate the string right by ``k`` (negative rotates left)."""
+        """Rotate the string right by ``k`` (negative rotates left).  A word
+        tree with k = a * 2**q + e first shifts every window's bits up by
+        e, the top e bits of each window carrying into the next one's, then
+        moves its windows by a."""
         if not isinstance(k, int):
             raise ValueError(f"shift {k!r} is not an integer")
         k %= self.length
         if k == 0:
             return
         q = self.q
-        delta = ((self.topo.delta << q) + self.r + k) % self.length
-        r = delta & ((1 << q) - 1)
-        if r != self.r:
-            self._retile(r)
+        e = k & ((1 << q) - 1)
+        k >>= q
+        if e:
+            nodes, size, bits = self.nodes, self.size, 1 << q
+            mask = (1 << bits) - 1
+            w = nodes[size:]
+            nodes[size:] = [((a >> (bits - e)) | (b << e)) & mask
+                            for a, b in zip(w[-1:] + w[:-1], w)]
             level = self.n  # every window changed
         else:
-            k >>= q
             # subtrees of size k & -k moved wholesale; only nodes above
             # them change
             level = self.n - (k & -k).bit_length() + 1
         if level < self.n:
             self._settle()  # while the links are still the old ones
         self.stale.clear()  # else the whole refresh below covers them
-        self.topo.delta = delta >> q
+        self.topo.delta = (self.topo.delta + k) % self.size
         self._refresh(level, range(1 << level, 2 << level))
-
-    def _retile(self, r: int) -> None:
-        """Move a word tree's windows from offset ``self.r`` to ``r``: a
-        window at offset r holds the bits of the unrotated string from
-        W*slot - r on, so each new window joins the ends of two
-        neighbouring old ones, shifted by e = (r - self.r) mod W."""
-        nodes = self.nodes
-        size = self.size
-        bits = 1 << self.q
-        mask = (1 << bits) - 1
-        e = (r - self.r) % bits
-        w = nodes[size:]
-        if r > self.r:  # the new window starts in the previous old one
-            pairs = zip(w[-1:] + w[:-1], w)
-        else:           # ... or in the same old one, ending in the next
-            pairs = zip(w, w[1:] + w[:1])
-        nodes[size:] = [((a >> (bits - e)) | (b << e)) & mask
-                        for a, b in pairs]
-        self.r = r
 
     def diff(self, other: "ShiftTree", a: int, b: int) -> list[int]:
         """Positions in [a, b] where this string and ``other``'s differ,

@@ -338,8 +338,8 @@ def _solve_trees(inst: Instance, backend: str,
     else:
         tree, shared = TaggedShiftTree, TagStore()
     t1, t2 = tree.packed(width, shared), tree.packed(width, shared)
-    t1.set_bits([(0, 1)], 1)              # S = {0}, padded with the zeros
-    t2.set_bits([(d % L, 1) for d in copies], 1)  # and its copies
+    t1.set_bits([(0, 1)])                 # S = {0}, padded with the zeros
+    t2.set_bits([(d % L, 1) for d in copies])  # and its copies
 
     q = t1.q
     count = 1                           # |S|
@@ -378,9 +378,9 @@ def _solve_trees(inst: Instance, backend: str,
                 closed = gcd(closed, x)  # S + x = S, by the piece lemma
                 break
             count += fresh
-            t1.set_bits([(c << q, bits) for c, bits in new], 1)
+            t1.set_bits([(c << q, bits) for c, bits in new])
             t2.set_bits([((c << q) + d + e, bits) for c, bits in new
-                         for e in copies], 1)
+                         for e in copies])
             left -= p
             p = min(2 * p, left)
         if count == m:

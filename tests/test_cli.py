@@ -8,8 +8,8 @@ import pytest
 
 from shifttree import HashedShiftTree
 from shifttree.shift_tree import _WORD
-from shifttree.cli import (MAX_MODULUS, bench_rows, dense_instance, main,
-                           parse_instance)
+from shifttree.cli import (MAX_MODULUS, _SLICE, bench_rows, dense_instance,
+                           main, parse_instance)
 
 from helpers import lying_diff_windows
 
@@ -47,6 +47,48 @@ def test_parse_instance_errors_carry_line_numbers():
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus"):
             parse_instance("1 2\n", modulus)
+
+
+def test_parse_error_line_numbers_hold_across_slices():
+    # the parse splits the text into lines a slice at a time, each cut
+    # just after a "\n"; a bad line on either side of the first two cuts
+    # keeps the line number it has in the whole text's splitlines(), with
+    # "\n", "\r\n" and mixed "\r" / "\r\n" / "\n" ends and blank lines
+    for ends in (["\n"], ["\r\n"], ["\r", "\r\n", "\n", "\n\n"]):
+        lines = [f"{i % 7} 1{ends[i % len(ends)]}"
+                 for i in range(3 * _SLICE // 4)]
+        text = "".join(lines)
+        cuts = [text.find("\n", _SLICE) + 1]
+        cuts.append(text.find("\n", cuts[0] + _SLICE) + 1)
+        assert 0 < cuts[0] < cuts[1] < len(text)
+        first = [0]     # the index of the entry that starts each char
+        for i, line in enumerate(lines):
+            first += [i] * len(line)
+        for cut in cuts:
+            for i in range(first[cut] - 2, first[cut] + 3):
+                bad = lines[:i] + ["x" + lines[i]] + lines[i + 1:]
+                whole = "".join(bad)
+                lineno = whole.splitlines().index("x" + lines[i].rstrip())
+                with pytest.raises(ValueError, match=f"line {lineno + 1}: "
+                                   "non-integer"):
+                    parse_instance(whole, 16)
+
+
+def test_parse_memory_is_bounded_by_a_slice():
+    # 2**18 lines of "1 1" at m = 16: the parse holds one slice's lines at
+    # a time, not one str per line of the whole text (15 MB of traced
+    # allocation when it held them all)
+    import tracemalloc
+
+    text = "1 1\n" * (1 << 18)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.mult[1] == 1 << 18
+    assert peak < 4 << 20, peak
 
 
 def test_list_mode(monkeypatch, capsys):

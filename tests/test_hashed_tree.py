@@ -418,8 +418,9 @@ def test_equal_substrings_hold_equal_exact_sums():
     # coefficient depends only on its offset in the node, so two trees at
     # different rotations hold equal sums over equal substrings and, with
     # high probability, unequal sums over unequal ones.  Trees of letters
-    # of depths 0-14, then word trees of one to 32 windows (re-tiled by
-    # shifts below W), over periodic strings with a few letters changed
+    # of depths 0-14, then word trees of one to 32 windows (bit-shifted
+    # by shifts below W), over periodic strings with a few letters changed
+    # (a word tree's: one bit set)
     rng = Random(31)
     for n in range(15):
         size = 1 << n
@@ -449,9 +450,9 @@ def test_equal_substrings_hold_equal_exact_sums():
             k = rng.randrange(L)
             trees = [HashedShiftTree.packed(width, ctx) for _ in range(2)]
             for tree, shift in zip(trees, (k, k + period * rng.randrange(8))):
-                tree.set_bits([(0, s)], 1)
+                tree.set_bits([(0, s)])
                 tree.shift(shift)
-                tree.set_bits([(rng.randrange(L), 1)], rng.randrange(2))
+                tree.set_bits([(rng.randrange(L), 1)])
                 tree._settle()  # as the next diff or shift would
             shared += assert_sums_name_substrings(trees)
         # a tree of two windows has one inner level, its root
@@ -479,7 +480,7 @@ def test_node_sums_stay_within_their_bit_bound():
     for width in (Q, Q + 1, Q + 5):
         ctx = make_context(1 << (width - Q), seed=width)
         tree = HashedShiftTree.packed(width, ctx)
-        tree.set_bits([(0, (1 << (1 << width)) - 1)], 1)
+        tree.set_bits([(0, (1 << (1 << width)) - 1)])
         tree.shift(rng.randrange(1 << width))
         for i in range(1, tree.size):
             height = tree.n - i.bit_length() + 1

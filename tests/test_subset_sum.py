@@ -291,11 +291,11 @@ def observe_solve(monkeypatch, inst, backend):
         seen.append((d, word_string(first),
                      rotate_right(word_string(second), -d)))
 
-    def set_bits(self, spans, x):
+    def set_bits(self, spans):
         if self not in trees:
             assert is_word_tree(self, inst.m)
             trees.append(self)
-        real_set_bits(self, spans, x)
+        real_set_bits(self, spans)
 
     def shift(self, k):
         if shifts:
@@ -785,9 +785,9 @@ def test_power_of_two_moduli_solve_on_unpadded_trees(backend, monkeypatch):
     real_set_bits = cls.set_bits
     lengths = set()
 
-    def set_bits(self, spans, x):
+    def set_bits(self, spans):
         lengths.add(self.length)
-        real_set_bits(self, spans, x)
+        real_set_bits(self, spans)
 
     monkeypatch.setattr(cls, "set_bits", set_bits)
     rng = Random(27)
@@ -805,7 +805,7 @@ def tree_calls(monkeypatch, inst, backend):
     piece, that is by shift: for each piece in order, (the second tree's
     rotation d = p * x mod m, the names of the diff methods called, the
     trees written by ``set_bits`` in call order, 0 for the first tree and
-    1 for the second, and each write's bit and spans).  A word tree is
+    1 for the second, and each write's spans).  A word tree is
     written by ``set_bits`` only.  The trees are numbered by their first
     write; the writes of S = {0}, before the first shift, belong to no
     piece."""
@@ -827,15 +827,15 @@ def tree_calls(monkeypatch, inst, backend):
         assert (a, b) == (0, inst.m - 1)
         return real["diff_windows"](self, other, a, b)
 
-    def set_bits(self, spans, x):
+    def set_bits(self, spans):
         if self not in trees:
             assert is_word_tree(self, inst.m)
             trees.append(self)
         spans = list(spans)
         if values:
             values[-1][2].append(trees.index(self))
-            values[-1][3].append((x, spans))
-        real["set_bits"](self, spans, x)
+            values[-1][3].append(spans)
+        real["set_bits"](self, spans)
 
     with monkeypatch.context() as patch:
         for name, fn in (("shift", shift), ("diff", diff),
@@ -872,11 +872,10 @@ def test_one_diff_and_one_write_pair_per_value(backend, monkeypatch):
                     # the piece's new sums, one span per window: in the
                     # first tree at the window's start, in the second
                     # moved by d, and also by d - m when L is padded
-                    (bit1, first), (bit2, second) = spans
+                    first, second = spans
                     L = solver_length(m)
                     step = min(L, W)
                     starts = [start for start, _ in first]
-                    assert bit1 == bit2 == 1
                     assert len(set(starts)) == len(starts)
                     assert all(start % step == 0 for start in starts)
                     assert sum(bits.bit_count() for _, bits in first) \
@@ -904,13 +903,13 @@ def test_solve_never_calls_init(backend, monkeypatch):
     def init(self, letters):
         raise AssertionError("the solver called init")
 
-    def set_bits(self, spans, x):
+    def set_bits(self, spans):
         spans = list(spans)
         if not any(tree is self for tree, _ in first_writes):
             assert is_word_tree(self, m)
             assert word_string(self) == [0] * self.length
-            first_writes.append((self, (sorted(spans), x)))
-        real_set_bits(self, spans, x)
+            first_writes.append((self, sorted(spans)))
+        real_set_bits(self, spans)
 
     monkeypatch.setattr(cls, "init", init)
     monkeypatch.setattr(cls, "set_bits", set_bits)
@@ -922,7 +921,7 @@ def test_solve_never_calls_init(backend, monkeypatch):
         assert solve(inst, backend=backend, seed=m).ascending() == want, m
         L = solver_length(m)
         second = [(0, 1)] if L == m else [(0, 1), (L - m, 1)]
-        assert [w for _, w in first_writes] == [([(0, 1)], 1), (second, 1)]
+        assert [w for _, w in first_writes] == [[(0, 1)], second]
 
 
 @pytest.mark.parametrize("backend", ["hashed", "tagged"])

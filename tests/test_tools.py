@@ -62,8 +62,17 @@ def test_ab_time_against_itself():
 def test_ab_time_json_records_what_it_prints(tmp_path):
     # --json appends each run to the file's runs list: per backend and
     # size, each side's median and quartiles, pairs won and counters, as
-    # printed, with the Python version and each checkout's revision
+    # printed, with the Python version and each checkout's revision and
+    # src/ line counts, which are printed too
     from shifttree.shift_tree import _WORD
+
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    counted = [src_lines.count(path.read_text())
+               for path in (ROOT / "src" / "shifttree").rglob("*.py")]
+    lines, code = (sum(column) for column in zip(*counted))
 
     path = tmp_path / "bench.json"
     for runs in (1, 2):
@@ -82,10 +91,14 @@ def test_ab_time_json_records_what_it_prints(tmp_path):
     for side in ("parent", "change"):
         where = run["checkouts"][side]
         assert set(where) == {"revision", "src_modified", "package_sha256",
-                              "word"}
+                              "word", "src_lines", "src_code_lines"}
         assert where["revision"] is None or re.fullmatch(
             "[0-9a-f]{40}", where["revision"])
         assert where["word"] == _WORD
+        assert (where["src_lines"], where["src_code_lines"]) == (lines, code)
+        assert f"{side} src/: {lines} lines, {code} code" \
+            in done.stdout.splitlines()
+    assert done.stdout.splitlines()[-1] == "net src/ change: +0 lines, +0 code"
     assert run["checkouts"]["parent"] == run["checkouts"]["change"]
     assert [(row["backend"], row["instance"]) for row in run["rows"]] == [
         (backend, f"m={m}") for backend in ("hashed", "tagged")

@@ -36,17 +36,15 @@ def word_trees(backend, width, seed=0):
     return [cls.packed(width, shared) for _ in range(2)], shared
 
 
-def write(tree, positions, x):
-    """Write bit ``x`` at each of ``positions`` as one-bit spans."""
-    tree.set_bits([(pos, 1) for pos in positions], x)
+def write(tree, positions):
+    """Set the bit at each of ``positions``, as one-bit spans."""
+    tree.set_bits([(pos, 1) for pos in positions])
 
 
-def load(tree, s: int, L: int):
-    """Make a word tree of length L hold the string of the L-bit int ``s``,
-    whatever it held: its ones as one span of set bits, then its zeros as
-    another."""
-    tree.set_bits([(0, s)], 1)
-    tree.set_bits([(0, s ^ ((1 << L) - 1))], 0)
+def load(tree, s: int):
+    """Make a fresh word tree hold the string of the int ``s``: its ones
+    as one span of set bits."""
+    tree.set_bits([(0, s)])
 
 
 def rotate_bits(s: int, k: int, L: int) -> int:
@@ -82,7 +80,7 @@ def audit(trees, shared) -> bool:
         tree._settle()
         bits = 1 << tree.q
         leaves = tree.nodes[tree.size:]
-        assert all(0 <= w < 1 << bits for w in leaves), tree.r
+        assert all(0 <= w < 1 << bits for w in leaves)
         if isinstance(shared, TagStore):
             continue
         big |= max(leaves) >= shared.p
@@ -98,9 +96,9 @@ def audit(trees, shared) -> bool:
 def shift_updates(width: int, k: int) -> int:
     """Inner nodes a word tree refreshes on ``shift(k)``: with j the
     valuation of k mod L, a word-tree shift by k >> Q for j >= Q, which is
-    (L/W >> (j - Q)) - 1, and a re-tile then a whole-tree refresh for
-    j < Q, which is L/W - 1 (0 when L <= W: one window, no inner
-    node)."""
+    (L/W >> (j - Q)) - 1, and a bit shift of every window then a
+    whole-tree refresh for j < Q, which is L/W - 1 (0 when L <= W: one
+    window, no inner node)."""
     L = 1 << width
     k %= L
     if k == 0:
@@ -129,8 +127,9 @@ def test_word_trees_match_list_models(backend):
     # tree one block, then fewer trials at widths Q + 7 to Q + 9, whose
     # trees of depth 7 to 9 have levels and tags above their blocks of 64
     # windows and start out holding one random string, so that diffs find
-    # equal mixed blocks to join.  Random whole-string loads, one-bit and
-    # batched writes with repeats, shifts of every valuation class and
+    # equal mixed blocks to join.  Random whole-string loads (into a fresh
+    # pair of trees, since a word tree's bits are only ever set), one-bit
+    # and batched writes with repeats, shifts of every valuation class and
     # diffs on random intervals, each trial on its own hash prime; each
     # shift refreshes exactly ``shift_updates`` inner nodes, and the audit
     # runs after every call
@@ -138,35 +137,41 @@ def test_word_trees_match_list_models(backend):
     valuations = set()
     big_windows = 0
     deep_unions = []
-    for trial, width in enumerate(list(range(Q + 5)) * 80
-                                  + [Q + 7, Q + 8, Q + 9] * 4):
-        L = 1 << width
-        trees, shared = word_trees(backend, width, seed=trial)
+
+    def fresh_pair(width, seed, models):
+        """Two fresh word trees loaded with ``models`` and settled, so that
+        a shift's refresh count is its own; on deep tagged trees the
+        store's unions are counted."""
+        trees, shared = word_trees(backend, width, seed)
         if backend == "tagged" and width > Q + 4:
             union = shared.union
             shared.union = lambda x, y: deep_unions.append(x) or union(x, y)
+        for tree, s in zip(trees, models):
+            load(tree, s)
+            tree._settle()
+        return trees, shared
+
+    for trial, width in enumerate(list(range(Q + 5)) * 80
+                                  + [Q + 7, Q + 8, Q + 9] * 4):
+        L = 1 << width
         models = [0, 0]  # a fresh word tree holds zeros
-        assert [word_bits(t) for t in trees] == models
         if width > Q + 4:
-            s = rng.getrandbits(L)
-            for tree in trees:
-                load(tree, s, L)
-            models = [s, s]
+            models = [rng.getrandbits(L)] * 2
+        trees, shared = fresh_pair(width, trial, models)
+        assert [word_bits(t) for t in trees] == models
         for _ in range(rng.randint(1, 14)):
             w = rng.randrange(2)
             tree = trees[w]
             roll = rng.random()
             if roll < 0.08:
                 models[w] = rng.getrandbits(L)
-                load(tree, models[w], L)
+                trees, shared = fresh_pair(width, trial, models)
             elif roll < 0.45:
                 # one bit, or a batch of positions with repeats
                 positions = [rng.randrange(L)] if roll < 0.25 \
                     else batch_write(rng, L, most=2 * W)
-                bit = rng.randrange(2)
-                write(tree, positions, bit)
-                mask = bit_mask(positions)
-                models[w] = models[w] | mask if bit else models[w] & ~mask
+                write(tree, positions)
+                models[w] |= bit_mask(positions)
             elif roll < 0.75:
                 k = random_shift(rng, width)
                 before = tree.update_calls
@@ -186,7 +191,7 @@ def test_word_trees_match_list_models(backend):
         assert [word_bits(t) for t in trees] == models, trial
         assert diff_bits(trees[0], trees[1], 0, L - 1) \
             == models[0] ^ models[1], trial
-    # re-tiles at every valuation below Q, word shifts at Q and above
+    # bit shifts at every valuation below Q, word shifts at Q and above
     assert valuations == set(range(Q + 2))
     # hashed windows reached the prime: a window need not be below it
     assert (big_windows > 0) == (backend == "hashed")
@@ -200,12 +205,39 @@ def test_word_tree_shift_costs_are_exact(backend):
     # to L = W, then trees of depth 1 to 3
     for width in range(1, Q + 4):
         (tree, _), _ = word_trees(backend, width, seed=width)
-        write(tree, range(0, 1 << width, 3), 1)
+        write(tree, range(0, 1 << width, 3))
         for k in range(1 << width):
             before = tree.update_calls
             tree.shift(k)
             assert tree.update_calls - before == shift_updates(width, k), \
                 (width, k)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_net_rotation_by_two_paths(backend):
+    # shift(e) then shift(W - e) and shift(W) rotate by W alike: the trees
+    # hold one string and diff empty both ways, and hashed roots hold
+    # equal sums.  The first path bit-shifts every window twice and moves
+    # none, so on two or more windows the rotation numbers differ: delta
+    # counts the windows moved, not the net rotation
+    rng = Random(37)
+    for width in (Q, Q + 1, Q + 7):
+        L = 1 << width
+        for trial in range(3):
+            (a, b), _ = word_trees(backend, width, seed=trial)
+            s = rng.getrandbits(L)
+            e = rng.randrange(1, W)
+            for tree in (a, b):
+                load(tree, s)
+            a.shift(e)
+            a.shift(W - e)
+            b.shift(W)
+            assert word_bits(a) == word_bits(b) == rotate_bits(s, W, L)
+            assert a.diff_windows(b, 0, L - 1) == []
+            assert b.diff_windows(a, 0, L - 1) == []
+            if backend == "hashed":
+                assert a.nodes[1] == b.nodes[1]
+            assert (a.topo.delta, b.topo.delta) == (0, 1 % a.size), width
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -216,7 +248,7 @@ def test_word_tree_layout(backend):
     (tree, other), _ = word_trees(backend, Q + 4)
     assert (tree.n, tree.q, tree.size, tree.length) == (4, Q, 16, L)
     ones = [3, W * 5 + 7, L - 1]
-    write(tree, ones, 1)
+    write(tree, ones)
     s = [int(p in ones) for p in range(L)]
     for k in (1, W, W + 188, -37):
         tree.shift(k)
@@ -229,7 +261,7 @@ def test_word_tree_layout(backend):
     # L = 8: one window of 8 bits, the tree's only node
     (small, _), _ = word_trees(backend, 3)
     assert (small.n, small.q, small.size, small.length) == (0, 3, 1, 8)
-    write(small, [6], 1)
+    write(small, [6])
     small.shift(3)
     assert small.nodes[1] == 1 << 1 and word_string(small)[1] == 1
     assert small.update_calls == 0
@@ -239,11 +271,11 @@ def test_word_tree_validation(backend):
     # anything is written or counted: it is written by set_bits and read
     # by diff_windows only
     (tree, other), shared = word_trees(backend, 10)
-    write(tree, [3, 600, 1023], 1)
+    write(tree, [3, 600, 1023])
     tree.shift(700)
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     state = (list(tree.nodes), tree.update_calls, tree.diff_visits,
-             tree.topo.delta, tree.r)
+             tree.topo.delta)
     for name, args in (
             ("init", ([0] * 1024,)), ("init", ([1] * 1024,)),
             ("init", ([0] * 1023 + [2],)), ("init", ([0] * 64,)),
@@ -254,7 +286,7 @@ def test_word_tree_validation(backend):
         with pytest.raises(ValueError):
             getattr(tree, name)(*args)
         assert (tree.nodes, tree.update_calls, tree.diff_visits,
-                tree.topo.delta, tree.r) == state, name
+                tree.topo.delta) == state, name
     assert other.diff_visits == 0
     # a tree of letters refuses a word tree in its diff
     with pytest.raises(ValueError):
@@ -271,8 +303,8 @@ def test_one_context_serves_every_window_width():
             L = 1 << width
             a, b = (HashedShiftTree.packed(width, ctx) for _ in range(2))
             assert a.q == min(width, Q)
-            write(a, range(0, L, 5), 1)
-            write(b, range(0, L, 7), 1)
+            write(a, range(0, L, 5))
+            write(b, range(0, L, 7))
             b.shift(3)
             assert diff_bits(a, b, 0, L - 1) == word_bits(a) ^ word_bits(b)
             audit([a, b], ctx)
@@ -290,7 +322,7 @@ def random_word_pair(rng, backend, width, seed):
     models = []
     for tree in trees:
         *_, s = accumulate((rng.getrandbits(L) for _ in range(draws)), join)
-        load(tree, s, L)
+        load(tree, s)
         k = random_shift(rng, width)
         tree.shift(k)
         models.append(rotate_bits(s, k, L))
@@ -332,21 +364,18 @@ def test_diff_is_diff_windows_expanded(backend):
 def test_window_equal_only_within_the_interval_is_not_joined():
     # two tagged word trees of width Q + 7 or Q + 8 (two or four blocks of
     # 64 windows) hold one string but for one bit of window c, the first
-    # or the last window of a block.  [a, b] covers that whole block save
-    # the part of c that holds the bit: diff_windows(a, b) reports nothing,
-    # yet the walk saw c differ, so it joins no tags over c, and a diff
-    # over the whole string still reports c
+    # or the last window of a block, which one tree sets and the other
+    # holds 0.  [a, b] covers that whole block save the part of c that
+    # holds the bit: diff_windows(a, b) reports nothing, yet the walk saw
+    # c differ, so it joins no tags over c, and a diff over the whole
+    # string still reports c
     rng = Random(23)
     for trial in range(16):
         width = rng.choice([Q + 7, Q + 8])
         L = 1 << width
         (t, o), store = word_trees("tagged", width)
-        s = rng.getrandbits(L)
+        s = rng.getrandbits(L)  # the string once shifted by k
         k = random_shift(rng, width)
-        for tree in (t, o):
-            load(tree, s, L)
-            tree.shift(k)
-        s = rotate_bits(s, k, L)
         first = 64 * rng.randrange(L >> (Q + 6))  # a block's first window
         if trial % 2:   # the bit lies before a, in the block's first window
             c = first
@@ -358,7 +387,11 @@ def test_window_equal_only_within_the_interval_is_not_joined():
             cut = (c << Q) + rng.randrange(W - 1)
             p = rng.randint(cut + 1, ((c + 1) << Q) - 1)
             a, b = rng.randint(0, first << Q), cut
-        write(o, [p], 1 - (s >> p & 1))
+        s &= ~(1 << p)
+        for tree in (t, o):
+            load(tree, rotate_bits(s, -k, L))
+            tree.shift(k)
+        write(o, [p])
         assert t.diff_windows(o, a, b) == [], trial
         audit_tag_equivalences(store, [t, o])
         for x, y in ((t, o), (o, t)):
@@ -392,9 +425,9 @@ def test_span_writes_match_one_bit_spans(backend):
     # a span write on one twin and one-bit spans of the same positions on
     # the other leave the same string, the same windows to refresh and,
     # once settled, the same nodes and the same refresh count: one per
-    # distinct inner ancestor of the written windows.  Spans
-    # run across windows and past L (starts below 0 and above L, bits
-    # longer than a window or than L), and x is 0 or 1
+    # distinct inner ancestor of the written windows.  Spans run across
+    # windows and past L (starts below 0 and above L, bits longer than a
+    # window or than L)
     rng = Random(20)
     writes = 0
     for trial in range(150):
@@ -407,7 +440,6 @@ def test_span_writes_match_one_bit_spans(backend):
             a.shift(k)
             b.shift(k)
             model = rotate_bits(model, k, L)
-            x = rng.randrange(2)
             # bits shifted up leave whole windows of a span empty
             spans = [(rng.randrange(-2 * L, 2 * L), sparse_bits(
                 rng, rng.choice([1, 9, W, W + 188, 3 * W - 36])) << rng.choice(
@@ -416,8 +448,8 @@ def test_span_writes_match_one_bit_spans(backend):
             positions = [(start + i) % L for start, bits in spans
                          for i in set_bit_indices(bits)]
             before = a.update_calls, b.update_calls
-            a.set_bits(iter(spans), x)
-            write(b, positions, x)
+            a.set_bits(iter(spans))
+            write(b, positions)
             # the writes refresh nothing yet; settling them refreshes each
             # distinct inner ancestor of the written windows once
             assert (a.update_calls, b.update_calls) == before
@@ -426,8 +458,7 @@ def test_span_writes_match_one_bit_spans(backend):
             b._settle()
             assert a.update_calls - before[0] == b.update_calls - before[1] \
                 == len(inner_ancestors(a.topo, {p >> a.q for p in positions}))
-            mask = bit_mask(positions)
-            model = model | mask if x else model & ~mask
+            model |= bit_mask(positions)
             assert word_bits(a) == word_bits(b) == model, trial
             assert a.nodes == b.nodes
             writes += bool(positions)
@@ -438,9 +469,9 @@ def test_span_writes_match_one_bit_spans(backend):
 def test_window_writes_refresh_at_the_next_diff_or_shift(backend):
     # a window write leaves its tree's summaries stale until the tree's
     # next diff or shift.  A shift that refreshes the whole tree (every
-    # re-tile, and a word shift by an odd number of windows) folds the
-    # stale windows into that refresh; any other shift, and a diff, first
-    # refresh their ancestors.  Either way the lazy twin's nodes end as
+    # shift by a part of a window, and one by an odd number of windows)
+    # folds the stale windows into that refresh; any other shift, and a
+    # diff, first refresh their ancestors.  Either way the lazy twin's nodes end as
     # those of a twin settled right after the write, at no more updates
     rng = Random(33)
     folded = settled = 0
@@ -450,9 +481,8 @@ def test_window_writes_refresh_at_the_next_diff_or_shift(backend):
         (lazy, eager), shared = word_trees(backend, width, seed=trial)
         for _ in range(4):
             positions = batch_write(rng, L, most=64)
-            x = rng.randrange(2)
             for tree in (lazy, eager):
-                write(tree, positions, x)
+                write(tree, positions)
             assert lazy.stale == eager.stale
             before = lazy.update_calls, eager.update_calls
             eager._settle()
@@ -493,13 +523,10 @@ def test_window_methods_validation(backend):
     for spans in ([(0, 1), (0.5, 1)], [(0, 1), (3, 1.0)],
                   [(0, 1), (3, -1)], [(0, 1), (None, 1)]):
         with pytest.raises(ValueError):
-            tree.set_bits(spans, 1)
-    for bad in (2, -1, 0.5, None):
-        with pytest.raises(ValueError):
-            tree.set_bits([(0, 1)], bad)
+            tree.set_bits(spans)
     assert word_string(tree) == [0] * 1024 and tree.update_calls == 0
-    tree.set_bits([], 1)
-    tree.set_bits([(5, 0)], 1)  # no bits: no window written or refreshed
+    tree.set_bits([])
+    tree.set_bits([(5, 0)])  # no bits: no window written or refreshed
     assert word_string(tree) == [0] * 1024 and tree.update_calls == 0
     for a, b in ((-1, 3), (3, 2), (0, 1024), (0.0, 3)):
         with pytest.raises(ValueError):
@@ -508,7 +535,7 @@ def test_window_methods_validation(backend):
     cls = HashedShiftTree if backend == "hashed" else TaggedShiftTree
     letters, twin = cls(3, shared), cls(3, shared)
     with pytest.raises(ValueError):
-        letters.set_bits([(0, 1)], 1)
+        letters.set_bits([(0, 1)])
     with pytest.raises(ValueError):
         letters.diff_windows(twin, 0, 7)
     with pytest.raises(ValueError):

@@ -64,11 +64,16 @@ the pass once per side on fresh trees, and the report gives each
 column's process time per call in microseconds: ``set``, ``shift v0``
 ... and ``diff``.
 
+Last it prints each side's ``src/`` lines and code lines, as
+``tools/src_lines.py`` counts them, and the change side's net change, so
+that a refactor's line count comes with its timing run.
+
 ``--json PATH`` also records what the script prints as one run, appended
 to the ``runs`` list of the JSON file PATH (created if missing): the
 Python version, the options, each side's checkout (its git revision,
-whether its ``src/`` differs from that revision, a digest of its package
-and the window width ``_WORD`` its word trees use), then per backend and
+whether its ``src/`` differs from that revision, a digest of its package,
+the window width ``_WORD`` its word trees use and its ``src/`` lines and
+code lines), then per backend and
 instance (or layer column) each side's median and quartiles in
 milliseconds (microseconds per call with ``--layers``: ``median_us``),
 the paired timings it won (``won`` of ``pairs``), its median
@@ -96,6 +101,7 @@ FAMILIES = ("dense", "mult8", "chain", "3579", "small", "rand8")
 COUNTERS = ("bellman_iterations", "reported_differences", "updates",
             "diff_visits", "store_ops")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SRC_LINES = Path(__file__).resolve().parent / "src_lines.py"
 # point writes a --layers pass times, and its deepest trees: two trees of
 # depth 20 on one side take about 200 MB
 LAYER_WRITES = 1024
@@ -122,12 +128,17 @@ def load(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def bench_workloads():
-    """This checkout's ``perfbench/workloads.py`` as a module."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def module_at(path: Path, name: str):
+    """The Python file at ``path``, imported as module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bench_workloads():
+    """This checkout's ``perfbench/workloads.py`` as a module."""
+    return module_at(WORKLOADS, "bench_workloads")
 
 
 def solve(cli, inst, backend: str, seed: int):
@@ -455,8 +466,9 @@ def checkout(root: str, name: str) -> dict:
     """What identifies the code of the checkout at ``root``, loaded as
     package ``name``: its git revision (``None`` unless ``root`` is the
     top of a git work tree), whether its ``src/`` differs from that
-    revision, a digest of its package's sources and the window width
-    ``_WORD`` of its word trees."""
+    revision, a digest of its package's sources, the window width
+    ``_WORD`` of its word trees and its package's lines and code lines,
+    as ``tools/src_lines.py`` counts them."""
     root = Path(root).resolve()
 
     def git(*args):
@@ -472,14 +484,20 @@ def checkout(root: str, name: str) -> dict:
         if top and Path(top).resolve() == root else None
     status = git("status", "--porcelain", "--", "src") if revision else None
     pkg = root / "src" / "shifttree"
+    count = module_at(SRC_LINES, "src_lines").count
     digest = hashlib.sha256()
+    counts = []
     for path in sorted(pkg.rglob("*.py")):
+        source = path.read_bytes()
         digest.update(path.relative_to(pkg).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes())
+        digest.update(source)
+        counts.append(count(source.decode()))
+    lines, code = (sum(column) for column in zip(*counts))
     return {"revision": revision,
             "src_modified": None if status is None else bool(status),
             "package_sha256": digest.hexdigest()[:16],
-            "word": getattr(sys.modules[f"{name}.shift_tree"], "_WORD", None)}
+            "word": getattr(sys.modules[f"{name}.shift_tree"], "_WORD", None),
+            "src_lines": lines, "src_code_lines": code}
 
 
 def read_record(path: Path) -> dict:
@@ -565,6 +583,14 @@ def main(argv=None) -> int:
     elif not time_solves(args, sides, same_counters, agree, counters,
                          reports):
         return 1
+    where = {side: checkout(root, name) for side, root, name
+             in zip(SIDES, (args.parent, args.change), names)}
+    keys = ("src_lines", "src_code_lines")
+    for side in SIDES:
+        print(f"{side} src/: {where[side][keys[0]]} lines, "
+              f"{where[side][keys[1]]} code")
+    net = [where["change"][key] - where["parent"][key] for key in keys]
+    print(f"net src/ change: {net[0]:+d} lines, {net[1]:+d} code")
     if record is not None:
         options = {key: value for key, value in vars(args).items()
                    if key not in ("parent", "change", "json")}
@@ -572,8 +598,7 @@ def main(argv=None) -> int:
             options["sizes"] = None     # the workload or the layers instead
             options["family"] = None
         run = {"python": platform.python_version(), "options": options,
-               "checkouts": {side: checkout(root, name) for side, root, name
-                             in zip(SIDES, (args.parent, args.change), names)},
+               "checkouts": where,
                "agree": agree, "rows": [], "ratios": {}}
         for backend, printed in zip(args.backends, reports):
             run["rows"] += printed["rows"]
